@@ -19,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .objects import (CapacityError, DecoratedPermutation, PerfectMatching,
-                      SignedPermutation, signed_blocks, stats_decorated,
-                      stats_matching, stats_signed, validate, encode)
+                      SignedPermutation, double_factorial, signed_blocks,
+                      stats_decorated, stats_matching, stats_signed, validate,
+                      encode)
 
 _DOMAIN_CAP = 700_000  # largest 2^n * n! we are willing to enumerate
 
@@ -66,15 +67,17 @@ def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
     raise ValueError(f"no {p}-th {'marked' if use_marked else 'unmarked'} block")
 
 
-# ---------------------------------------------------------------------------
-# phi: decorated permutations
-# ---------------------------------------------------------------------------
-
-def _phi_base(hat: bool):
-    if hat:
+def _base(first: bool):
+    """The image of the one-entry word: a hatted (phi) or negative (psi) 1
+    goes to the first matching, any other 1 to the second."""
+    if first:
         return (((1, 2),), (), frozenset((1,)))
     return ((), ((1, 2),), frozenset())
 
+
+# ---------------------------------------------------------------------------
+# phi: decorated permutations
+# ---------------------------------------------------------------------------
 
 def _phi_step(word, state, m: int, index: int, hat: bool, circle: bool):
     """Insert value m into `word` (the entries with values < m) at `index`;
@@ -111,7 +114,7 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
     n = len(entries)
     pos = {v: i for i, (v, _, _) in enumerate(entries)}
     by_value = {v: e for e in entries for v in (e[0],)}
-    state = _phi_base(by_value[1][1])
+    state = _base(by_value[1][1])
     for m in range(2, n + 1):
         word = tuple(e for e in entries if e[0] < m)
         index = sum(1 for e in word if pos[e[0]] < pos[m])
@@ -138,7 +141,7 @@ def _phi_domain(n: int):
             yield from rec(child, _phi_step(word, state, m, len(word), h, False), m + 1)
 
     for h in (False, True):
-        yield from rec(((1, h, False),), _phi_base(h), 2)
+        yield from rec(((1, h, False),), _base(h), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +150,6 @@ def _phi_domain(n: int):
 
 def _bar_entries(word) -> frozenset[int]:
     return frozenset(v for blk in signed_blocks(word) if blk[-1] < 0 for v in blk)
-
-
-def _psi_base(negative: bool):
-    if negative:
-        return (((1, 2),), (), frozenset((1,)))
-    return ((), ((1, 2),), frozenset())
 
 
 def _psi_step(word, state, m: int, index: int, negative: bool, bar=None):
@@ -193,7 +190,7 @@ def psi_map(pi: SignedPermutation) -> MatchingTriple:
     n = len(entries)
     pos = {abs(v): i for i, v in enumerate(entries)}
     signed = {abs(v): v for v in entries}
-    state = _psi_base(signed[1] < 0)
+    state = _base(signed[1] < 0)
     for m in range(2, n + 1):
         word = tuple(v for v in entries if abs(v) < m)
         index = sum(1 for v in word if pos[abs(v)] < pos[m])
@@ -220,7 +217,7 @@ def _psi_domain(n: int):
                            m + 1)
 
     for neg in (False, True):
-        yield from rec(((-1 if neg else 1),), _psi_base(neg), 2)
+        yield from rec(((-1 if neg else 1),), _base(neg), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +265,13 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
             images.add(state)
         per_k[len(iset)] += 1
 
-    expected = {k: math.comb(n, k) * _df(k) * _df(n - k) for k in range(n + 1)}
+    expected = {k: math.comb(n, k) * double_factorial(k) * double_factorial(n - k)
+                for k in range(n + 1)}
     complete = injective and all(per_k.get(k, 0) == expected[k] for k in expected)
     if not complete and counterexample is None:
         counterexample = ("image cardinality mismatch",
                           repr({k: per_k.get(k, 0) for k in expected}))
     return BijectionReport(n, injective, complete, weight_ok, counterexample)
-
-
-def _df(n: int) -> int:
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
 
 
 def _encode_state(state) -> str:

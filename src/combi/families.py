@@ -12,22 +12,23 @@ are taken at face value from their defining relations:
     Q_{n+1}  = (q+2nx) Q_n + 2x(1-x) dQ_n/dx
     P_{n+1}  = (2nx+qy) P_n + 2x(1-x) dP_n/dx + 2x(1-y) dP_n/dy
     R_{n+1}  = 2nx R_n + 2x(1-x) dR_n/dx + 2nxq R_{n-1}
-    L_{n+1}  = (q+2n) L_n
     q_{n+1}  = 2n (q_n + q_{n-1})
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .poly import (NVARS, ONE, Q, VAR_INDEX, X, Y, CapacityError, ExactPoly,
                    poly_reverse)
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
-from .objects import double_factorial, generate, stats
+from .objects import class_functions, double_factorial, generate, stats
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +76,14 @@ def c_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def eulerian_row(n: int) -> tuple[int, ...]:
-    """Permutations of [n] with k descents; row n has entries k = 0..n-1."""
+def _require_nonnegative(n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
+
+
+def eulerian_row(n: int) -> tuple[int, ...]:
+    """Permutations of [n] with k descents; row n has entries k = 0..n-1."""
+    _require_nonnegative(n)
     row = [1]
     for m in range(1, n + 1):
         new = [0] * m
@@ -127,6 +132,7 @@ def c_poly(n: int) -> ExactPoly:
 
 
 def a_poly(n: int) -> ExactPoly:
+    _require_nonnegative(n)
     p = ONE
     for m in range(n):
         p = (1 + m * X) * p + X * (1 - X) * p.diff("x")
@@ -134,6 +140,7 @@ def a_poly(n: int) -> ExactPoly:
 
 
 def q_poly(n: int, with_q: bool = True) -> ExactPoly:
+    _require_nonnegative(n)
     p = ONE
     for m in range(n):
         p = (Q + 2 * m * X) * p + 2 * X * (1 - X) * p.diff("x")
@@ -148,6 +155,7 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
     """Cycle-Stirling distribution by (cap, fix, cycles), four ways."""
     if route not in _P_ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {_P_ROUTES}")
+    _require_nonnegative(n)
     if route == "recurrence":
         p = ONE
         for m in range(n):
@@ -177,8 +185,7 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
 
 def r_poly(n: int, with_q: bool = True) -> ExactPoly:
     """Fixed-point-free cycle-Stirling distribution by (cap, cycles)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n)
     if n == 0:
         p = ONE
     elif n == 1:
@@ -197,18 +204,13 @@ def r_nk_poly(n: int, k: int) -> ExactPoly:
     return math.comb(n, k) * Q ** k * r_poly(n - k)
 
 
-def l_poly(n: int) -> ExactPoly:
-    p = ONE if n == 0 else Q
-    for m in range(1, n):
-        p = (Q + 2 * m) * p
-    return p
-
-
 def l_closed(n: int) -> ExactPoly:
+    """The rising product q(q+2)...(q+2n-2)."""
+    _require_nonnegative(n)
     p = ONE
     for m in range(n):
         p = p * (Q + 2 * m)
-    return p if n else ONE
+    return p
 
 
 def y_poly(n: int) -> ExactPoly:
@@ -221,6 +223,7 @@ def y_poly(n: int) -> ExactPoly:
 
 
 def rlmin_closed_form(n: int) -> ExactPoly:
+    _require_nonnegative(n)
     p = 2 ** n * X
     for i in range(1, n):
         p = p * (X + i)
@@ -229,6 +232,7 @@ def rlmin_closed_form(n: int) -> ExactPoly:
 
 def q_seq(n_max: int) -> list[int]:
     """Counts of fixed-point-free cycle-Stirling objects."""
+    _require_nonnegative(n_max)
     vals = [1, 0]
     for m in range(1, n_max):
         vals.append(2 * m * (vals[m] + vals[m - 1]))
@@ -241,6 +245,8 @@ def q_seq(n_max: int) -> list[int]:
 
 def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     """All the package's EGFs at the requested truncation order."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if order > max_order():
         raise CapacityError(
             f"order {order} exceeds cap {max_order()} (raise COMBI_MAX_ORDER)")
@@ -278,6 +284,7 @@ def d_poly(n: int) -> ExactPoly:
 
 def h_values(k_max: int) -> list[int]:
     """h_k = (-1)^k (2k)! [z^(2k)] sqrt(2/(e^(2z)+e^(-2z)))."""
+    _require_nonnegative(k_max)
     order = max(2 * k_max, DEFAULT_ORDER)
     s = series_families(order)["sqrtsec"]
     out = []
@@ -291,21 +298,40 @@ def h_values(k_max: int) -> list[int]:
 # exhaustive-enumeration routes
 # ---------------------------------------------------------------------------
 
+_TABLES: dict[tuple, MappingProxyType] = {}
+
+
+def _joint_table(class_name, n, s=None) -> MappingProxyType:
+    """How many objects of the class have each tuple of integer statistics.
+
+    Keys are ((name, value), ...) tuples.  The table is memoised per
+    process, and its memo key holds every function the walk calls, so a
+    generator or statistic replaced after a first call misses the memo."""
+    s = None if s is None else tuple(s)
+    key = (class_name, n, s, generate, stats, *class_functions(class_name))
+    table = _TABLES.get(key)
+    if table is None:
+        counts = Counter()
+        for obj in generate(class_name, n, s):
+            counts[tuple((name, v) for name, v in stats(obj).items()
+                         if type(v) is int)] += 1
+        table = _TABLES[key] = MappingProxyType(counts)
+    return table
+
+
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:
-    """Sum over the class of prod(var^stat) for the given (stat, var) pairs."""
-    counts: dict[tuple[int, ...], int] = {}
-    for obj in generate(class_name, n, s):
-        st = stats(obj)
+    """Sum over the class of prod(var^stat) for the given (stat, var) pairs;
+    `where`, given the dict of an object's integer statistics, filters."""
+    terms: dict[tuple[int, ...], int] = {}
+    for key, count in _joint_table(class_name, n, s).items():
+        st = dict(key)
         if where is not None and not where(st):
             continue
-        key = tuple(st[name] for name, _ in pairs)
-        counts[key] = counts.get(key, 0) + 1
-    terms = {}
-    for key, c in counts.items():
         exp = [0] * NVARS
-        for (_, var), e in zip(pairs, key):
-            exp[VAR_INDEX[var]] = e
-        terms[tuple(exp)] = c
+        for name, var in pairs:
+            exp[VAR_INDEX[var]] = st[name]
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + count
     return ExactPoly(terms)
 
 
@@ -319,6 +345,7 @@ def a_poly_enum(n: int) -> ExactPoly:
 
 def b_poly(n: int, route: str = "invseq") -> ExactPoly:
     """Signed permutations by descents (with a leading virtual 0)."""
+    _require_nonnegative(n)
     if route == "invseq":
         if n > 8:
             raise CapacityError("inversion-sequence route capped at n=8")
@@ -387,42 +414,4 @@ def rlmin_poly_enum(n: int) -> ExactPoly:
 
 def cap_sign_sum(n: int) -> int:
     """Sum of (-1)^cap over fixed-point-free cycle-Stirling objects."""
-    total = 0
-    for obj in generate("stirling2", n):
-        st = stats(obj)
-        if st["fix"] == 0:
-            total += -1 if st["cap"] % 2 else 1
-    return total
-
-
-def decorated_asc_by_hat(n: int) -> dict[int, ExactPoly]:
-    """Ascent distributions of decorated permutations, split by hat count."""
-    counts: dict[tuple[int, int], int] = {}
-    for obj in generate("decorated", n):
-        st = stats(obj)
-        key = (st["hat"], st["asc"])
-        counts[key] = counts.get(key, 0) + 1
-    return _split_distribution(counts, n)
-
-
-def signed_desb_by_bar(n: int) -> dict[int, ExactPoly]:
-    """Descent distributions of signed permutations, split by bar count."""
-    counts: dict[tuple[int, int], int] = {}
-    for obj in generate("signed", n):
-        st = stats(obj)
-        key = (st["bar"], st["des_B"])
-        counts[key] = counts.get(key, 0) + 1
-    return _split_distribution(counts, n)
-
-
-def _split_distribution(counts, n) -> dict[int, ExactPoly]:
-    out = {}
-    for k in range(n + 1):
-        terms = {}
-        for (kk, stat), c in counts.items():
-            if kk == k:
-                exp = [0] * NVARS
-                exp[VAR_INDEX["x"]] = stat
-                terms[tuple(exp)] = c
-        out[k] = ExactPoly(terms)
-    return out
+    return r_poly_enum(n).subs_num("x", -1).subs_num("q", 1).const_value()

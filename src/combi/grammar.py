@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .poly import VARS, CapacityError, ExactPoly, divexact
+from .poly import VAR_INDEX, VARS, CapacityError, ExactPoly, divexact
 from . import families
 
 
@@ -90,7 +90,6 @@ def cycle_derivative_polynomial(n: int) -> ExactPoly:
 def to_xyq(p: ExactPoly) -> ExactPoly:
     """Substitute c^2 -> x, b^2 -> y, d -> 1 into an a-free polynomial whose
     b- and c-exponents are even and nonnegative."""
-    from .poly import VAR_INDEX
     ix, iy = VAR_INDEX["x"], VAR_INDEX["y"]
     ib, ic, id_, ia = (VAR_INDEX[v] for v in ("b", "c", "d", "a"))
     t = {}
@@ -112,53 +111,58 @@ def fix_cycle_cap_polynomial(n: int) -> ExactPoly:
 
 
 def _enumeration_side(n: int) -> ExactPoly:
-    from .objects import generate, stats_cycle_stirling
-    a = ExactPoly.var("a")
-    acc: dict[tuple[int, int, int], int] = {}
-    for sigma in generate("stirling2", n):
-        st = stats_cycle_stirling(sigma)
-        key = (st["cyc"], st["fix"], st["cap"])
-        acc[key] = acc.get(key, 0) + 1
+    """a times the sum over cycle-Stirling objects of
+    q^cyc b^(2 fix) c^(2 cap) d^(2n - 2 fix - 2 cap)."""
+    dist = families.stat_distribution(
+        "stirling2", n, (("cyc", "q"), ("fix", "b"), ("cap", "c")))
+    iq, ib, ic = (VAR_INDEX[v] for v in ("q", "b", "c"))
     total = ExactPoly.zero()
-    for (cyc, fix, cap), count in acc.items():
+    for exp, count in dist.items():
+        cyc, fix, cap = exp[iq], exp[ib], exp[ic]
         total = total + ExactPoly.monomial(count, {
             "q": cyc, "b": 2 * fix, "c": 2 * cap,
             "d": 2 * n - 2 * fix - 2 * cap})
-    return a * total
+    return ExactPoly.var("a") * total
 
 
-def lemma1_check(n: int):
-    """Compare D^n(a) against the exhaustive cycle-Stirling encoding."""
-    from .verify import VerifyReport
+def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
+    """D^n(a) and the exhaustive cycle-Stirling encoding it should equal."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 8:
         raise CapacityError(f"cycle-Stirling enumeration capped at n=8, got {n}")
-    t0 = time.perf_counter()
-    lhs = cycle_derivative_polynomial(n)
-    rhs = _enumeration_side(n)
-    ms = (time.perf_counter() - t0) * 1000
-    if lhs == rhs:
-        return VerifyReport("grammar-lemma1", n, "pass", runtime_ms=ms)
-    return VerifyReport("grammar-lemma1", n, "fail",
-                        lhs=lhs.render(), rhs=rhs.render(), runtime_ms=ms)
+    return cycle_derivative_polynomial(n), _enumeration_side(n)
 
 
-def lemma2_check(n: int):
-    """Compare D^n(b^2) against 2^n * sum_k <n,k> c^(2k+2) d^(2n-2k)."""
-    from .verify import VerifyReport
+def lemma2_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
+    """D^n(b^2) and 2^n * sum_k <n,k> c^(2k+2) d^(2n-2k)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 10:
         raise CapacityError(f"lemma2 check capped at n=10, got {n}")
-    t0 = time.perf_counter()
     lhs = derive(EULERIAN_GRAMMAR, ExactPoly.var("b") ** 2, n)
-    row = families.eulerian_row(n)
     rhs = ExactPoly.zero()
-    for k, e in enumerate(row):
+    for k, e in enumerate(families.eulerian_row(n)):
         rhs = rhs + ExactPoly.monomial(e * 2 ** n, {"c": 2 * k + 2, "d": 2 * n - 2 * k})
+    return lhs, rhs
+
+
+def _lemma_report(check_id: str, sides, n: int):
+    from .verify import VerifyReport
+    t0 = time.perf_counter()
+    lhs, rhs = sides(n)
     ms = (time.perf_counter() - t0) * 1000
     if lhs == rhs:
-        return VerifyReport("grammar-lemma2", n, "pass", runtime_ms=ms)
-    return VerifyReport("grammar-lemma2", n, "fail",
+        return VerifyReport(check_id, n, "pass", runtime_ms=ms)
+    return VerifyReport(check_id, n, "fail",
                         lhs=lhs.render(), rhs=rhs.render(), runtime_ms=ms)
+
+
+def lemma1_check(n: int):
+    """Compare D^n(a) against the exhaustive cycle-Stirling encoding."""
+    return _lemma_report("grammar-lemma1", lemma1_sides, n)
+
+
+def lemma2_check(n: int):
+    """Compare D^n(b^2) against 2^n * sum_k <n,k> c^(2k+2) d^(2n-2k)."""
+    return _lemma_report("grammar-lemma2", lemma2_sides, n)

@@ -67,8 +67,20 @@ class InversionSequence:
     s: tuple[int, ...]
 
 
-CLASS_NAMES = ("permutation", "signed", "matching", "stirling", "stirling2",
-               "decorated", "invseq")
+# class name -> (object type, generator, statistic function).  The functions
+# are named, not held, so that generate and stats call whatever this module
+# binds when they run.
+_CLASSES = {
+    "permutation": (Permutation, "_gen_permutations", "stats_permutation"),
+    "signed": (SignedPermutation, "_gen_signed", "stats_signed"),
+    "matching": (PerfectMatching, "_gen_matchings", "stats_matching"),
+    "stirling": (StirlingWord, "_gen_stirling_words", "stats_stirling"),
+    "stirling2": (CycleStirling, "_gen_cycle_stirling", "stats_cycle_stirling"),
+    "decorated": (DecoratedPermutation, "_gen_decorated", "stats_decorated"),
+    "invseq": (InversionSequence, "_gen_invseq", "stats_inversion"),
+}
+CLASS_NAMES = tuple(_CLASSES)
+_STATS_BY_TYPE = {cls: stat for cls, _, stat in _CLASSES.values()}
 
 
 def double_factorial(n: int) -> int:
@@ -168,27 +180,27 @@ def _gen_invseq(s):
         yield InversionSequence(e, tuple(s))
 
 
+def class_functions(class_name: str):
+    """The generator and the statistic function of the class, as bound now."""
+    if class_name not in _CLASSES:
+        raise ValueError(f"unknown object class {class_name!r}")
+    _, gen, stat = _CLASSES[class_name]
+    return globals()[gen], globals()[stat]
+
+
 def generate(class_name: str, n: int, s=None):
     """Stream every object of the class exactly once, deterministically."""
-    if class_name not in CLASS_NAMES:
-        raise ValueError(f"unknown object class {class_name!r}")
+    gen = class_functions(class_name)[0]
     if class_name == "invseq":
         if s is None:
             raise ValueError("inversion sequences need a bound sequence s")
         s = tuple(s)
         if len(s) != n or any(si < 1 for si in s):
             raise ValueError("bound sequence must have length n with entries >= 1")
-        return _gen_invseq(s)
+        return gen(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return {
-        "permutation": _gen_permutations,
-        "signed": _gen_signed,
-        "matching": _gen_matchings,
-        "stirling": _gen_stirling_words,
-        "stirling2": _gen_cycle_stirling,
-        "decorated": _gen_decorated,
-    }[class_name](n)
+    return gen(n)
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
@@ -422,16 +434,10 @@ def stats_inversion(iv: InversionSequence) -> dict:
 
 
 def stats(obj) -> dict:
-    for cls, fn in ((Permutation, stats_permutation),
-                    (SignedPermutation, stats_signed),
-                    (PerfectMatching, stats_matching),
-                    (StirlingWord, stats_stirling),
-                    (CycleStirling, stats_cycle_stirling),
-                    (DecoratedPermutation, stats_decorated),
-                    (InversionSequence, stats_inversion)):
-        if isinstance(obj, cls):
-            return fn(obj)
-    raise TypeError(f"not a combinatorial object: {obj!r}")
+    name = _STATS_BY_TYPE.get(type(obj))
+    if name is None:
+        raise TypeError(f"not a combinatorial object: {obj!r}")
+    return globals()[name](obj)
 
 
 def reduce_word(word) -> tuple[int, ...]:

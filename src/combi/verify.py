@@ -123,24 +123,25 @@ def _chk_eq_1_4(n):
                         "binomial convolution"))
 
 
-def _chk_eq_1_3_refined(n):
-    dist = families.decorated_asc_by_hat(n)
+def _refined(n, class_name, stat, refiner, second):
+    """The stat distribution at refiner = k against C(n,k) N_k second(n-k)."""
+    dist = families.stat_distribution(class_name, n,
+                                      ((stat, "x"), (refiner, "q")))
     for k in range(n + 1):
-        want = math.comb(n, k) * families.n_poly(k) * families.n_poly(n - k)
-        if dist[k] != want:
-            return (f"k={k} enumeration: {dist[k].render()}",
+        got = dist.coefficient_of("q", k)
+        want = math.comb(n, k) * families.n_poly(k) * second(n - k)
+        if got != want:
+            return (f"k={k} enumeration: {got.render()}",
                     f"k={k} product: {want.render()}")
     return None
+
+
+def _chk_eq_1_3_refined(n):
+    return _refined(n, "decorated", "asc", "hat", families.n_poly)
 
 
 def _chk_eq_1_4_refined(n):
-    dist = families.signed_desb_by_bar(n)
-    for k in range(n + 1):
-        want = math.comb(n, k) * families.n_poly(k) * families.m_poly(n - k)
-        if dist[k] != want:
-            return (f"k={k} enumeration: {dist[k].render()}",
-                    f"k={k} product: {want.render()}")
-    return None
+    return _refined(n, "signed", "des_B", "bar", families.m_poly)
 
 
 def _chk_n2_a2z(order):
@@ -200,14 +201,13 @@ def _chk_q_gf(n):
 
 def _chk_cyc_closed(n):
     return _cmp(families.q_poly(n).subs_num("x", 1), families.l_closed(n),
-                families.l_poly(n),
-                labels=("Q at x=1", "rising product", "recurrence"))
+                labels=("Q at x=1", "rising product"))
 
 
 def _chk_desi_cyc(n):
     return _cmp(families.desi_poly_enum(n), families.cyc_poly_enum(n),
-                families.l_poly(n),
-                labels=("descent intervals", "cycle count", "recurrence"))
+                families.l_closed(n),
+                labels=("descent intervals", "cycle count", "rising product"))
 
 
 def _chk_y_cyclic(n):
@@ -392,11 +392,10 @@ CHECKS: tuple[IdentityCheck, ...] = (
         ("recurrence", "series"), range(0, 9), _chk_q_gf),
     _mk("cyc-closed-form", "cycle-count distribution is the rising product "
         "q(q+2)..(q+2n-2)",
-        ("recurrence", "closed-form", "recurrence"), range(1, 9),
-        _chk_cyc_closed),
+        ("recurrence", "closed-form"), range(1, 9), _chk_cyc_closed),
     _mk("desi-equals-cyc", "descent intervals on words match cycle counts on "
         "cycle forms",
-        ("enumeration", "enumeration", "recurrence"), range(1, 8),
+        ("enumeration", "enumeration", "closed-form"), range(1, 8),
         _chk_desi_cyc),
     _mk("Y-cyclic", "one-cycle cap distribution is 2^(n-1) x A_(n-1)",
         ("enumeration", "recurrence"), range(2, 8), _chk_y_cyclic),

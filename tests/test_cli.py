@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from combi import objects
-from combi.cli import emit_jsonl, main
+from combi.cli import FAMILIES, emit_jsonl, main
 
 
 def run(capsys, *argv):
@@ -44,6 +46,14 @@ def test_poly_csv_multivariate_rejected(capsys):
 def test_poly_bad_family(capsys):
     code, _, _ = run(capsys, "poly", "--family", "Z", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_poly_negative_n(capsys, family):
+    code, out, err = run(capsys, "poly", "--family", family, "--n", "-2")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_enumerate_stirling2_stats(capsys):
@@ -155,6 +165,12 @@ def test_series_command(capsys):
     assert out.splitlines()[4] == "4: 60"
     code, _, _ = run(capsys, "series", "--id", "N", "--order", "99")
     assert code == 2
+
+
+def test_series_negative_order(capsys):
+    code, _, err = run(capsys, "series", "--id", "N", "--order", "-1")
+    assert code == 2
+    assert "order must be >= 0" in err
 
 
 def test_usage_errors(capsys):

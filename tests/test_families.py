@@ -2,6 +2,7 @@ import pytest
 
 from combi.poly import CapacityError, ExactPoly, Q, X, Y
 from combi.series import egf_coefficient
+from combi.objects import generate, stats
 from combi import families as F
 
 
@@ -94,12 +95,11 @@ def test_r_nk_matches_p_coefficients():
 
 
 def test_l_poly():
-    for n in range(7):
-        assert F.l_poly(n) == F.l_closed(n)
-    assert F.l_poly(3) == Q * (Q + 2) * (Q + 4)
+    assert F.l_closed(0) == 1
+    assert F.l_closed(3) == Q * (Q + 2) * (Q + 4)
     for n in range(1, 5):
-        assert F.desi_poly_enum(n) == F.l_poly(n)
-        assert F.cyc_poly_enum(n) == F.l_poly(n)
+        assert F.desi_poly_enum(n) == F.l_closed(n)
+        assert F.cyc_poly_enum(n) == F.l_closed(n)
 
 
 def test_q_seq():
@@ -177,10 +177,16 @@ def test_cap_sign_sum():
     assert F.cap_sign_sum(2) == -2
     assert F.cap_sign_sum(3) == 0
     assert F.cap_sign_sum(4) == 28
+    # the projection of R_n against the sum taken object by object
+    for n in range(1, 6):
+        direct = sum((-1) ** st["cap"] for st in map(stats, generate("stirling2", n))
+                     if st["fix"] == 0)
+        assert F.cap_sign_sum(n) == direct
 
 
 def test_split_distributions():
-    dist = F.decorated_asc_by_hat(2)
+    joint = F.stat_distribution("decorated", 2, (("asc", "x"), ("hat", "q")))
+    dist = {k: joint.coefficient_of("q", k) for k in range(3)}
     assert dist[0] == 2 * X + X ** 2   # N_0 * N_2
     assert dist[1] == 2 * X ** 2       # 2 * N_1 * N_1
     assert dist[2] == 2 * X + X ** 2   # N_2 * N_0
@@ -188,3 +194,20 @@ def test_split_distributions():
     for p in dist.values():
         total = total + p
     assert total == 4 * X + 4 * X ** 2
+
+
+def test_joint_table_memoised_and_read_only():
+    table = F._joint_table("matching", 3)
+    assert F._joint_table("matching", 3) is table
+    assert dict(table) == {(("el", 3), ("ol", 0)): 1, (("el", 2), ("ol", 1)): 10,
+                           (("el", 1), ("ol", 2)): 4}
+    with pytest.raises(TypeError):
+        table[(("el", 3), ("ol", 0))] = 2
+
+
+@pytest.mark.parametrize("fn", [F.a_poly, F.q_poly, F.p_poly, F.b_poly,
+                                F.h_values, F.q_seq, F.rlmin_closed_form,
+                                F.l_closed])
+def test_negative_n_rejected(fn):
+    with pytest.raises(ValueError):
+        fn(-2)

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from combi import families, verify
+from combi import families, objects, verify
 from combi.poly import ExactPoly, X
 
 EXPECTED_IDS = [
@@ -145,3 +147,31 @@ def _mutant_r_poly(n, with_q=True):
 def test_mutant_r_recurrence_caught(monkeypatch):
     monkeypatch.setattr(families, "r_poly", _mutant_r_poly)
     assert verify.run_check("R-recurrence-enum", 4).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# enumeration tables are memoised: a mutant planted after a check has run
+# once in the process must still reach its verdict
+# ---------------------------------------------------------------------------
+
+_STATS_STIRLING = objects.stats_stirling
+_GEN_CYCLE_STIRLING = objects._gen_cycle_stirling
+
+
+def _mutant_stats_stirling(sw):
+    st = _STATS_STIRLING(sw)
+    return {**st, "descents": st["descents"] + 1}
+
+
+def _mutant_gen_cycle_stirling(n):
+    return itertools.islice(_GEN_CYCLE_STIRLING(n), 1, None)
+
+
+@pytest.mark.parametrize("check_id, attr, mutant", [
+    ("C-descents", "stats_stirling", _mutant_stats_stirling),
+    ("Q-recurrence-enum", "_gen_cycle_stirling", _mutant_gen_cycle_stirling),
+], ids=["C-descents", "Q-recurrence-enum"])
+def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
+    assert verify.run_check(check_id, 3).status == "pass"
+    monkeypatch.setattr(objects, attr, mutant)
+    assert verify.run_check(check_id, 3).status == "fail"

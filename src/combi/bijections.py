@@ -8,20 +8,37 @@ k = bar (the number of entries lying in blocks that end negatively).
 Both maps replay the object's unique construction history: values are
 peeled off the top and re-inserted in increasing order, each insertion
 appending a fresh block or splitting the p-th marked/unmarked block of the
-appropriate matching.  Bijectivity is certified exhaustively
-(injectivity + per-k image cardinality), not by an inverse algorithm.
+appropriate matching.
+
+Bijectivity is certified exhaustively, not by an inverse algorithm.
+verify_bijection walks the construction tree of the whole domain (the
+generating tree of J. West, Discrete Math. 146 (1995)) with the same step
+rules as the maps, and at every leaf it checks
+  - that the image is new (injectivity),
+  - the weight: asc (phi) or des_B (psi) of the leaf word against the
+    even-larger (el) and odd-larger (ol) block counts of its matchings,
+  - the index set: the hatted values (phi), or the magnitudes in the blocks
+    that end negatively (psi).
+The weight and the index set are computed from the leaf word and the leaf
+matchings, never from the step rules.  Afterwards the images with k
+recorded indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
+
+Inside the maps and the walk, an index set is an int bitmask (bit v set iff
+v is recorded); it becomes a frozenset only in the results.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+from bisect import insort
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .objects import (CapacityError, DecoratedPermutation, PerfectMatching,
                       SignedPermutation, double_factorial, signed_blocks,
-                      stats_decorated, stats_matching, stats_signed, validate,
-                      encode)
+                      validate, encode)
 
 _DOMAIN_CAP = 700_000  # largest 2^n * n! we are willing to enumerate
 
@@ -53,6 +70,14 @@ def encode_triple(t: MatchingTriple) -> str:
     return (f"[{encode(t.first)}] [{encode(t.second)}] {{{iset}}}")
 
 
+def _triple(state, n: int) -> MatchingTriple:
+    """The triple of a state; its index bitmask becomes a frozenset."""
+    s1, s2, mask = state
+    iset = frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return MatchingTriple(PerfectMatching(s1), PerfectMatching(s2),
+                          iset, n, len(iset))
+
+
 def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
     """Replace the p-th marked (even-larger) or unmarked block (a, b), in
     standard-form order, by (a, lo),(b, lo+1) when straight else
@@ -62,17 +87,28 @@ def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
         if (b % 2 == 0) == use_marked:
             count += 1
             if count == p:
-                pair = ((a, lo), (b, lo + 1)) if straight else ((a, lo + 1), (b, lo))
-                return tuple(sorted(blocks[:j] + blocks[j + 1:] + pair))
+                top_a, top_b = (lo, lo + 1) if straight else (lo + 1, lo)
+                out = list(blocks)
+                # a stays, so block j keeps its place; no block starts at b
+                out[j] = (a, top_a)
+                insort(out, (b, top_b))
+                return tuple(out)
     raise ValueError(f"no {p}-th {'marked' if use_marked else 'unmarked'} block")
 
 
-def _base(first: bool):
-    """The image of the one-entry word: a hatted (phi) or negative (psi) 1
-    goes to the first matching, any other 1 to the second."""
+# the state of the empty word: no blocks, nothing recorded
+_EMPTY = ((), (), 0)
+
+
+def _append(state, m: int, first: bool):
+    """Insert m at the end: a fresh top block in the first matching,
+    recording m, or in the second."""
+    s1, s2, iset = state
     if first:
-        return (((1, 2),), (), frozenset((1,)))
-    return ((), ((1, 2),), frozenset())
+        t = 2 * len(s1)
+        return (s1 + ((t + 1, t + 2),), s2, iset | 1 << m)
+    t = 2 * len(s2)
+    return (s1, s2 + ((t + 1, t + 2),), iset)
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +118,22 @@ def _base(first: bool):
 def _phi_step(word, state, m: int, index: int, hat: bool, circle: bool):
     """Insert value m into `word` (the entries with values < m) at `index`;
     index == len(word) is the append case."""
-    s1, s2, iset = state
-    k = len(s1)
     if index == len(word):
-        if hat:
-            return (s1 + ((2 * k + 1, 2 * k + 2),), s2, iset | frozenset((m,)))
-        t = 2 * len(s2)
-        return (s1, s2 + ((t + 1, t + 2),), iset)
-
-    succ = word[index]
-    pred_val = word[index - 1][0] if index else 0
-    ascent = pred_val < succ[0]
+        return _append(state, m, hat)
+    s1, s2, iset = state
+    succ, succ_hat, _ = word[index]
+    ascent = (word[index - 1][0] if index else 0) < succ
+    # p counts the slots up to `index` before an entry of the same hat class
+    # that are of the same kind (ascent or descent) as the slot at `index`
     p = 0
-    for j in range(index + 1):
-        if word[j][1] != succ[1]:
-            continue
-        pv = word[j - 1][0] if j else 0
-        if (pv < word[j][0]) == ascent:
+    prev = 0
+    for v, h, _ in word[:index + 1]:
+        if h == succ_hat and (prev < v) == ascent:
             p += 1
+        prev = v
     if hat:
-        s1 = _split_block(s1, ascent, p, 2 * k + 1, not circle)
-        return (s1, s2, iset | frozenset((m,)))
+        s1 = _split_block(s1, ascent, p, 2 * len(s1) + 1, not circle)
+        return (s1, s2, iset | 1 << m)
     s2 = _split_block(s2, ascent, p, 2 * len(s2) + 1, not circle)
     return (s1, s2, iset)
 
@@ -114,34 +145,40 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
     n = len(entries)
     pos = {v: i for i, (v, _, _) in enumerate(entries)}
     by_value = {v: e for e in entries for v in (e[0],)}
-    state = _base(by_value[1][1])
-    for m in range(2, n + 1):
+    state = _EMPTY
+    for m in range(1, n + 1):
         word = tuple(e for e in entries if e[0] < m)
         index = sum(1 for e in word if pos[e[0]] < pos[m])
         _, hat, circ = by_value[m]
         state = _phi_step(word, state, m, index, hat, circ)
-    s1, s2, iset = state
-    return MatchingTriple(PerfectMatching(s1), PerfectMatching(s2),
-                          iset, n, len(iset))
+    return _triple(state, n)
 
 
-def _phi_domain(n: int):
-    """DFS over the construction tree, yielding (entries, state) leaves."""
-    def rec(word, state, m):
-        if m > n:
-            yield word, state
-            return
-        for idx in range(len(word)):
-            h = word[idx][1]
-            for circ in (False, True):
-                child = word[:idx] + ((m, h, circ),) + word[idx:]
-                yield from rec(child, _phi_step(word, state, m, idx, h, circ), m + 1)
-        for h in (False, True):
-            child = word + ((m, h, False),)
-            yield from rec(child, _phi_step(word, state, m, len(word), h, False), m + 1)
-
+def _phi_children(word, state, m: int):
+    """The children of a node of the decorated construction tree, in the
+    order of generate("decorated", n)."""
+    step = _phi_step
+    for idx in range(len(word)):
+        h = word[idx][1]
+        for circ in (False, True):
+            yield (word[:idx] + ((m, h, circ),) + word[idx:],
+                   step(word, state, m, idx, h, circ))
     for h in (False, True):
-        yield from rec(((1, h, False),), _base(h), 2)
+        yield word + ((m, h, False),), step(word, state, m, len(word), h, False)
+
+
+def _phi_weighs(word, state) -> bool:
+    """asc(word) = el(first) + el(second), and the index set is the set of
+    hatted values."""
+    s1, s2, iset = state
+    asc = prev = hats = 0
+    for v, h, _ in word:
+        asc += prev < v  # the leading virtual 0 makes asc count from 1
+        if h:
+            hats |= 1 << v
+        prev = v
+    el = [b & 1 for _, b in s1 + s2].count(0)
+    return asc == el and hats == iset
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +191,24 @@ def _bar_entries(word) -> frozenset[int]:
 
 def _psi_step(word, state, m: int, index: int, negative: bool, bar=None):
     """Insert m (or -m) into the signed word at `index`."""
-    t1, t2, iset = state
-    k = len(t1)
     if index == len(word):
-        if negative:
-            return (t1 + ((2 * k + 1, 2 * k + 2),), t2, iset | frozenset((m,)))
-        t = 2 * len(t2)
-        return (t1, t2 + ((t + 1, t + 2),), iset)
-
+        return _append(state, m, negative)
+    t1, t2, iset = state
     if bar is None:
         bar = _bar_entries(word)
     succ = word[index]
-    pred = word[index - 1] if index else 0
-    ascent = pred < succ
+    ascent = (word[index - 1] if index else 0) < succ
     in_bar = succ in bar
     p = 0
-    for j in range(index + 1):
-        if (word[j] in bar) != in_bar:
-            continue
-        pv = word[j - 1] if j else 0
-        if (pv < word[j]) == ascent:
+    prev = 0
+    for v in word[:index + 1]:
+        if (v in bar) == in_bar and (prev < v) == ascent:
             p += 1
+        prev = v
     if in_bar:
         # ascent-top -> unmarked block, descent-bottom -> marked block
-        t1 = _split_block(t1, not ascent, p, 2 * k + 1, not negative)
-        return (t1, t2, iset | frozenset((m,)))
+        t1 = _split_block(t1, not ascent, p, 2 * len(t1) + 1, not negative)
+        return (t1, t2, iset | 1 << m)
     t2 = _split_block(t2, ascent, p, 2 * len(t2) + 1, not negative)
     return (t1, t2, iset)
 
@@ -190,43 +220,83 @@ def psi_map(pi: SignedPermutation) -> MatchingTriple:
     n = len(entries)
     pos = {abs(v): i for i, v in enumerate(entries)}
     signed = {abs(v): v for v in entries}
-    state = _base(signed[1] < 0)
-    for m in range(2, n + 1):
+    state = _EMPTY
+    for m in range(1, n + 1):
         word = tuple(v for v in entries if abs(v) < m)
         index = sum(1 for v in word if pos[abs(v)] < pos[m])
         state = _psi_step(word, state, m, index, signed[m] < 0)
+    return _triple(state, n)
+
+
+def _psi_children(word, state, m: int):
+    """The children of a node of the signed construction tree."""
+    step = _psi_step
+    bar = _bar_entries(word)
+    for idx in range(len(word)):
+        for val in (m, -m):
+            yield (word[:idx] + (val,) + word[idx:],
+                   step(word, state, m, idx, val < 0, bar))
+    for val in (m, -m):
+        yield word + (val,), step(word, state, m, len(word), val < 0)
+
+
+def _psi_weighs(word, state) -> bool:
+    """des_B(word) = el(first) + ol(second), and the index set holds the
+    magnitudes in the blocks that end negatively."""
     t1, t2, iset = state
-    return MatchingTriple(PerfectMatching(t1), PerfectMatching(t2),
-                          iset, n, len(iset))
-
-
-def _psi_domain(n: int):
-    def rec(word, state, m):
-        if m > n:
-            yield word, state
-            return
-        bar = _bar_entries(word)
-        for idx in range(len(word)):
-            for neg in (False, True):
-                val = -m if neg else m
-                child = word[:idx] + (val,) + word[idx:]
-                yield from rec(child, _psi_step(word, state, m, idx, neg, bar), m + 1)
-        for neg in (False, True):
-            val = -m if neg else m
-            yield from rec(word + (val,), _psi_step(word, state, m, len(word), neg),
-                           m + 1)
-
-    for neg in (False, True):
-        yield from rec(((-1 if neg else 1),), _base(neg), 2)
+    des = prev = 0
+    for v in word:
+        des += prev > v  # the leading virtual 0 counts a negative first entry
+        prev = v
+    # Scanning from the right, each right-to-left minimum of the magnitudes
+    # ends a block, and the entries met until the next one belong to it.
+    bars = 0
+    low = len(word) + 1
+    negative = False
+    for v in reversed(word):
+        a = -v if v < 0 else v
+        if a < low:
+            low = a
+            negative = v < 0
+        if negative:
+            bars |= 1 << a
+    el_ol = [b & 1 for _, b in t1].count(0) + [b & 1 for _, b in t2].count(1)
+    return des == el_ol and bars == iset
 
 
 # ---------------------------------------------------------------------------
 # exhaustive certification
 # ---------------------------------------------------------------------------
 
+def _leaves(children, n: int):
+    """Every leaf (word, state) of a construction tree of size n, in
+    depth-first order.  The inner levels are built as lists (the last has
+    2^(n-1) (n-1)! nodes), and the leaves are streamed from the last one."""
+    level = [((), _EMPTY)]
+    for m in range(1, n):
+        level = [child for word, state in level
+                 for child in children(word, state, m)]
+    for word, state in level:
+        yield from children(word, state, n)
+
+
+@contextmanager
+def _no_cycle_collection():
+    """Pause the cyclic garbage collector.  The walk keeps an image per leaf
+    and allocates tuples that never form a cycle, so the collector would
+    only rescan them: that took about a quarter of phi's time at n = 7."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def verify_bijection(map_id: str, n: int) -> BijectionReport:
-    """Apply the map to the whole domain: check injectivity, per-k image
-    cardinality, and weight preservation on every object."""
+    """Walk the map's whole domain: check injectivity, weight and index set
+    on every leaf, then the image count for each k."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
     if n < 1:
@@ -234,36 +304,28 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
     domain_size = 2 ** n * math.factorial(n)
     if domain_size > _DOMAIN_CAP:
         raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")
+    if map_id == "phi":
+        kind, children, weighs = DecoratedPermutation, _phi_children, _phi_weighs
+    else:
+        kind, children, weighs = SignedPermutation, _psi_children, _psi_weighs
 
     images = set()
     per_k = Counter()
     weight_ok = True
     injective = True
     counterexample = None
-
-    for word, state in (_phi_domain(n) if map_id == "phi" else _psi_domain(n)):
-        s1, s2, iset = state
-        if map_id == "phi":
-            obj = DecoratedPermutation(word)
-            lhs = stats_decorated(obj)["asc"]
-            rhs = (stats_matching(PerfectMatching(s1))["el"]
-                   + stats_matching(PerfectMatching(s2))["el"])
-        else:
-            obj = SignedPermutation(word)
-            lhs = stats_signed(obj)["des_B"]
-            rhs = (stats_matching(PerfectMatching(s1))["el"]
-                   + stats_matching(PerfectMatching(s2))["ol"])
-        if weight_ok and lhs != rhs:
-            weight_ok = False
-            counterexample = (encode(obj), _encode_state(state))
-        if state in images:
-            if injective:
-                injective = False
-                counterexample = counterexample or (encode(obj),
-                                                    _encode_state(state))
-        else:
+    with _no_cycle_collection():
+        for word, state in _leaves(children, n):
+            if weight_ok and not weighs(word, state):
+                weight_ok = False
+                counterexample = (encode(kind(word)), _encode_state(state))
+            seen = len(images)  # one hash of the image, not two
             images.add(state)
-        per_k[len(iset)] += 1
+            if injective and len(images) == seen:
+                injective = False
+                counterexample = counterexample or (encode(kind(word)),
+                                                    _encode_state(state))
+            per_k[state[2].bit_count()] += 1
 
     expected = {k: math.comb(n, k) * double_factorial(k) * double_factorial(n - k)
                 for k in range(n + 1)}
@@ -275,6 +337,4 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
 
 
 def _encode_state(state) -> str:
-    s1, s2, iset = state
-    return encode_triple(MatchingTriple(PerfectMatching(s1), PerfectMatching(s2),
-                                        iset, 0, len(iset)))
+    return encode_triple(_triple(state, 0))

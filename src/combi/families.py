@@ -42,6 +42,8 @@ class TriangleTable:
     rows: tuple[tuple[int, ...], ...]
 
     def row(self, n: int) -> tuple[int, ...]:
+        if not 1 <= n <= len(self.rows):
+            raise ValueError(f"{self.name} has rows 1..{len(self.rows)}, not {n}")
         return self.rows[n - 1]
 
     def row_sums(self) -> list[int]:
@@ -224,6 +226,8 @@ def y_poly(n: int) -> ExactPoly:
 
 def rlmin_closed_form(n: int) -> ExactPoly:
     _require_nonnegative(n)
+    if n == 0:
+        return ONE  # the empty word has no right-to-left minima
     p = 2 ** n * X
     for i in range(1, n):
         p = p * (X + i)

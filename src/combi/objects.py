@@ -188,31 +188,40 @@ def class_functions(class_name: str):
     return globals()[gen], globals()[stat]
 
 
-def generate(class_name: str, n: int, s=None):
-    """Stream every object of the class exactly once, deterministically."""
-    gen = class_functions(class_name)[0]
+def _check_size(class_name: str, n: int, s, n_min: int):
+    """Reject a size the class cannot take: an inversion sequence needs a
+    bound sequence s of length n with entries >= 1, any other class needs
+    n >= n_min.  Returns s as a tuple for inversion sequences."""
+    if class_name not in _CLASSES:
+        raise ValueError(f"unknown object class {class_name!r}")
     if class_name == "invseq":
         if s is None:
             raise ValueError("inversion sequences need a bound sequence s")
         s = tuple(s)
         if len(s) != n or any(si < 1 for si in s):
             raise ValueError("bound sequence must have length n with entries >= 1")
-        return gen(s)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return gen(n)
+        return s
+    if n < n_min:
+        raise ValueError(f"n must be >= {n_min}")
+    return s
+
+
+def generate(class_name: str, n: int, s=None):
+    """Stream every object of the class exactly once, deterministically."""
+    gen = class_functions(class_name)[0]
+    s = _check_size(class_name, n, s, 1)
+    return gen(s) if class_name == "invseq" else gen(n)
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
+    s = _check_size(class_name, n, s, 0)
     if class_name == "permutation":
         return math.factorial(n)
     if class_name in ("signed", "decorated"):
         return 2 ** n * math.factorial(n)
     if class_name in ("matching", "stirling", "stirling2"):
         return double_factorial(n)
-    if class_name == "invseq":
-        return math.prod(s)
-    raise ValueError(f"unknown object class {class_name!r}")
+    return math.prod(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from combi import bijections
 from combi.bijections import (encode_triple, phi_map, psi_map,
                               verify_bijection)
 from combi.objects import (CapacityError, DecoratedPermutation,
@@ -115,13 +116,17 @@ def test_exhaustive_small(map_id, n):
 def test_peel_replay_matches_stepwise_construction():
     # mapping the finished object must reproduce the state reached by
     # building it one insertion at a time
-    from combi.bijections import _phi_domain, _psi_domain
-    for word, state in _phi_domain(4):
+    from combi.bijections import _leaves, _phi_children, _psi_children
+    for word, state in _leaves(_phi_children, 4):
         t = phi_map(DecoratedPermutation(word))
-        assert (t.first.blocks, t.second.blocks, t.index_set) == state
-    for word, state in _psi_domain(4):
+        assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
+    for word, state in _leaves(_psi_children, 4):
         t = psi_map(SignedPermutation(word))
-        assert (t.first.blocks, t.second.blocks, t.index_set) == state
+        assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
+
+
+def _mask(values) -> int:
+    return sum(1 << v for v in values)
 
 
 def test_capacity_guard():
@@ -129,3 +134,54 @@ def test_capacity_guard():
         verify_bijection("phi", 9)
     with pytest.raises(ValueError):
         verify_bijection("nope", 2)
+
+
+@pytest.mark.parametrize("map_id,counterexample", [
+    ("phi", ("4 2 1 3h", "[(1,2)] [(1,3)(2,5)(4,6)] {0}")),
+    ("psi", ("4 2 1 -3", "[(1,2)] [(1,3)(2,5)(4,6)] {0}")),
+], ids=["phi", "psi"])
+def test_moved_index_caught(monkeypatch, map_id, counterexample):
+    # a step rule that records 0 in place of 3 keeps k, the statistic and
+    # injectivity; only the index set check on every leaf can see it
+    name = f"_{map_id}_step"
+    step = getattr(bijections, name)
+
+    def moved(word, state, m, *rest):
+        s1, s2, iset = step(word, state, m, *rest)
+        if m == 3 and iset >> 3 & 1:
+            iset ^= 1 << 3 | 1
+        return s1, s2, iset
+
+    monkeypatch.setattr(bijections, name, moved)
+    rep = verify_bijection(map_id, 4)
+    assert rep.injective and rep.image_complete
+    assert not rep.weight_preserving
+    assert rep.counterexample == counterexample
+
+
+@pytest.mark.parametrize("map_id,repeated", [("phi", "4c 3 2 1"),
+                                             ("psi", "-4 3 2 1")],
+                         ids=["phi", "psi"])
+def test_split_block_mutants_caught(monkeypatch, map_id, repeated):
+    split = bijections._split_block
+
+    def always_straight(blocks, use_marked, p, lo, straight):
+        return split(blocks, use_marked, p, lo, True)
+
+    def swapped(blocks, use_marked, p, lo, straight):
+        try:
+            return split(blocks, not use_marked, p, lo, straight)
+        except ValueError:  # no p-th block of the other kind
+            return split(blocks, use_marked, p, lo, straight)
+
+    monkeypatch.setattr(bijections, "_split_block", always_straight)
+    rep = verify_bijection(map_id, 4)
+    assert not rep.injective and not rep.image_complete
+    assert rep.weight_preserving
+    assert rep.counterexample == (repeated, "[] [(1,3)(2,5)(4,7)(6,8)] {}")
+
+    monkeypatch.setattr(bijections, "_split_block", swapped)
+    rep = verify_bijection(map_id, 4)
+    assert rep.injective and rep.image_complete
+    assert not rep.weight_preserving
+    assert rep.counterexample == ("4 3 2 1", "[] [(1,7)(2,4)(3,6)(5,8)] {}")

@@ -145,6 +145,20 @@ def test_rlmin_closed_form():
     assert F.rlmin_closed_form(2) == 4 * X * (X + 1)
 
 
+def test_rlmin_closed_form_empty_word():
+    # the one signed permutation of [0] has no right-to-left minima
+    assert F.rlmin_closed_form(0) == 1
+
+
+def test_triangle_row_range():
+    tri = F.n_triangle(3)
+    assert tri.row(1) == (0, 1)
+    assert tri.row(3) == (0, 4, 10, 1)
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="rows 1..3"):
+            tri.row(n)
+
+
 def test_n_series_to_order_ten():
     s = F.series_families(10)
     for n in range(11):

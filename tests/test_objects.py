@@ -41,6 +41,35 @@ def test_invseq_generation():
         generate("permutation", 0)
 
 
+@pytest.mark.parametrize("cls,n,s,message", [
+    pytest.param("invseq", 3, None, "need a bound sequence s", id="invseq-no-s"),
+    pytest.param("invseq", 3, (1, 2), "length n with entries >= 1",
+                 id="invseq-short-s"),
+    pytest.param("invseq", 2, (2, 0), "length n with entries >= 1",
+                 id="invseq-zero-bound"),
+    pytest.param("matching", -1, None, "n must be >= 0", id="matching"),
+    pytest.param("stirling", -2, None, "n must be >= 0", id="stirling"),
+    pytest.param("stirling2", -1, None, "n must be >= 0", id="stirling2"),
+    pytest.param("permutation", -1, None, "n must be >= 0", id="permutation"),
+    pytest.param("signed", -3, None, "n must be >= 0", id="signed"),
+    pytest.param("decorated", -1, None, "n must be >= 0", id="decorated"),
+    pytest.param("nope", 2, None, "unknown object class", id="unknown-class"),
+])
+def test_class_count_rejects_bad_sizes(cls, n, s, message):
+    with pytest.raises(ValueError, match=message):
+        class_count(cls, n, s)
+    if cls == "invseq":  # generate shares the check and its message
+        with pytest.raises(ValueError, match=message):
+            generate(cls, n, s)
+
+
+def test_class_count_of_empty_objects():
+    for cls in ("permutation", "signed", "matching", "stirling", "stirling2",
+                "decorated"):
+        assert class_count(cls, 0) == 1
+    assert class_count("invseq", 0, ()) == 1
+
+
 def test_stirling2_listing_n2():
     got = {encode(o) for o in generate("stirling2", 2)}
     assert got == {"(1 1)(2 2)", "(1 1 2 2)", "(1 2 2 1)"}

@@ -14,7 +14,7 @@ from .objects import (CycleStirling, DecoratedPermutation, InversionSequence,
 from .bijections import (BijectionReport, MatchingTriple, encode_triple,
                          phi_map, psi_map, verify_bijection)
 from .grammar import (CYCLE_GRAMMAR, EULERIAN_GRAMMAR, Grammar, derive,
-                      lemma1_check, lemma2_check)
+                      lemma1_sides, lemma2_sides)
 from .verify import CHECKS, REGISTRY, VerifyReport, run_all, run_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -100,18 +100,24 @@ def _report_lines(rep: verify.VerifyReport):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    if args.id is not None:
-        check = verify.REGISTRY.get(args.id)
-        if check is None:
-            print(f"error: unknown check id {args.id!r}", file=sys.stderr)
-            return 2
-        hi = check.max_n if args.max_n is None else min(args.max_n, check.max_n)
-        reports = [verify.run_check(args.id, n) for n in check.ns if n <= hi]
-    else:
+    if args.id is not None and args.id not in verify.REGISTRY:
+        print(f"error: unknown check id {args.id!r}", file=sys.stderr)
+        return 2
+    checks = verify.CHECKS if args.all else (verify.REGISTRY[args.id],)
+    smallest = min(check.min_n for check in checks)
+    if args.max_n is not None and args.max_n < smallest:
+        print(f"error: --max-n {args.max_n} selects no n; the smallest "
+              f"n is {smallest}", file=sys.stderr)
+        return 2
+    if args.all:
         overrides = None
         if args.max_n is not None:
-            overrides = {c.id: args.max_n for c in verify.CHECKS}
+            overrides = {c.id: args.max_n for c in checks}
         reports = verify.run_all(overrides)
+    else:
+        check, = checks
+        hi = check.max_n if args.max_n is None else min(args.max_n, check.max_n)
+        reports = [verify.run_check(check.id, n) for n in check.ns if n <= hi]
     if args.format == "json":
         print(json.dumps([rep.__dict__ for rep in reports], indent=None))
     else:
@@ -139,7 +145,7 @@ def _cmd_poly(args) -> int:
         print(value.render() if isinstance(value, ExactPoly) else value)
         return 0
     if args.format == "csv":
-        if args.family in ("N", "C"):
+        if args.family in ("N", "C") and args.n:
             tri = (families.n_triangle if args.family == "N"
                    else families.c_triangle)(args.n)
             for row in tri.rows:

@@ -273,7 +273,7 @@ def _series_families_cached(order: int) -> dict[str, TruncatedSeries]:
     s_series = series_sqrt(series_ratio(X - 1, X * expz(2) - expz(2 * X)))
     sqrtsec = series_sqrt(series_ratio(ExactPoly.const(2),
                                        expz(2) + expz(-2)))
-    pm_series = series_inverse(series_sqrt(TruncatedSeries([1, -2], order)))
+    pm_series = series_inverse(series_sqrt(one - TruncatedSeries.z_poly(2, order)))
     qn_series = expz(-1) * pm_series
     return {"M": m_series, "N": n_series, "A": a_series, "Q": q_series,
             "P": p_series, "d": d_series, "S": s_series, "sqrtsec": sqrtsec,

@@ -264,6 +264,8 @@ def _validate_decorated(entries) -> bool:
             if work[i][1] != work[i + 1][1]:
                 return False
         work.pop(i)
+    if not work:
+        return True  # the empty word, as for signed permutations
     v, _, circ = work[0]
     return v == 1 and not circ
 

@@ -51,7 +51,7 @@ class TruncatedSeries:
     @classmethod
     def z_poly(cls, p, order: int) -> "TruncatedSeries":
         """The series p*z."""
-        return cls([ExactPoly.zero(), _as_poly(p)], order)
+        return cls([ExactPoly.zero(), _as_poly(p)][: order + 1], order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -1,10 +1,16 @@
 """Registry of runnable identity checks.
 
-Every identity the package claims is registered here as a named check
-wiring at least two independent computation routes (recurrence, closed
-form, generating function, exhaustive enumeration, grammar derivative,
-bijection replay).  All comparisons are exact; a failing check reports
-both sides in canonical text.
+Every identity the package claims is registered here as data: a named
+check with at least two independent routes (recurrence, closed form,
+generating function, exhaustive enumeration, grammar derivative,
+bijection replay), each a function n -> value.  One runner evaluates
+every route and compares each value with the first, exactly; a failing
+report names the first route and the first route that disagrees, each
+with its value in canonical text.
+
+Routes look their functions up in `families`, `grammar`, `objects` and
+`bijections` when they run, so a function replaced on its module is the
+one the check calls.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .poly import ONE, X, CapacityError, ExactPoly, divexact, poly_reverse
-from .series import egf_coefficient
+from .series import TruncatedSeries, egf_coefficient
 from .sturm import sturm_real_roots
 from . import bijections, families, grammar, objects
 
@@ -31,12 +38,21 @@ class VerifyReport:
 
 
 @dataclass(frozen=True)
+class Route:
+    kind: str  # recurrence | enumeration | convolution | series | ...
+    label: str
+    fn: Callable[[int], object]
+
+
+@dataclass(frozen=True)
 class IdentityCheck:
     id: str
     description: str
-    routes: tuple[str, ...]
     ns: tuple[int, ...]  # default n values for a full run
-    fn: object
+    routes: tuple[Route, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "ns", tuple(self.ns))
 
     @property
     def min_n(self) -> int:
@@ -48,400 +64,323 @@ class IdentityCheck:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, ExactPoly):
+    if isinstance(v, (ExactPoly, TruncatedSeries)):
         return v.render()
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_fmt, v)) + ")"
     return str(v)
 
 
-def _cmp(*values, labels=None):
-    """None when all values agree, else (lhs_text, rhs_text)."""
-    first = values[0]
-    for i, v in enumerate(values[1:], start=1):
-        if v != first:
-            l0 = labels[0] if labels else "route0"
-            li = labels[i] if labels else f"route{i}"
-            return f"{l0}: {_fmt(first)}", f"{li}: {_fmt(v)}"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# check bodies
+# shared route pieces
 # ---------------------------------------------------------------------------
 
-def _chk_a_via_invseq(n):
-    return _cmp(families.a_poly(n),
-                families.invseq_distribution(tuple(range(1, n + 1))),
-                labels=("recurrence", "inversion sequences"))
+def _binomial_terms(n, left, right):
+    """The terms C(n,k) left(k) right(n-k), k = 0..n."""
+    return tuple(math.comb(n, k) * left(k) * right(n - k) for k in range(n + 1))
 
 
-def _chk_b_via_invseq(n):
-    return _cmp(families.b_poly(n, "invseq"), families.b_poly(n, "signed"),
-                labels=("inversion sequences", "signed permutations"))
+def _binomial_convolution(n, left, right):
+    return sum(_binomial_terms(n, left, right), ExactPoly.zero())
 
 
-def _chk_m_via_invseq(n):
-    return _cmp(families.m_poly(n),
-                families.invseq_distribution(tuple(range(1, 2 * n, 2))),
-                labels=("reversed recurrence", "inversion sequences"))
+def _coefficients(p, var, n):
+    """The coefficients of var^0..var^n in p."""
+    return tuple(p.coefficient_of(var, k) for k in range(n + 1))
 
 
-def _chk_n_el_enum(n):
-    return _cmp(families.n_poly(n), families.n_poly_enum(n),
-                labels=("recurrence", "matching enumeration"))
+def _series_square(name, order):
+    s = families.series_families(order)[name]
+    return s * s
 
 
-def _chk_m_ol_enum(n):
-    return _cmp(families.m_poly(n), families.m_poly_enum(n),
-                labels=("reversed recurrence", "matching enumeration"))
+def _r_over_x(n):
+    return divexact(families.r_poly(n, with_q=False), X)
 
 
-def _chk_m_reverse_n(n):
-    series = families.series_families(10)["M"]
-    return _cmp(egf_coefficient(series, n), poly_reverse(families.n_poly(n), n),
-                labels=("egf", "reversal of recurrence"))
+def _sturm_count(n):
+    rep = sturm_real_roots(_r_over_x(n))
+    return rep.distinct_real_roots, rep.is_squarefree
 
 
-def _chk_eq_1_3(n):
-    if n:
-        bad = _cmp(families.a_poly(n), families.a_poly_enum(n),
-                   labels=("recurrence", "enumeration"))
-        if bad:
-            return bad
-    lhs = ONE if n == 0 else 2 ** n * X * families.a_poly(n)
-    rhs = ExactPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + math.comb(n, k) * families.n_poly(k) * families.n_poly(n - k)
-    return _cmp(lhs, rhs, labels=("2^n x A_n", "binomial convolution"))
+def _fiber_histogram(n):
+    """How many permutations of [n] carry each number of decorations."""
+    fibers = Counter(tuple(v for v, _, _ in w.entries)
+                     for w in objects.generate("decorated", n))
+    return dict(Counter(fibers.values()))
 
 
-def _chk_eq_1_4(n):
-    rhs = ExactPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + math.comb(n, k) * families.n_poly(k) * families.m_poly(n - k)
-    return _cmp(families.b_poly(n, "invseq"), families.b_poly(n, "signed"), rhs,
-                labels=("inversion sequences", "signed permutations",
-                        "binomial convolution"))
-
-
-def _refined(n, class_name, stat, refiner, second):
-    """The stat distribution at refiner = k against C(n,k) N_k second(n-k)."""
-    dist = families.stat_distribution(class_name, n,
-                                      ((stat, "x"), (refiner, "q")))
-    for k in range(n + 1):
-        got = dist.coefficient_of("q", k)
-        want = math.comb(n, k) * families.n_poly(k) * second(n - k)
-        if got != want:
-            return (f"k={k} enumeration: {got.render()}",
-                    f"k={k} product: {want.render()}")
-    return None
-
-
-def _chk_eq_1_3_refined(n):
-    return _refined(n, "decorated", "asc", "hat", families.n_poly)
-
-
-def _chk_eq_1_4_refined(n):
-    return _refined(n, "signed", "des_B", "bar", families.m_poly)
-
-
-def _chk_n2_a2z(order):
-    s = families.series_families(order)
-    lhs = s["N"] * s["N"]
-    rhs = s["A"].scale_argument(2)
-    if lhs == rhs:
-        return None
-    return ("N(x,z)^2: " + lhs.render(), "A(x,2z): " + rhs.render())
-
-
-def _bijection_result(map_id, n):
-    rep = bijections.verify_bijection(map_id, n)
-    if rep.all_ok:
-        return None
-    flags = (f"injective={rep.injective} complete={rep.image_complete} "
-             f"weight={rep.weight_preserving}")
-    witness = "" if rep.counterexample is None else f"{rep.counterexample}"
-    return (flags, witness or "no witness")
-
-
-def _chk_phi(n):
-    return _bijection_result("phi", n)
-
-
-def _chk_psi(n):
-    return _bijection_result("psi", n)
-
-
-def _chk_c_descents(n):
-    return _cmp(families.c_poly(n), families.c_poly_enum(n),
-                labels=("recurrence", "descent enumeration"))
-
-
-def _chk_ap_el(n):
-    return _cmp(families.ap_poly_enum(n), families.n_poly_enum(n),
-                families.n_poly(n),
-                labels=("ascent plateaus", "even-larger blocks", "recurrence"))
-
-
-def _chk_cplat_casc(n):
-    return _cmp(families.cplat_poly_enum(n), X * families.casc_poly_enum(n),
-                families.c_poly(n),
-                labels=("cycle plateaus", "x * cycle ascents", "recurrence"))
-
-
-def _chk_q_rec_enum(n):
-    return _cmp(families.q_poly(n), families.q_poly_enum(n),
-                labels=("recurrence", "enumeration"))
-
-
-def _chk_q_gf(n):
-    series = families.series_families(8)["Q"]
-    return _cmp(families.q_poly(n), egf_coefficient(series, n),
-                labels=("recurrence", "egf symbolic power"))
-
-
-def _chk_cyc_closed(n):
-    return _cmp(families.q_poly(n).subs_num("x", 1), families.l_closed(n),
-                labels=("Q at x=1", "rising product"))
-
-
-def _chk_desi_cyc(n):
-    return _cmp(families.desi_poly_enum(n), families.cyc_poly_enum(n),
-                families.l_closed(n),
-                labels=("descent intervals", "cycle count", "rising product"))
-
-
-def _chk_y_cyclic(n):
-    return _cmp(families.y_poly_enum(n), 2 ** (n - 1) * X * families.a_poly(n - 1),
-                labels=("one-cycle enumeration", "doubled Eulerian"))
-
-
-def _chk_p_routes(n):
-    vals = [families.p_poly(n, "recurrence"), families.p_poly(n, "convolution"),
-            families.p_poly(n, "series")]
-    labels = ["recurrence", "convolution", "series"]
-    if 1 <= n <= families.P_ENUM_MAX:
-        vals.append(families.p_poly(n, "enumeration"))
-        labels.append("enumeration")
-    return _cmp(*vals, labels=tuple(labels))
-
-
-def _chk_p_gf(n):
-    series = families.series_families(8)["P"]
-    return _cmp(families.p_poly(n), egf_coefficient(series, n),
-                labels=("recurrence", "egf product"))
-
-
-def _chk_lemma1(n):
-    rep = grammar.lemma1_check(n)
-    if rep.status == "fail":
-        return (rep.lhs, rep.rhs)
-    return _cmp(grammar.fix_cycle_cap_polynomial(n), families.p_poly(n),
-                labels=("grammar substitution", "recurrence"))
-
-
-def _chk_lemma2(n):
-    rep = grammar.lemma2_check(n)
-    if rep.status == "fail":
-        return (rep.lhs, rep.rhs)
-    return None
-
-
-def _chk_r_rec_enum(n):
-    return _cmp(families.r_poly(n), families.r_poly_enum(n),
-                labels=("recurrence", "enumeration"))
-
-
-def _chk_r_binomial(n):
-    p = families.p_poly(n)
-    for k in range(n + 1):
-        got = p.coefficient_of("y", k)
-        want = families.r_nk_poly(n, k)
-        if got != want:
-            return (f"k={k} coefficient: {got.render()}",
-                    f"k={k} shifted: {want.render()}")
-    return None
-
-
-def _chk_qn_egf(n):
-    series = families.series_families(12)["qn"]
-    rec = families.q_seq(n)[n]
-    via_r = families.r_poly(n).subs_num("x", 1).subs_num("q", 1)
-    return _cmp(ExactPoly.const(rec), egf_coefficient(series, n), via_r,
-                labels=("recurrence", "egf", "R at (1,1)"))
-
-
-def _chk_s2_d2z(n):
-    lhs = 2 ** n * families.d_poly(n)
-    rhs = ExactPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + (math.comb(n, k) * families.r_poly(k, with_q=False)
-                     * families.r_poly(n - k, with_q=False))
-    bad = _cmp(lhs, rhs, labels=("2^n d_n", "binomial convolution"))
-    if bad:
-        return bad
-    if n == 8:
-        s = families.series_families(8)
-        if s["S"] * s["S"] != s["d"].scale_argument(2):
-            return ("S(x,z)^2: " + (s["S"] * s["S"]).render(),
-                    "d(x,2z): " + s["d"].scale_argument(2).render())
-    return None
-
-
-def _chk_r_palindromic(n):
-    p = families.r_poly(n, with_q=False)
-    return _cmp(p, poly_reverse(p, n), labels=("R_n", "x^n R_n(1/x)"))
-
-
-def _chk_r_real_rooted(n):
-    p = divexact(families.r_poly(n, with_q=False), X)
-    rep = sturm_real_roots(p)
-    if rep.is_squarefree and rep.distinct_real_roots == rep.degree:
-        return None
-    return (f"sturm: {rep}", f"expected {rep.degree} simple real roots")
-
-
-def _chk_h_enum(n):
-    got = families.cap_sign_sum(n)
+def _h_signed(n):
+    """(-1)^(n/2) h_(n/2) for even n, 0 for odd n."""
     if n % 2:
-        want = 0
-    else:
-        k = n // 2
-        want = (-1) ** k * families.h_values(k)[k]
-    return _cmp(got, want, labels=("signed enumeration", "secant-root series"))
+        return 0
+    k = n // 2
+    return (-1) ** k * families.h_values(k)[k]
 
 
-def _chk_h_involutions(n):
-    return _cmp(objects.count_paired_excedance_involutions(n),
-                families.h_values(n)[n],
-                labels=("involution search", "series"))
-
-
-def _chk_rlmin(n):
-    return _cmp(families.rlmin_poly_enum(n), families.rlmin_closed_form(n),
-                labels=("enumeration", "rising factorial"))
-
-
-def _chk_fiber(n):
-    fibers = Counter()
-    for w in objects.generate("decorated", n):
-        fibers[tuple(v for v, _, _ in w.entries)] += 1
-    want = 2 ** n
-    if (len(fibers) == math.factorial(n)
-            and all(c == want for c in fibers.values())):
-        return None
-    bad = next((k, c) for k, c in fibers.items() if c != want)
-    return (f"fiber {bad[0]}: {bad[1]}", f"expected: {want}")
+def _all_ok(n):
+    return bijections.BijectionReport(n, True, True, True)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-def _mk(id_, description, routes, ns, fn):
-    return IdentityCheck(id_, description, tuple(routes), tuple(ns), fn)
-
-
 CHECKS: tuple[IdentityCheck, ...] = (
-    _mk("A-via-invseq", "type-A Eulerian polynomial equals the ascent "
-        "distribution of (1..n)-inversion sequences",
-        ("recurrence", "enumeration"), range(0, 7), _chk_a_via_invseq),
-    _mk("B-via-invseq", "type-B Eulerian polynomial via (2,4,..,2n)-inversion "
+    IdentityCheck(
+        "A-via-invseq", "type-A Eulerian polynomial equals the ascent "
+        "distribution of (1..n)-inversion sequences", range(0, 7),
+        (Route("recurrence", "recurrence", lambda n: families.a_poly(n)),
+         Route("enumeration", "inversion sequences",
+               lambda n: families.invseq_distribution(tuple(range(1, n + 1)))))),
+    IdentityCheck(
+        "B-via-invseq", "type-B Eulerian polynomial via (2,4,..,2n)-inversion "
         "sequences equals the signed-permutation descent distribution",
-        ("enumeration", "enumeration"), range(1, 7), _chk_b_via_invseq),
-    _mk("M-via-invseq", "odd-larger matching polynomial equals the ascent "
-        "distribution of (1,3,..,2n-1)-inversion sequences",
-        ("recurrence", "enumeration"), range(0, 8), _chk_m_via_invseq),
-    _mk("N-el-enum", "N-triangle recurrence matches even-larger block counts",
-        ("recurrence", "enumeration"), range(1, 8), _chk_n_el_enum),
-    _mk("M-ol-enum", "reversed N-polynomial matches odd-larger block counts",
-        ("recurrence", "enumeration"), range(1, 8), _chk_m_ol_enum),
-    _mk("M-reverse-N", "EGF route for M agrees with x^n N_n(1/x)",
-        ("series", "recurrence"), range(0, 11), _chk_m_reverse_n),
-    _mk("eq-1-3", "2^n x A_n equals the binomial self-convolution of N",
-        ("recurrence", "enumeration", "convolution"), range(0, 9), _chk_eq_1_3),
-    _mk("eq-1-4", "B_n equals the binomial convolution of N and M",
-        ("enumeration", "enumeration", "convolution"), range(1, 7), _chk_eq_1_4),
-    _mk("eq-1-3-refined-k", "hat-refined ascent distribution equals "
-        "C(n,k) N_k N_{n-k}",
-        ("enumeration", "convolution"), range(1, 7), _chk_eq_1_3_refined),
-    _mk("eq-1-4-refined-k", "bar-refined descent distribution equals "
-        "C(n,k) N_k M_{n-k}",
-        ("enumeration", "convolution"), range(1, 7), _chk_eq_1_4_refined),
-    _mk("N2-equals-A2z", "N(x,z)^2 = A(x,2z) as truncated series",
-        ("series", "series"), (8,), _chk_n2_a2z),
-    _mk("phi-bijection", "decorated permutations biject onto matching pairs, "
-        "preserving ascents",
-        ("bijection", "enumeration"), range(1, 8), _chk_phi),
-    _mk("psi-bijection", "signed permutations biject onto matching pairs, "
-        "preserving descents",
-        ("bijection", "enumeration"), range(1, 7), _chk_psi),
-    _mk("C-descents", "second-order Eulerian recurrence matches descent "
-        "enumeration over Stirling words",
-        ("recurrence", "enumeration"), range(1, 8), _chk_c_descents),
-    _mk("ap-equals-el", "ascent-plateau distribution equals the even-larger "
-        "block distribution",
-        ("enumeration", "enumeration", "recurrence"), range(1, 8), _chk_ap_el),
-    _mk("cplat-casc-C", "cycle plateaus and shifted cycle ascents both give "
-        "the second-order Eulerian polynomial",
-        ("enumeration", "enumeration", "recurrence"), range(1, 8),
-        _chk_cplat_casc),
-    _mk("Q-recurrence-enum", "cap/cycle polynomial recurrence matches "
-        "enumeration",
-        ("recurrence", "enumeration"), range(1, 8), _chk_q_rec_enum),
-    _mk("Q-gf", "cap/cycle polynomial matches its symbolic-power EGF",
-        ("recurrence", "series"), range(0, 9), _chk_q_gf),
-    _mk("cyc-closed-form", "cycle-count distribution is the rising product "
-        "q(q+2)..(q+2n-2)",
-        ("recurrence", "closed-form"), range(1, 9), _chk_cyc_closed),
-    _mk("desi-equals-cyc", "descent intervals on words match cycle counts on "
-        "cycle forms",
-        ("enumeration", "enumeration", "closed-form"), range(1, 8),
-        _chk_desi_cyc),
-    _mk("Y-cyclic", "one-cycle cap distribution is 2^(n-1) x A_(n-1)",
-        ("enumeration", "recurrence"), range(2, 8), _chk_y_cyclic),
-    _mk("P-three-routes", "cap/fix/cycle polynomial agrees across recurrence, "
-        "convolution, series and enumeration",
-        ("recurrence", "convolution", "series", "enumeration"), range(0, 8),
-        _chk_p_routes),
-    _mk("P-gf", "cap/fix/cycle polynomial matches e^(qz(y-1)) Q(x,q;z)",
-        ("recurrence", "series"), range(0, 9), _chk_p_gf),
-    _mk("grammar-lemma1", "n-th grammar derivative of a encodes the "
-        "cycle-Stirling statistics",
-        ("grammar", "enumeration", "recurrence"), range(1, 7), _chk_lemma1),
-    _mk("grammar-lemma2", "n-th grammar derivative of b^2 produces the "
-        "Eulerian row",
-        ("grammar", "recurrence"), range(1, 11), _chk_lemma2),
-    _mk("R-recurrence-enum", "fixed-point-free recurrence matches enumeration",
-        ("recurrence", "enumeration"), range(1, 8), _chk_r_rec_enum),
-    _mk("R-binomial-shift", "y-coefficients of P_n equal C(n,k) q^k R_{n-k}",
-        ("recurrence", "closed-form"), range(0, 9), _chk_r_binomial),
-    _mk("qn-egf", "fixed-point-free counts match e^(-z)/sqrt(1-2z)",
-        ("recurrence", "series", "recurrence"), range(0, 13), _chk_qn_egf),
-    _mk("S2-equals-d2z", "S(x,z)^2 = d(x,2z); 2^n d_n is the binomial "
-        "self-convolution of R",
-        ("series", "convolution"), range(0, 9), _chk_s2_d2z),
-    _mk("R-palindromic", "R_n at q=1 is palindromic with center n",
-        ("recurrence", "closed-form"), range(2, 11), _chk_r_palindromic),
-    _mk("R-real-rooted", "R_n/x has only simple real zeros (Sturm count)",
-        ("recurrence", "sturm"), range(2, 11), _chk_r_real_rooted),
-    _mk("h-series-vs-enum", "signed cap sums over fixed-point-free objects "
-        "match the secant-root series",
-        ("enumeration", "series"), range(1, 8), _chk_h_enum),
-    _mk("h-involutions", "paired-excedance involution counts match the "
-        "secant-root series",
-        ("enumeration", "series"), range(0, 3), _chk_h_involutions),
-    _mk("rlmin-closed-form", "right-to-left minima over signed permutations "
-        "give 2^n x (x+1)..(x+n-1)",
-        ("enumeration", "closed-form"), range(1, 6), _chk_rlmin),
-    _mk("fiber-2n", "every permutation has exactly 2^n decorations",
-        ("enumeration", "closed-form"), range(1, 6), _chk_fiber),
+        range(1, 7),
+        (Route("enumeration", "inversion sequences",
+               lambda n: families.b_poly(n, "invseq")),
+         Route("enumeration", "signed permutations",
+               lambda n: families.b_poly(n, "signed")))),
+    IdentityCheck(
+        "M-via-invseq", "odd-larger matching polynomial equals the ascent "
+        "distribution of (1,3,..,2n-1)-inversion sequences", range(0, 8),
+        (Route("recurrence", "reversed recurrence", lambda n: families.m_poly(n)),
+         Route("enumeration", "inversion sequences",
+               lambda n: families.invseq_distribution(tuple(range(1, 2 * n, 2)))))),
+    IdentityCheck(
+        "N-el-enum", "N-triangle recurrence matches even-larger block counts",
+        range(1, 8),
+        (Route("recurrence", "recurrence", lambda n: families.n_poly(n)),
+         Route("enumeration", "matching enumeration",
+               lambda n: families.n_poly_enum(n)))),
+    IdentityCheck(
+        "M-ol-enum", "reversed N-polynomial matches odd-larger block counts",
+        range(1, 8),
+        (Route("recurrence", "reversed recurrence", lambda n: families.m_poly(n)),
+         Route("enumeration", "matching enumeration",
+               lambda n: families.m_poly_enum(n)))),
+    IdentityCheck(
+        "M-reverse-N", "EGF route for M agrees with x^n N_n(1/x)", range(0, 11),
+        (Route("series", "egf",
+               lambda n: egf_coefficient(families.series_families(10)["M"], n)),
+         Route("recurrence", "reversal of recurrence",
+               lambda n: poly_reverse(families.n_poly(n), n)))),
+    IdentityCheck(
+        "eq-1-3", "2^n x A_n equals the binomial self-convolution of N",
+        range(0, 9),
+        (Route("recurrence", "2^n x A_n by recurrence",
+               lambda n: 2 ** n * X * families.a_poly(n) if n else ONE),
+         Route("enumeration", "2^n x A_n by enumeration",
+               lambda n: 2 ** n * X * families.a_poly_enum(n) if n else ONE),
+         Route("convolution", "binomial convolution",
+               lambda n: _binomial_convolution(n, families.n_poly,
+                                               families.n_poly)))),
+    IdentityCheck(
+        "eq-1-4", "B_n equals the binomial convolution of N and M", range(1, 7),
+        (Route("enumeration", "inversion sequences",
+               lambda n: families.b_poly(n, "invseq")),
+         Route("enumeration", "signed permutations",
+               lambda n: families.b_poly(n, "signed")),
+         Route("convolution", "binomial convolution",
+               lambda n: _binomial_convolution(n, families.n_poly,
+                                               families.m_poly)))),
+    IdentityCheck(
+        "eq-1-3-refined-k", "hat-refined ascent distribution equals "
+        "C(n,k) N_k N_{n-k}", range(1, 7),
+        (Route("enumeration", "ascents by k hats", lambda n: _coefficients(
+            families.stat_distribution("decorated", n,
+                                       (("asc", "x"), ("hat", "q"))), "q", n)),
+         Route("convolution", "C(n,k) N_k N_{n-k} by k",
+               lambda n: _binomial_terms(n, families.n_poly,
+                                         families.n_poly)))),
+    IdentityCheck(
+        "eq-1-4-refined-k", "bar-refined descent distribution equals "
+        "C(n,k) N_k M_{n-k}", range(1, 7),
+        (Route("enumeration", "descents by k bars", lambda n: _coefficients(
+            families.stat_distribution("signed", n,
+                                       (("des_B", "x"), ("bar", "q"))), "q", n)),
+         Route("convolution", "C(n,k) N_k M_{n-k} by k",
+               lambda n: _binomial_terms(n, families.n_poly,
+                                         families.m_poly)))),
+    IdentityCheck(
+        "N2-equals-A2z", "N(x,z)^2 = A(x,2z) as truncated series", (8,),
+        (Route("series", "N(x,z)^2", lambda n: _series_square("N", n)),
+         Route("series", "A(x,2z)",
+               lambda n: families.series_families(n)["A"].scale_argument(2)))),
+    IdentityCheck(
+        "phi-bijection", "decorated permutations biject onto matching pairs, "
+        "preserving ascents", range(1, 8),
+        (Route("bijection", "certificate",
+               lambda n: bijections.verify_bijection("phi", n)),
+         Route("closed-form", "all checks hold", _all_ok))),
+    IdentityCheck(
+        "psi-bijection", "signed permutations biject onto matching pairs, "
+        "preserving descents", range(1, 7),
+        (Route("bijection", "certificate",
+               lambda n: bijections.verify_bijection("psi", n)),
+         Route("closed-form", "all checks hold", _all_ok))),
+    IdentityCheck(
+        "C-descents", "second-order Eulerian recurrence matches descent "
+        "enumeration over Stirling words", range(1, 8),
+        (Route("recurrence", "recurrence", lambda n: families.c_poly(n)),
+         Route("enumeration", "descent enumeration",
+               lambda n: families.c_poly_enum(n)))),
+    IdentityCheck(
+        "ap-equals-el", "ascent-plateau distribution equals the even-larger "
+        "block distribution", range(1, 8),
+        (Route("enumeration", "ascent plateaus",
+               lambda n: families.ap_poly_enum(n)),
+         Route("enumeration", "even-larger blocks",
+               lambda n: families.n_poly_enum(n)),
+         Route("recurrence", "recurrence", lambda n: families.n_poly(n)))),
+    IdentityCheck(
+        "cplat-casc-C", "cycle plateaus and shifted cycle ascents both give "
+        "the second-order Eulerian polynomial", range(1, 8),
+        (Route("enumeration", "cycle plateaus",
+               lambda n: families.cplat_poly_enum(n)),
+         Route("enumeration", "x * cycle ascents",
+               lambda n: X * families.casc_poly_enum(n)),
+         Route("recurrence", "recurrence", lambda n: families.c_poly(n)))),
+    IdentityCheck(
+        "Q-recurrence-enum", "cap/cycle polynomial recurrence matches "
+        "enumeration", range(1, 8),
+        (Route("recurrence", "recurrence", lambda n: families.q_poly(n)),
+         Route("enumeration", "enumeration", lambda n: families.q_poly_enum(n)))),
+    IdentityCheck(
+        "Q-gf", "cap/cycle polynomial matches its symbolic-power EGF",
+        range(0, 9),
+        (Route("recurrence", "recurrence", lambda n: families.q_poly(n)),
+         Route("series", "egf symbolic power",
+               lambda n: egf_coefficient(families.series_families(8)["Q"], n)))),
+    IdentityCheck(
+        "cyc-closed-form", "cycle-count distribution is the rising product "
+        "q(q+2)..(q+2n-2)", range(1, 9),
+        (Route("recurrence", "Q at x=1",
+               lambda n: families.q_poly(n).subs_num("x", 1)),
+         Route("closed-form", "rising product",
+               lambda n: families.l_closed(n)))),
+    IdentityCheck(
+        "desi-equals-cyc", "descent intervals on words match cycle counts on "
+        "cycle forms", range(1, 8),
+        (Route("enumeration", "descent intervals",
+               lambda n: families.desi_poly_enum(n)),
+         Route("enumeration", "cycle count", lambda n: families.cyc_poly_enum(n)),
+         Route("closed-form", "rising product", lambda n: families.l_closed(n)))),
+    IdentityCheck(
+        "Y-cyclic", "one-cycle cap distribution is 2^(n-1) x A_(n-1)",
+        range(2, 8),
+        (Route("enumeration", "one-cycle enumeration",
+               lambda n: families.y_poly_enum(n)),
+         Route("recurrence", "doubled Eulerian",
+               lambda n: 2 ** (n - 1) * X * families.a_poly(n - 1)))),
+    IdentityCheck(
+        "P-three-routes", "cap/fix/cycle polynomial agrees across recurrence, "
+        "convolution, series and enumeration", range(0, 8),
+        (Route("recurrence", "recurrence",
+               lambda n: families.p_poly(n, "recurrence")),
+         Route("convolution", "convolution",
+               lambda n: families.p_poly(n, "convolution")),
+         Route("series", "series", lambda n: families.p_poly(n, "series")),
+         Route("enumeration", "enumeration",
+               lambda n: families.p_poly(n, "enumeration")))),
+    IdentityCheck(
+        "P-gf", "cap/fix/cycle polynomial matches e^(qz(y-1)) Q(x,q;z)",
+        range(0, 9),
+        (Route("recurrence", "recurrence", lambda n: families.p_poly(n)),
+         Route("series", "egf product",
+               lambda n: egf_coefficient(families.series_families(8)["P"], n)))),
+    IdentityCheck(
+        "grammar-lemma1", "n-th grammar derivative of a encodes the "
+        "cycle-Stirling statistics", range(1, 7),
+        (Route("grammar", "D^n(a)",
+               lambda n: grammar.cycle_derivative_polynomial(n)),
+         Route("enumeration", "cycle-Stirling encoding", lambda n: grammar.from_xyq(
+             families.p_poly(n, "enumeration"), n)),
+         Route("recurrence", "encoded recurrence",
+               lambda n: grammar.from_xyq(families.p_poly(n), n)))),
+    IdentityCheck(
+        "grammar-lemma2", "n-th grammar derivative of b^2 produces the "
+        "Eulerian row", range(1, 11),
+        (Route("grammar", "D^n(b^2)", lambda n: grammar.derive(
+            grammar.EULERIAN_GRAMMAR, ExactPoly.var("b") ** 2, n)),
+         Route("recurrence", "2^n sum_k <n,k> c^(2k+2) d^(2n-2k)",
+               lambda n: grammar.eulerian_encoding(n)))),
+    IdentityCheck(
+        "R-recurrence-enum", "fixed-point-free recurrence matches enumeration",
+        range(1, 8),
+        (Route("recurrence", "recurrence", lambda n: families.r_poly(n)),
+         Route("enumeration", "enumeration", lambda n: families.r_poly_enum(n)))),
+    IdentityCheck(
+        "R-binomial-shift", "y-coefficients of P_n equal C(n,k) q^k R_{n-k}",
+        range(0, 9),
+        (Route("recurrence", "y-coefficients of P_n",
+               lambda n: _coefficients(families.p_poly(n), "y", n)),
+         Route("closed-form", "C(n,k) q^k R_{n-k} by k",
+               lambda n: tuple(families.r_nk_poly(n, k) for k in range(n + 1))))),
+    IdentityCheck(
+        "qn-egf", "fixed-point-free counts match e^(-z)/sqrt(1-2z)", range(0, 13),
+        (Route("recurrence", "recurrence",
+               lambda n: ExactPoly.const(families.q_seq(n)[n])),
+         Route("series", "egf",
+               lambda n: egf_coefficient(families.series_families(12)["qn"], n)),
+         Route("recurrence", "R at (1,1)", lambda n: families.r_poly(n).subs_num(
+             "x", 1).subs_num("q", 1)))),
+    IdentityCheck(
+        "S2-equals-d2z", "S(x,z)^2 = d(x,2z); 2^n d_n is the binomial "
+        "self-convolution of R", range(0, 9),
+        (Route("series", "2^n d_n", lambda n: 2 ** n * families.d_poly(n)),
+         Route("convolution", "binomial convolution",
+               lambda n: _binomial_convolution(
+                   n, lambda k: families.r_poly(k, with_q=False),
+                   lambda k: families.r_poly(k, with_q=False))),
+         Route("series", "n! [z^n] S(x,z)^2",
+               lambda n: egf_coefficient(_series_square("S", 8), n)))),
+    IdentityCheck(
+        "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
+        (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),
+         Route("closed-form", "x^n R_n(1/x)", lambda n: poly_reverse(
+             families.r_poly(n, with_q=False), n)))),
+    IdentityCheck(
+        "R-real-rooted", "R_n/x has only simple real zeros (Sturm count)",
+        range(2, 11),
+        (Route("recurrence", "(degree of R_n/x, True)",
+               lambda n: (_r_over_x(n).degree("x"), True)),
+         Route("sturm", "(Sturm distinct real roots, squarefree)",
+               _sturm_count))),
+    IdentityCheck(
+        "h-series-vs-enum", "signed cap sums over fixed-point-free objects "
+        "match the secant-root series", range(1, 8),
+        (Route("enumeration", "signed enumeration",
+               lambda n: families.cap_sign_sum(n)),
+         Route("series", "secant-root series", _h_signed))),
+    IdentityCheck(
+        "h-involutions", "paired-excedance involution counts match the "
+        "secant-root series", range(0, 3),
+        (Route("enumeration", "involution search",
+               lambda n: objects.count_paired_excedance_involutions(n)),
+         Route("series", "series", lambda n: families.h_values(n)[n]))),
+    IdentityCheck(
+        "rlmin-closed-form", "right-to-left minima over signed permutations "
+        "give 2^n x (x+1)..(x+n-1)", range(1, 6),
+        (Route("enumeration", "enumeration",
+               lambda n: families.rlmin_poly_enum(n)),
+         Route("closed-form", "rising factorial",
+               lambda n: families.rlmin_closed_form(n)))),
+    IdentityCheck(
+        "fiber-2n", "every permutation has exactly 2^n decorations",
+        range(1, 6),
+        (Route("enumeration", "permutations by decoration count",
+               _fiber_histogram),
+         Route("closed-form", "n! permutations with 2^n each",
+               lambda n: {2 ** n: math.factorial(n)}))),
 )
 
 REGISTRY: dict[str, IdentityCheck] = {c.id: c for c in CHECKS}
 
 
 def run_check(check_id: str, n: int) -> VerifyReport:
-    """Evaluate one identity at one n, comparing every route exactly."""
+    """Evaluate every route of one identity at one n and compare each value
+    with the first route's, exactly."""
     check = REGISTRY.get(check_id)
     if check is None:
         raise ValueError(f"unknown check id {check_id!r}")
@@ -449,14 +388,18 @@ def run_check(check_id: str, n: int) -> VerifyReport:
         return VerifyReport(check_id, n, "skipped-capacity")
     t0 = time.perf_counter()
     try:
-        result = check.fn(n)
+        values = [route.fn(n) for route in check.routes]
     except CapacityError:
         return VerifyReport(check_id, n, "skipped-capacity")
     ms = (time.perf_counter() - t0) * 1000
-    if result is None:
-        return VerifyReport(check_id, n, "pass", runtime_ms=ms)
-    return VerifyReport(check_id, n, "fail", lhs=result[0], rhs=result[1],
-                        runtime_ms=ms)
+    first, want = check.routes[0], values[0]
+    for route, got in zip(check.routes[1:], values[1:]):
+        if got != want:
+            return VerifyReport(check_id, n, "fail",
+                                lhs=f"{first.label}: {_fmt(want)}",
+                                rhs=f"{route.label}: {_fmt(got)}",
+                                runtime_ms=ms)
+    return VerifyReport(check_id, n, "pass", runtime_ms=ms)
 
 
 def plan(max_n_overrides: dict[str, int] | None = None):

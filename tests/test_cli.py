@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from combi import objects
+from combi import objects, verify
 from combi.cli import FAMILIES, emit_jsonl, main
+
+SERIES_IDS = ("A", "M", "N", "P", "Q", "S", "d", "pm", "qn", "sqrtsec")
 
 
 def run(capsys, *argv):
@@ -41,6 +47,14 @@ def test_poly_csv_multivariate_rejected(capsys):
                        "--format", "csv")
     assert code == 2
     assert "univariate" in err
+
+
+@pytest.mark.parametrize("family", ["N", "C"])
+def test_poly_csv_n0(capsys, family):
+    code, out, _ = run(capsys, "poly", "--family", family, "--n", "0",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "1\n"
 
 
 def test_poly_bad_family(capsys):
@@ -107,6 +121,14 @@ def test_bijection_input(capsys):
     assert out.strip() == "[(1,3)(2,4)] [] {1,2}"
 
 
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_bijection_empty_input(capsys, map_id):
+    code, out, err = run(capsys, "bijection", "--map", map_id, "--input", "")
+    assert code == 0
+    assert out == "[] [] {}\n"
+    assert "Traceback" not in err
+
+
 def test_bijection_check(capsys):
     code, out, _ = run(capsys, "bijection", "--map", "psi", "--check",
                        "--n", "3")
@@ -130,6 +152,19 @@ def test_verify_json(capsys):
     assert code == 0
     reports = json.loads(out)
     assert [r["status"] for r in reports] == ["pass"] * 3
+
+
+@pytest.mark.parametrize("argv, smallest", [
+    (("--id", "eq-1-3", "--max-n", "-1"), 0),
+    (("--id", "phi-bijection", "--max-n", "0"), 1),
+    (("--id", "N2-equals-A2z", "--max-n", "7"), 8),
+    (("--all", "--max-n", "-1"), 0),
+])
+def test_verify_empty_plan_is_usage_error(capsys, argv, smallest):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"smallest n is {smallest}" in err
 
 
 def test_verify_unknown_id(capsys):
@@ -167,6 +202,13 @@ def test_series_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("series_id", SERIES_IDS)
+def test_series_order_zero(capsys, series_id):
+    code, out, _ = run(capsys, "series", "--id", series_id, "--order", "0")
+    assert code == 0
+    assert out == "0: 1\n"
+
+
 def test_series_negative_order(capsys):
     code, _, err = run(capsys, "series", "--id", "N", "--order", "-1")
     assert code == 2
@@ -186,3 +228,49 @@ def test_emit_jsonl_matching():
     m = objects.parse("matching", "(1,3)(2,4)")
     line, = emit_jsonl([(m, objects.stats(m))])
     assert line == '{"object":"(1,3)(2,4)","stats":{"el":1,"ol":1}}'
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every command line ends in exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+_N = st.integers(-2, 4)
+_INPUT = st.text(alphabet="0123456789hc-(), ", max_size=12)
+_S_LIST = st.lists(st.integers(-1, 4), max_size=4).map(
+    lambda vs: ",".join(map(str, vs)))
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["verify"]), _opt("--id", st.sampled_from(
+        [c.id for c in verify.CHECKS])), _opt("--max-n", st.integers(-2, 3))),
+    st.tuples(st.just(["poly"]), _opt("--family", st.sampled_from(FAMILIES)),
+              _opt("--n", _N),
+              _opt("--format", st.sampled_from(["text", "csv", "json"]))),
+    st.tuples(st.just(["enumerate"]),
+              _opt("--class", st.sampled_from(objects.CLASS_NAMES)),
+              _opt("--n", _N), st.just([]) | _opt("--s", _S_LIST),
+              st.sampled_from([[], ["--stats"]])),
+    st.tuples(st.just(["bijection"]),
+              _opt("--map", st.sampled_from(["phi", "psi"])),
+              _opt("--input", _INPUT) | st.just(["--check"])
+              | _opt("--n", _N).map(lambda a: ["--check"] + a)),
+    st.tuples(st.just(["series"]), _opt("--id", st.sampled_from(SERIES_IDS)),
+              _opt("--order", st.integers(-1, 6))),
+    st.tuples(st.just(["grammar"]), _opt("--lemma", st.sampled_from([1, 2])),
+              _opt("--n", _N)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_ARGV)
+@example(["bijection", "--map", "phi", "--input", ""])
+@example(["series", "--id", "qn", "--order", "0"])
+def test_cli_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from combi.poly import CapacityError, ExactPoly, X
 from combi.grammar import (CYCLE_GRAMMAR, EULERIAN_GRAMMAR, Grammar, derive,
-                           fix_cycle_cap_polynomial, lemma1_check,
-                           lemma2_check, to_xyq)
+                           fix_cycle_cap_polynomial, lemma1_sides,
+                           lemma2_sides, to_xyq)
 from combi import families
+from combi.verify import run_check
 
 A, B, C, D, Q = (ExactPoly.var(v) for v in ("a", "b", "c", "d", "q"))
 
@@ -45,13 +46,13 @@ def test_leibniz_on_monomials(eb, ec, ed, ea):
 
 
 def test_lemma1_small():
-    assert lemma1_check(1).status == "pass"
+    assert run_check("grammar-lemma1", 1).status == "pass"
     assert derive(CYCLE_GRAMMAR, A, 2) == \
         A * (Q ** 2 * B ** 4 + 2 * Q * C ** 2 * D ** 2)
     for n in range(1, 6):
-        assert lemma1_check(n).status == "pass"
+        assert run_check("grammar-lemma1", n).status == "pass"
     with pytest.raises(CapacityError):
-        lemma1_check(9)
+        lemma1_sides(9)
 
 
 def test_lemma2_small():
@@ -59,11 +60,11 @@ def test_lemma2_small():
     assert derive(EULERIAN_GRAMMAR, B ** 2, 2) == \
         4 * (C ** 2 * D ** 4 + C ** 4 * D ** 2)
     for n in (1, 2, 4, 6):
-        assert lemma2_check(n).status == "pass"
+        assert run_check("grammar-lemma2", n).status == "pass"
     # row 4 of the Eulerian triangle is 1, 11, 11, 1
     assert families.eulerian_row(4) == (1, 11, 11, 1)
     with pytest.raises(CapacityError):
-        lemma2_check(11)
+        lemma2_sides(11)
 
 
 def test_substitution_matches_p_polynomials():

@@ -267,6 +267,14 @@ def test_encode_parse_roundtrip(cls, n, s):
         assert encode(back) == enc
 
 
+@pytest.mark.parametrize("cls", ["permutation", "signed", "matching",
+                                 "stirling", "decorated"])
+def test_parse_empty_word(cls):
+    obj = parse(cls, "")
+    assert validate(obj)
+    assert encode(obj) == ""
+
+
 def test_parse_rejects_invalid():
     with pytest.raises(ValueError):
         parse("stirling", "1 2 1 2")

@@ -27,6 +27,14 @@ def test_registry_table():
         assert check.ns == tuple(sorted(check.ns))
 
 
+def test_routes_are_named_functions():
+    for check in verify.CHECKS:
+        assert all(isinstance(r, verify.Route) and callable(r.fn)
+                   for r in check.routes)
+        labels = [r.label for r in check.routes]
+        assert len(set(labels)) == len(labels), check.id
+
+
 def test_run_check_pass():
     rep = verify.run_check("eq-1-3", 4)
     assert rep.status == "pass"
@@ -127,6 +135,33 @@ def _mutant_a_poly(n):
 def test_mutant_a_recurrence_caught(monkeypatch):
     monkeypatch.setattr(families, "a_poly", _mutant_a_poly)
     assert verify.run_check("eq-1-3", 3).status == "fail"
+
+
+@pytest.mark.parametrize("attr, mutant, disagreeing", [
+    ("a_poly", _mutant_a_poly, 1),
+    ("n_row", _mutant_n_row, 2),
+], ids=["a_poly", "n_row"])
+def test_failing_report_names_disagreeing_routes(monkeypatch, attr, mutant,
+                                                 disagreeing):
+    monkeypatch.setattr(families, attr, mutant)
+    rep = verify.run_check("eq-1-3", 3)
+    routes = verify.REGISTRY["eq-1-3"].routes
+    assert rep.status == "fail"
+    assert rep.lhs == f"{routes[0].label}: {routes[0].fn(3).render()}"
+    assert rep.rhs.startswith(f"{routes[disagreeing].label}: ")
+
+
+def test_bijection_report_compared_whole(monkeypatch):
+    from combi import bijections
+
+    def broken(map_id, n):
+        return bijections.BijectionReport(n, True, True, True, ("w", "t"))
+
+    monkeypatch.setattr(bijections, "verify_bijection", broken)
+    rep = verify.run_check("phi-bijection", 2)
+    assert rep.status == "fail"
+    assert rep.lhs.startswith("certificate: BijectionReport(n=2")
+    assert rep.rhs.startswith("all checks hold: BijectionReport(n=2")
 
 
 def _mutant_r_poly(n, with_q=True):

@@ -296,7 +296,7 @@ def validate(obj) -> bool:
 
     if isinstance(obj, CycleStirling):
         cycles = obj.cycles
-        if not cycles or any(not c for c in cycles):
+        if any(not c for c in cycles):
             return False
         allv = [v for c in cycles for v in c]
         n = len(allv) // 2

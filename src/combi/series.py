@@ -23,7 +23,17 @@ _DEFAULT_MAX_ORDER = 16
 
 def max_order() -> int:
     """Series-order ceiling; COMBI_MAX_ORDER raises it."""
-    return int(os.environ.get("COMBI_MAX_ORDER", str(_DEFAULT_MAX_ORDER)))
+    text = os.environ.get("COMBI_MAX_ORDER")
+    if text is None:
+        return _DEFAULT_MAX_ORDER
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(
+            f"COMBI_MAX_ORDER must be a nonnegative integer, got {text!r}")
+    return cap
 
 
 def _as_poly(c) -> ExactPoly:

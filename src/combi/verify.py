@@ -8,6 +8,9 @@ every route and compares each value with the first, exactly; a failing
 report names the first route and the first route that disagrees, each
 with its value in canonical text.
 
+`run_all` runs the whole plan, the bijection certificates beside the
+other checks on a second process where it can.
+
 Routes look their functions up in `families`, `grammar`, `objects` and
 `bijections` when they run, so a function replaced on its module is the
 one the check calls.
@@ -16,6 +19,7 @@ one the check calls.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -272,7 +276,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
         (Route("enumeration", "one-cycle enumeration",
                lambda n: families.y_poly_enum(n)),
          Route("recurrence", "doubled Eulerian",
-               lambda n: 2 ** (n - 1) * X * families.a_poly(n - 1)))),
+               lambda n: families.y_poly(n)))),
     IdentityCheck(
         "P-three-routes", "cap/fix/cycle polynomial agrees across recurrence, "
         "convolution, series and enumeration", range(0, 8),
@@ -334,7 +338,9 @@ CHECKS: tuple[IdentityCheck, ...] = (
                    n, lambda k: families.r_poly(k, with_q=False),
                    lambda k: families.r_poly(k, with_q=False))),
          Route("series", "n! [z^n] S(x,z)^2",
-               lambda n: egf_coefficient(_series_square("S", 8), n)))),
+               lambda n: egf_coefficient(_series_square("S", 8), n)),
+         Route("enumeration", "2^n d_n by enumeration",
+               lambda n: 2 ** n * families.d_poly_enum(n) if n else ONE))),
     IdentityCheck(
         "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
         (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),
@@ -411,7 +417,124 @@ def plan(max_n_overrides: dict[str, int] | None = None):
     return out
 
 
+# ---------------------------------------------------------------------------
+# running the plan on two processes
+# ---------------------------------------------------------------------------
+
+_RUN_CHECK_CODE = run_check.__code__
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shards(units):
+    """Split (position, check id, n) units by route kind.  A bijection
+    certificate walks its own construction tree and reads no statistic
+    table; every other check stays in one shard, so the (class, n) tables
+    its checks share are each built once."""
+    walks = {c.id for c in CHECKS if any(r.kind == "bijection" for r in c.routes)}
+    shards = ([u for u in units if u[1] in walks],
+              [u for u in units if u[1] not in walks])
+    return [shard for shard in shards if shard] or [units]
+
+
+def _run_units(units):
+    """Run the units in order up to the first that raises.  Returns the
+    (position, report) pairs and None, or the pairs before the unit that
+    raised and (its position, the exception)."""
+    done = []
+    for pos, check_id, n in units:
+        try:
+            done.append((pos, run_check(check_id, n)))
+        except Exception as exc:
+            return done, (pos, exc)
+    return done, None
+
+
+def _fork_units(units):
+    """Run the units in a forked child, which inherits every function
+    bound in this process, mutants included.  Returns (pid, read end of
+    the pipe that carries the child's pickled `_run_units` result)."""
+    import pickle
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    # The child leaves by os._exit: no atexit handler, no flush of an
+    # inherited stdout buffer.
+    status = 1
+    try:
+        os.close(read)
+        result = _run_units(units)
+        try:
+            data = pickle.dumps(result)
+        except Exception:  # the exception of a unit does not pickle
+            done, (pos, exc) = result
+            data = pickle.dumps(
+                (done, (pos, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid, read):
+    """The result the child sent; raises if it died without one."""
+    import pickle
+
+    with os.fdopen(read, "rb") as fh:
+        data = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not data:
+        raise RuntimeError(f"table-check process {pid} exited with status "
+                           f"{code} before sending its reports")
+    return pickle.loads(data)
+
+
 def run_all(max_n_overrides: dict[str, int] | None = None) -> list[VerifyReport]:
-    """Run every registered check at every default n up to capacity."""
-    return [run_check(check_id, n)
-            for check_id, ns in plan(max_n_overrides) for n in ns]
+    """Run every registered check at every default n up to capacity, and
+    return the reports in plan order.
+
+    With two or more CPUs and `os.fork`, a forked child runs the checks
+    that share statistic tables while this process runs the bijection
+    certificates, whose image sets set the peak memory.  A rebound
+    `run_check` (a tracer, a test stub) keeps its counters in this
+    process, so then everything runs here, as on one CPU or with other
+    threads running.  When units raise, the exception of the earliest in
+    plan order is raised."""
+    import threading
+
+    pairs = [(check_id, n) for check_id, ns in plan(max_n_overrides) for n in ns]
+    units = [(pos, *pair) for pos, pair in enumerate(pairs)]
+    shards = [units]
+    # A forked child holds only the calling thread, and locks other
+    # threads held stay locked in it.
+    if (_cpu_count() > 1 and hasattr(os, "fork")
+            and threading.active_count() == 1
+            and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE):
+        shards = _shards(units)
+    here, *elsewhere = shards
+    children = [_fork_units(shard) for shard in elsewhere]
+    try:
+        results = [_run_units(here)]
+    except BaseException:  # an interrupt: stop the child too
+        import signal
+
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    results += [_join(*child) for child in children]
+    errors = [error for _, error in results if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return [rep for _, rep in sorted(pair for done, _ in results for pair in done)]

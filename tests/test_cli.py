@@ -215,6 +215,23 @@ def test_series_negative_order(capsys):
     assert "order must be >= 0" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_bad_max_order_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("COMBI_MAX_ORDER", value)
+    code, out, err = run(capsys, "series", "--id", "qn", "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: COMBI_MAX_ORDER must be a nonnegative integer, "
+                   f"got {value!r}\n")
+
+
+def test_max_order_raises_cap(capsys, monkeypatch):
+    monkeypatch.setenv("COMBI_MAX_ORDER", "18")
+    code, out, _ = run(capsys, "series", "--id", "qn", "--order", "18")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("18: ")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "poly", "--family", "N")[0] == 2  # missing --n
     assert run(capsys)[0] == 2  # missing subcommand

@@ -268,7 +268,7 @@ def test_encode_parse_roundtrip(cls, n, s):
 
 
 @pytest.mark.parametrize("cls", ["permutation", "signed", "matching",
-                                 "stirling", "decorated"])
+                                 "stirling", "stirling2", "decorated"])
 def test_parse_empty_word(cls):
     obj = parse(cls, "")
     assert validate(obj)

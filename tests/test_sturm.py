@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combi.poly import ExactPoly, X, Y
+from combi import families
+from combi.poly import ExactPoly, X, Y, divexact
 from combi.sturm import SturmReport, sturm_real_roots
 
 
@@ -55,3 +56,12 @@ def test_products_of_linear_factors(roots, add_complex):
     rep = sturm_real_roots(p)
     assert rep.distinct_real_roots == len(roots)
     assert rep.is_squarefree
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_r_over_x_root_count_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    p = divexact(families.r_poly(n, with_q=False), X)
+    x = sympy.Symbol("x")
+    oracle = sympy.Poly(list(reversed(p.univariate_coeffs("x"))), x)
+    assert sturm_real_roots(p).distinct_real_roots == oracle.count_roots()

@@ -1,4 +1,6 @@
 import itertools
+import os
+import threading
 
 import pytest
 
@@ -184,6 +186,16 @@ def test_mutant_r_recurrence_caught(monkeypatch):
     assert verify.run_check("R-recurrence-enum", 4).status == "fail"
 
 
+@pytest.mark.parametrize("check_id, attr", [
+    ("Y-cyclic", "y_poly"),
+    ("S2-equals-d2z", "d_poly_enum"),
+])
+def test_registered_family_route_caught(monkeypatch, check_id, attr):
+    original = getattr(families, attr)
+    monkeypatch.setattr(families, attr, lambda n: original(n) + X ** (n + 1))
+    assert verify.run_check(check_id, 3).status == "fail"
+
+
 # ---------------------------------------------------------------------------
 # enumeration tables are memoised: a mutant planted after a check has run
 # once in the process must still reach its verdict
@@ -210,3 +222,178 @@ def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
     assert verify.run_check(check_id, 3).status == "pass"
     monkeypatch.setattr(objects, attr, mutant)
     assert verify.run_check(check_id, 3).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# run_all on two processes: a forked child runs the table checks while this
+# process runs the bijection certificates; each path is forced through the
+# CPU count
+# ---------------------------------------------------------------------------
+
+def _strip(reports):
+    return [(r.id, r.n, r.status, r.lhs, r.rhs) for r in reports]
+
+
+def _small_plan(max_n=4):
+    return {c.id: min(c.max_n, max_n) for c in verify.CHECKS}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the processes run_all forks; the CPU count stays as it is."""
+    calls = []
+    fork = verify.os.fork
+
+    def counting_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(verify.os, "fork", counting_fork)
+    return calls
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: count)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shards_split_bijections_from_tables():
+    units = [(pos, cid, n) for pos, (cid, n) in enumerate(
+        (cid, n) for cid, ns in verify.plan() for n in ns)]
+    walks, tables = verify._shards(units)
+    assert {cid for _, cid, _ in walks} == {"phi-bijection", "psi-bijection"}
+    assert sorted(walks + tables) == units
+    assert verify._shards([]) == [[]]
+
+
+def test_empty_plan_runs_nothing(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    assert verify.run_all({c.id: -1 for c in verify.CHECKS}) == []
+    assert not forks
+
+
+def test_parallel_and_serial_agree(monkeypatch, forks):
+    _cpus(monkeypatch, 1)
+    serial = verify.run_all(_small_plan())
+    assert not forks
+    _cpus(monkeypatch, 2)
+    parallel = verify.run_all(_small_plan())
+    assert len(forks) == 1
+    assert _strip(parallel) == _strip(serial)
+    assert [(r.id, r.n) for r in parallel] == [
+        (cid, n) for cid, ns in verify.plan(_small_plan()) for n in ns]
+    assert all(r.status == "pass" for r in parallel)
+    _no_children_left()
+
+
+def test_other_thread_keeps_run_all_serial(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        reports = verify.run_all(_small_plan(2))
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert not forks
+    assert all(r.status == "pass" for r in reports)
+
+
+def test_mutant_planted_in_parent_fails_in_child(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(families, "n_row", _mutant_n_row)
+    reports = verify.run_all(_small_plan())
+    assert len(forks) == 1
+    failed = {r.id for r in reports if r.status == "fail"}
+    assert {"eq-1-3", "N-el-enum", "M-via-invseq"} <= failed
+    assert not failed & {"phi-bijection", "psi-bijection"}
+
+
+def _raising(message):
+    def fn(*args, **kwargs):
+        raise ValueError(message)
+    return fn
+
+
+# A-via-invseq (a_poly) comes before phi-bijection in the plan, C-descents
+# (c_poly) after psi-bijection.
+@pytest.mark.parametrize("table_attr, expected", [
+    (None, "certificate"),
+    ("a_poly", "table"),
+    ("c_poly", "certificate"),
+], ids=["certificate-only", "table-first", "certificate-first"])
+def test_earliest_unit_error_is_raised(monkeypatch, table_attr, expected):
+    from combi import bijections
+    monkeypatch.setattr(bijections, "verify_bijection", _raising("certificate"))
+    if table_attr is not None:
+        monkeypatch.setattr(families, table_attr, _raising("table"))
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            verify.run_all(_small_plan(3))
+        _no_children_left()
+
+
+def test_interrupt_stops_the_child(monkeypatch, forks):
+    from combi import bijections
+
+    def interrupt(map_id, n):
+        raise KeyboardInterrupt
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(bijections, "verify_bijection", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_all()
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_bad_max_order_error_same_on_both_paths(monkeypatch, capsys):
+    from combi.cli import main
+    monkeypatch.setenv("COMBI_MAX_ORDER", "abc")
+    outputs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        assert main(["verify", "--all", "--max-n", "2"]) == 2
+        outputs.append(capsys.readouterr())
+        _no_children_left()
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == ""
+    assert outputs[0].err == ("error: COMBI_MAX_ORDER must be a nonnegative "
+                              "integer, got 'abc'\n")
+
+
+def test_child_dying_without_result_raises(monkeypatch, forks):
+    parent = os.getpid()
+
+    def die(n):
+        assert os.getpid() != parent, "a table route ran in the parent"
+        os._exit(3)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(families, "a_poly", die)
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        verify.run_all(_small_plan(2))
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_rebound_run_check_runs_in_process(monkeypatch, forks):
+    calls = []
+
+    def counting(check_id, n):
+        calls.append((check_id, n))
+        return verify.VerifyReport(check_id, n, "pass")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "run_check", counting)
+    reports = verify.run_all()
+    assert not forks
+    assert len(calls) == len(reports) == 254
+    assert calls == [(cid, n) for cid, ns in verify.plan() for n in ns]

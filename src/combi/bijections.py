@@ -11,9 +11,10 @@ appending a fresh block or splitting the p-th marked/unmarked block of the
 appropriate matching.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
-verify_bijection walks the construction tree of the whole domain (the
-generating tree of J. West, Discrete Math. 146 (1995)) with the same step
-rules as the maps, and at every leaf it checks
+verify_bijection walks the domain's insertion tree in `objects`, the one
+`generate` walks (a generating tree of J. West, Discrete Math. 146 (1995)).
+The same step rules as the maps give each node's image state from its
+insertion slot, and at every leaf it checks
   - that the image is new (injectivity),
   - the weight: asc (phi) or des_B (psi) of the leaf word against the
     even-larger (el) and odd-larger (ol) block counts of its matchings,
@@ -36,6 +37,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from . import objects
 from .objects import (CapacityError, DecoratedPermutation, PerfectMatching,
                       SignedPermutation, double_factorial, signed_blocks,
                       validate, encode)
@@ -154,19 +156,6 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
     return _triple(state, n)
 
 
-def _phi_children(word, state, m: int):
-    """The children of a node of the decorated construction tree, in the
-    order of generate("decorated", n)."""
-    step = _phi_step
-    for idx in range(len(word)):
-        h = word[idx][1]
-        for circ in (False, True):
-            yield (word[:idx] + ((m, h, circ),) + word[idx:],
-                   step(word, state, m, idx, h, circ))
-    for h in (False, True):
-        yield word + ((m, h, False),), step(word, state, m, len(word), h, False)
-
-
 def _phi_weighs(word, state) -> bool:
     """asc(word) = el(first) + el(second), and the index set is the set of
     hatted values."""
@@ -228,18 +217,6 @@ def psi_map(pi: SignedPermutation) -> MatchingTriple:
     return _triple(state, n)
 
 
-def _psi_children(word, state, m: int):
-    """The children of a node of the signed construction tree."""
-    step = _psi_step
-    bar = _bar_entries(word)
-    for idx in range(len(word)):
-        for val in (m, -m):
-            yield (word[:idx] + (val,) + word[idx:],
-                   step(word, state, m, idx, val < 0, bar))
-    for val in (m, -m):
-        yield word + (val,), step(word, state, m, len(word), val < 0)
-
-
 def _psi_weighs(word, state) -> bool:
     """des_B(word) = el(first) + ol(second), and the index set holds the
     magnitudes in the blocks that end negatively."""
@@ -268,16 +245,31 @@ def _psi_weighs(word, state) -> bool:
 # exhaustive certification
 # ---------------------------------------------------------------------------
 
-def _leaves(children, n: int):
-    """Every leaf (word, state) of a construction tree of size n, in
-    depth-first order.  The inner levels are built as lists (the last has
-    2^(n-1) (n-1)! nodes), and the leaves are streamed from the last one."""
-    level = [((), _EMPTY)]
-    for m in range(1, n):
-        level = [child for word, state in level
-                 for child in children(word, state, m)]
-    for word, state in level:
-        yield from children(word, state, n)
+def _domain_tree(map_id: str):
+    """The object type, the leaf check, and the children of (word, state)
+    nodes over the domain's tree in `objects`, looked up now so that a
+    replaced tree reaches generate and this walk alike."""
+    if map_id == "phi":
+        tree = objects.class_functions("decorated")[0]
+        step = _phi_step
+
+        def children(node, m):
+            word, state = node
+            return [(index, entry,
+                     (child, step(word, state, m, index, entry[1], entry[2])))
+                    for index, entry, child in tree(word, m)]
+        return DecoratedPermutation, _phi_weighs, children
+
+    tree = objects.class_functions("signed")[0]
+    step = _psi_step
+
+    def children(node, m):
+        word, state = node
+        bar = _bar_entries(word)
+        return [(index, entry,
+                 (child, step(word, state, m, index, entry < 0, bar)))
+                for index, entry, child in tree(word, m)]
+    return SignedPermutation, _psi_weighs, children
 
 
 @contextmanager
@@ -304,10 +296,7 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
     domain_size = 2 ** n * math.factorial(n)
     if domain_size > _DOMAIN_CAP:
         raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")
-    if map_id == "phi":
-        kind, children, weighs = DecoratedPermutation, _phi_children, _phi_weighs
-    else:
-        kind, children, weighs = SignedPermutation, _psi_children, _psi_weighs
+    kind, weighs, children = _domain_tree(map_id)
 
     images = set()
     per_k = Counter()
@@ -315,7 +304,7 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
     injective = True
     counterexample = None
     with _no_cycle_collection():
-        for word, state in _leaves(children, n):
+        for word, state in objects.walk(children, n, ((), _EMPTY)):
             if weight_ok and not weighs(word, state):
                 weight_ok = False
                 counterexample = (encode(kind(word)), _encode_state(state))

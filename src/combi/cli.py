@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (or all checks pass), 1 verification failure,
-2 usage error (including capacity misuse).  Results go to stdout,
-diagnostics to stderr.
+Exit codes: 0 success (or all checks pass), 1 verification failure (also
+a table-check process lost by `verify --all`), 2 usage error (including
+capacity misuse).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -237,12 +237,12 @@ def main(argv=None) -> int:
                 "series": _cmd_series, "grammar": _cmd_grammar}
     try:
         return dispatch[args.command](args)
-    except CapacityError as exc:
+    except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except verify.LostChildError as exc:  # no verdict, so never success
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

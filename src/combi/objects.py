@@ -5,14 +5,17 @@ permutations, signed permutations, perfect matchings, Stirling words,
 cycle-form Stirling permutations of the second kind, decorated
 permutations, and bounded inversion sequences.
 
-Generators stream lazily in a deterministic recursive order; exhaustive
-verification never needs more than O(n) live state per stream.
+Each class but the inversion sequences is one insertion tree, walked depth
+first by `walk` holding one child list per level: generate streams its
+leaves, and the phi/psi certificates in `bijections` walk the decorated and
+signed trees.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .poly import CapacityError
@@ -67,17 +70,18 @@ class InversionSequence:
     s: tuple[int, ...]
 
 
-# class name -> (object type, generator, statistic function).  The functions
-# are named, not held, so that generate and stats call whatever this module
-# binds when they run.
+# class name -> (object type, children function (for inversion sequences, a
+# generator of s), statistic function).  The functions are named, not held,
+# so that generate, stats and the bijection certificates call whatever this
+# module binds when they run.
 _CLASSES = {
-    "permutation": (Permutation, "_gen_permutations", "stats_permutation"),
-    "signed": (SignedPermutation, "_gen_signed", "stats_signed"),
-    "matching": (PerfectMatching, "_gen_matchings", "stats_matching"),
-    "stirling": (StirlingWord, "_gen_stirling_words", "stats_stirling"),
-    "stirling2": (CycleStirling, "_gen_cycle_stirling", "stats_cycle_stirling"),
-    "decorated": (DecoratedPermutation, "_gen_decorated", "stats_decorated"),
-    "invseq": (InversionSequence, "_gen_invseq", "stats_inversion"),
+    "permutation": (Permutation, "_permutation_children", "stats_permutation"),
+    "signed": (SignedPermutation, "_signed_children", "stats_signed"),
+    "matching": (PerfectMatching, "_matching_children", "stats_matching"),
+    "stirling": (StirlingWord, "_stirling_children", "stats_stirling"),
+    "stirling2": (CycleStirling, "_stirling2_children", "stats_cycle_stirling"),
+    "decorated": (DecoratedPermutation, "_decorated_children", "stats_decorated"),
+    "invseq": (InversionSequence, "_invseq_product", "stats_inversion"),
 }
 CLASS_NAMES = tuple(_CLASSES)
 _STATS_BY_TYPE = {cls: stat for cls, _, stat in _CLASSES.values()}
@@ -92,100 +96,97 @@ def double_factorial(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generation
+# generation: one insertion tree per class
 # ---------------------------------------------------------------------------
 
-def _gen_permutations(n):
-    for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+def walk(children, n: int, root=()):
+    """Every node of size n of the tree grown from `root`, depth first.  A
+    node of size m - 1 has the children children(node, m): a list of
+    (index, entry, child), `entry` (holding m) inserted at `index` of node.
+    The stack holds an iterator over one child list per level, so the nodes
+    of size n are yielded straight from their list."""
+    stack = [iter(((None, None, root),))]
+    while stack:
+        if len(stack) > n:  # stack[-1] runs over nodes of size n
+            for _, _, node in stack.pop():
+                yield node
+        else:
+            for _, _, node in stack[-1]:
+                stack.append(iter(children(node, len(stack))))
+                break
+            else:
+                stack.pop()
 
 
-def _gen_signed(n):
-    for word in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(v * s for v, s in zip(word, signs)))
+def _permutation_children(word, m):
+    """m at each index."""
+    return [(i, m, word[:i] + (m,) + word[i:]) for i in range(m)]
 
 
-def _gen_matchings(n):
-    def rec(free):
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        rest = free[1:]
-        for idx in range(len(rest)):
-            pair = ((a, rest[idx]),)
-            for tail in rec(rest[:idx] + rest[idx + 1:]):
-                yield pair + tail
-
-    for blocks in rec(tuple(range(1, 2 * n + 1))):
-        yield PerfectMatching(blocks)
+def _signed_children(word, m):
+    """m, then -m, at each index."""
+    return [(i, v, word[:i] + (v,) + word[i:])
+            for i in range(m) for v in (m, -m)]
 
 
-def _gen_stirling_words(n):
-    def rec(m):
-        if m == 1:
-            yield (1, 1)
-            return
-        pair = (m, m)
-        for w in rec(m - 1):
-            for gap in range(2 * m - 1):
-                yield w[:gap] + pair + w[gap:]
-
-    for w in rec(n):
-        yield StirlingWord(w)
-
-
-def _gen_cycle_stirling(n):
-    # Insert the adjacent pair (m, m) right after any entry of any cycle,
-    # or append the new cycle (m m); every object arises exactly once.
-    def rec(m):
-        if m == 1:
-            yield ((1, 1),)
-            return
-        pair = (m, m)
-        for cycs in rec(m - 1):
-            for ci, cycle in enumerate(cycs):
-                for j in range(1, len(cycle) + 1):
-                    newc = cycle[:j] + pair + cycle[j:]
-                    yield cycs[:ci] + (newc,) + cycs[ci + 1:]
-            yield cycs + (pair,)
-
-    for cycs in rec(n):
-        yield CycleStirling(cycs)
+def _matching_children(blocks, m):
+    """The block (j, 2m) for j = 1, ..., 2m - 1, the points >= j moved up by
+    one.  The p blocks that start before j stay in front."""
+    top = 2 * m
+    up = tuple([(a + 1, b + 1) for a, b in blocks])
+    out = []
+    p = 0
+    for j in range(1, top):
+        if p < len(blocks) and blocks[p][0] < j:
+            p += 1
+        block = (j, top)
+        head = tuple([blk if blk[1] < j else (blk[0], blk[1] + 1)
+                      for blk in blocks[:p]])
+        out.append((j, block, head + (block,) + up[p:]))
+    return out
 
 
-def _gen_decorated(n):
-    # (r1): only m or m-hat at the end; (r2): before an entry, the new
-    # maximum copies that entry's hat flag and may carry a circle.
-    def rec(m):
-        if m == 1:
-            yield ((1, False, False),)
-            yield ((1, True, False),)
-            return
-        for v in rec(m - 1):
-            for i in range(len(v)):
-                h = v[i][1]
-                yield v[:i] + ((m, h, False),) + v[i:]
-                yield v[:i] + ((m, h, True),) + v[i:]
-            yield v + ((m, False, False),)
-            yield v + ((m, True, False),)
-
-    for entries in rec(n):
-        yield DecoratedPermutation(entries)
+def _stirling_children(word, m):
+    """The pair m m in each of the 2m - 1 gaps."""
+    pair = (m, m)
+    return [(i, pair, word[:i] + pair + word[i:]) for i in range(2 * m - 1)]
 
 
-def _gen_invseq(s):
+def _stirling2_children(cycles, m):
+    """The pair m m right after any entry of any cycle (index (c, j): after
+    entry j of cycle c), then the new cycle (m m)."""
+    pair = (m, m)
+    out = [((c, j), pair, cycles[:c] + (cycle[:j] + pair + cycle[j:],)
+            + cycles[c + 1:])
+           for c, cycle in enumerate(cycles) for j in range(1, len(cycle) + 1)]
+    out.append(((len(cycles), 0), pair, cycles + (pair,)))
+    return out
+
+
+def _decorated_children(word, m):
+    """(r2) before an entry, m copies that entry's hat flag and may carry a
+    circle; (r1) at the end, only m or m-hat."""
+    out = [(i, e, word[:i] + (e,) + word[i:])
+           for i, (_, hat, _) in enumerate(word)
+           for e in ((m, hat, False), (m, hat, True))]
+    out += [(len(word), e, word + (e,))
+            for e in ((m, False, False), (m, True, False))]
+    return out
+
+
+def _invseq_product(s):
+    # the shape comes from the bounds s, not from an insertion
     for e in itertools.product(*(range(si) for si in s)):
         yield InversionSequence(e, tuple(s))
 
 
 def class_functions(class_name: str):
-    """The generator and the statistic function of the class, as bound now."""
+    """The children function (for inversion sequences, the generator) and
+    the statistic function of the class, as bound now."""
     if class_name not in _CLASSES:
         raise ValueError(f"unknown object class {class_name!r}")
-    _, gen, stat = _CLASSES[class_name]
-    return globals()[gen], globals()[stat]
+    _, tree, stat = _CLASSES[class_name]
+    return globals()[tree], globals()[stat]
 
 
 def _check_size(class_name: str, n: int, s, n_min: int):
@@ -208,9 +209,11 @@ def _check_size(class_name: str, n: int, s, n_min: int):
 
 def generate(class_name: str, n: int, s=None):
     """Stream every object of the class exactly once, deterministically."""
-    gen = class_functions(class_name)[0]
+    tree = class_functions(class_name)[0]
     s = _check_size(class_name, n, s, 1)
-    return gen(s) if class_name == "invseq" else gen(n)
+    if class_name == "invseq":
+        return tree(s)
+    return map(_CLASSES[class_name][0], walk(tree, n))
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
@@ -361,7 +364,7 @@ def signed_blocks(word) -> tuple[tuple[int, ...], ...]:
 
 def stats_signed(sp: SignedPermutation) -> dict:
     w = sp.word
-    des_b = int(0 > w[0]) + sum(w[i] > w[i + 1] for i in range(len(w) - 1))
+    des_b = sum(a > b for a, b in zip((0,) + w, w))  # a virtual 0 in front
     blocks = signed_blocks(w)
     bar_set = {v for blk in blocks if blk[-1] < 0 for v in blk}
     nbar_set = {v for v in w if v not in bar_set}
@@ -430,7 +433,7 @@ def stats_cycle_stirling(cs: CycleStirling) -> dict:
 
 def stats_decorated(dp: DecoratedPermutation) -> dict:
     vals = [v for v, _, _ in dp.entries]
-    asc = 1 + sum(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
+    asc = sum(a < b for a, b in zip([0] + vals, vals))  # a virtual 0 in front
     hats = [v for v, h, _ in dp.entries if h]
     return {"asc": asc, "hat": len(hats), "hat_value_set": set(hats)}
 
@@ -468,7 +471,7 @@ def count_paired_excedance_involutions(n: int) -> int:
         raise CapacityError(
             f"exhaustive search covers (4n-1)!! involutions; capped at n=2, got n={n}")
     count = 0
-    for m in _gen_matchings(2 * n):
+    for m in generate("matching", 2 * n):
         exceeding = {a for a, _ in m.blocks}
         if all(((2 * i - 1) in exceeding) == ((2 * i) in exceeding)
                for i in range(1, 2 * n + 1)):
@@ -500,17 +503,23 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split())
 
 
-def _parse_groups(text: str) -> list[str]:
-    """Split '(...)(...)' into the inner strings."""
-    text = text.strip()
-    groups = []
-    while text:
-        if not text.startswith("("):
-            raise ValueError(f"malformed group encoding: {text!r}")
-        close = text.index(")")
-        groups.append(text[1:close])
-        text = text[close + 1:].strip()
-    return groups
+def _parse_groups(class_name: str, text: str, parse_group) -> tuple:
+    """Parse each group of '(...)(...)' with `parse_group`; a missing
+    bracket or a group it rejects makes the text malformed."""
+    inner = text.strip()
+    if not inner:
+        return ()
+    try:
+        if inner[0] != "(" or inner[-1] != ")":
+            raise ValueError
+        return tuple(parse_group(g) for g in re.split(r"\)\s*\(", inner[1:-1]))
+    except ValueError:
+        raise ValueError(f"malformed {class_name} encoding: {text!r}") from None
+
+
+def _parse_pair(text: str) -> tuple[int, int]:
+    a, b = (int(t) for t in text.split(","))
+    return a, b
 
 
 def parse(class_name: str, text: str):
@@ -522,13 +531,9 @@ def parse(class_name: str, text: str):
     elif class_name == "stirling":
         obj = StirlingWord(_parse_ints(text))
     elif class_name == "matching":
-        blocks = []
-        for g in _parse_groups(text):
-            a, b = (int(t) for t in g.split(","))
-            blocks.append((a, b))
-        obj = PerfectMatching(tuple(blocks))
+        obj = PerfectMatching(_parse_groups(class_name, text, _parse_pair))
     elif class_name == "stirling2":
-        obj = CycleStirling(tuple(_parse_ints(g) for g in _parse_groups(text)))
+        obj = CycleStirling(_parse_groups(class_name, text, _parse_ints))
     elif class_name == "decorated":
         entries = []
         for tok in text.split():

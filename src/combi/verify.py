@@ -31,6 +31,10 @@ from .sturm import sturm_real_roots
 from . import bijections, families, grammar, objects
 
 
+class LostChildError(RuntimeError):
+    """The table-check process exited without sending its reports."""
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     id: str
@@ -494,8 +498,8 @@ def _join(pid, read):
         data = fh.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not data:
-        raise RuntimeError(f"table-check process {pid} exited with status "
-                           f"{code} before sending its reports")
+        raise LostChildError(f"table-check process {pid} exited with "
+                             f"status {code} before sending its reports")
     return pickle.loads(data)
 
 

@@ -5,7 +5,8 @@ from combi.bijections import (encode_triple, phi_map, psi_map,
                               verify_bijection)
 from combi.objects import (CapacityError, DecoratedPermutation,
                            SignedPermutation, generate, parse,
-                           stats_decorated, stats_matching, stats_signed)
+                           stats_decorated, stats_matching, stats_signed,
+                           walk)
 
 PHI_BASE = {
     "1": "[] [(1,2)] {}",
@@ -116,11 +117,11 @@ def test_exhaustive_small(map_id, n):
 def test_peel_replay_matches_stepwise_construction():
     # mapping the finished object must reproduce the state reached by
     # building it one insertion at a time
-    from combi.bijections import _leaves, _phi_children, _psi_children
-    for word, state in _leaves(_phi_children, 4):
+    root = ((), bijections._EMPTY)
+    for word, state in walk(bijections._domain_tree("phi")[2], 4, root):
         t = phi_map(DecoratedPermutation(word))
         assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
-    for word, state in _leaves(_psi_children, 4):
+    for word, state in walk(bijections._domain_tree("psi")[2], 4, root):
         t = psi_map(SignedPermutation(word))
         assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,8 +13,8 @@ from combi.objects import (CycleStirling, DecoratedPermutation,
                            double_factorial, encode, generate, parse,
                            reduce_word, stats_cycle_stirling,
                            stats_decorated, stats_inversion, stats_matching,
-                           stats_permutation, stats_signed, stats_stirling,
-                           validate)
+                           stats, stats_permutation, stats_signed,
+                           stats_stirling, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,60 @@ def test_class_count_of_empty_objects():
                 "decorated"):
         assert class_count(cls, 0) == 1
     assert class_count("invseq", 0, ()) == 1
+
+
+# The first insertion tree levels, in the order generate has always used.
+@pytest.mark.parametrize("cls,want", [
+    ("stirling", ["2 2 1 1", "1 2 2 1", "1 1 2 2"]),
+    ("stirling2", ["(1 2 2 1)", "(1 1 2 2)", "(1 1)(2 2)"]),
+    ("decorated", ["2 1", "2c 1", "1 2", "1 2h", "2h 1h", "2hc 1h", "1h 2",
+                   "1h 2h"]),
+])
+def test_tree_order_n2(cls, want):
+    assert [encode(o) for o in generate(cls, 2)] == want
+
+
+def _drop_value(word, n):
+    return tuple(e for e in word if e != n)
+
+
+def _drop_block(blocks, top):
+    j = next(a for a, b in blocks if b == top)
+    return PerfectMatching(tuple((a - (a > j), b - (b > j))
+                                 for a, b in blocks if b != top))
+
+
+# Removing the top insertion: the value n (its pair, for Stirling words and
+# cycle forms), or the block that holds 2n, the points above its partner
+# moved down by one.
+_PARENT = {
+    "permutation": lambda o, n: Permutation(_drop_value(o.word, n)),
+    "signed": lambda o, n: SignedPermutation(
+        tuple(v for v in o.word if abs(v) != n)),
+    "matching": lambda o, n: _drop_block(o.blocks, 2 * n),
+    "stirling": lambda o, n: StirlingWord(_drop_value(o.word, n)),
+    "stirling2": lambda o, n: CycleStirling(tuple(
+        c for c in (_drop_value(c, n) for c in o.cycles) if c)),
+    "decorated": lambda o, n: DecoratedPermutation(
+        tuple(e for e in o.entries if e[0] != n)),
+}
+_CHILDREN_PER_PARENT = {"permutation": lambda n: n, "signed": lambda n: 2 * n,
+                        "matching": lambda n: 2 * n - 1,
+                        "stirling": lambda n: 2 * n - 1,
+                        "stirling2": lambda n: 2 * n - 1,
+                        "decorated": lambda n: 2 * n}
+
+
+@pytest.mark.parametrize("cls", list(_PARENT))
+def test_unique_parent(cls):
+    # each object of size n is valid, new, and has one parent of size n - 1,
+    # and every object of size n - 1 is the parent of the same number of them
+    for n in range(2, 6):
+        objs = list(generate(cls, n))
+        assert len(set(objs)) == len(objs) and all(map(validate, objs))
+        parents = Counter(_PARENT[cls](o, n) for o in objs)
+        want = _CHILDREN_PER_PARENT[cls](n)
+        assert parents == {p: want for p in generate(cls, n - 1)}, (cls, n)
 
 
 def test_stirling2_listing_n2():
@@ -273,6 +329,11 @@ def test_parse_empty_word(cls):
     obj = parse(cls, "")
     assert validate(obj)
     assert encode(obj) == ""
+    st_ = stats(obj)  # the leading virtual 0 starts no descent and no ascent
+    if cls == "signed":
+        assert st_["des_B"] == 0
+    if cls == "decorated":
+        assert st_["asc"] == 0
 
 
 def test_parse_rejects_invalid():
@@ -282,3 +343,8 @@ def test_parse_rejects_invalid():
         parse("matching", "(2,1)")
     with pytest.raises(ValueError):
         parse("nonsense", "1")
+    for cls in ("matching", "stirling2"):
+        for text in ("(1,2", "(1,2,3)"):
+            with pytest.raises(ValueError,
+                               match=fr"^malformed {cls} encoding: '\(1,2"):
+                parse(cls, text)

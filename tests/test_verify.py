@@ -1,4 +1,3 @@
-import itertools
 import os
 import threading
 
@@ -202,7 +201,8 @@ def test_registered_family_route_caught(monkeypatch, check_id, attr):
 # ---------------------------------------------------------------------------
 
 _STATS_STIRLING = objects.stats_stirling
-_GEN_CYCLE_STIRLING = objects._gen_cycle_stirling
+_STIRLING2_CHILDREN = objects._stirling2_children
+_DECORATED_CHILDREN = objects._decorated_children
 
 
 def _mutant_stats_stirling(sw):
@@ -210,14 +210,28 @@ def _mutant_stats_stirling(sw):
     return {**st, "descents": st["descents"] + 1}
 
 
-def _mutant_gen_cycle_stirling(n):
-    return itertools.islice(_GEN_CYCLE_STIRLING(n), 1, None)
+def _mutant_stirling2_children(cycles, m):
+    kids = _STIRLING2_CHILDREN(cycles, m)
+    return kids[1:] if m > 1 else kids
+
+
+def _mutant_decorated_children(word, m):
+    """Drops the first circled child of every node; the certificate walks
+    the same tree as the enumeration, so both must see it."""
+    kids = _DECORATED_CHILDREN(word, m)
+    for i, (_, entry, _) in enumerate(kids):
+        if entry[2]:
+            return kids[:i] + kids[i + 1:]
+    return kids
 
 
 @pytest.mark.parametrize("check_id, attr, mutant", [
     ("C-descents", "stats_stirling", _mutant_stats_stirling),
-    ("Q-recurrence-enum", "_gen_cycle_stirling", _mutant_gen_cycle_stirling),
-], ids=["C-descents", "Q-recurrence-enum"])
+    ("Q-recurrence-enum", "_stirling2_children", _mutant_stirling2_children),
+    ("phi-bijection", "_decorated_children", _mutant_decorated_children),
+    ("eq-1-3-refined-k", "_decorated_children", _mutant_decorated_children),
+], ids=["C-descents", "Q-recurrence-enum", "phi-bijection",
+        "eq-1-3-refined-k"])
 def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
     assert verify.run_check(check_id, 3).status == "pass"
     monkeypatch.setattr(objects, attr, mutant)
@@ -380,6 +394,24 @@ def test_child_dying_without_result_raises(monkeypatch, forks):
     monkeypatch.setattr(families, "a_poly", die)
     with pytest.raises(RuntimeError, match="exited with status 3"):
         verify.run_all(_small_plan(2))
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_cli_reports_lost_child(monkeypatch, capsys, forks):
+    from combi.cli import main
+
+    def die(n):
+        os._exit(3)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(families, "a_poly", die)
+    code = main(["verify", "--all", "--max-n", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: table-check process ")
+    assert "exited with status 3" in err and "Traceback" not in err
     assert len(forks) == 1
     _no_children_left()
 

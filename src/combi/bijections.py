@@ -248,16 +248,17 @@ def _psi_weighs(word, state) -> bool:
 def _domain_tree(map_id: str):
     """The object type, the leaf check, and the children of (word, state)
     nodes over the domain's tree in `objects`, looked up now so that a
-    replaced tree reaches generate and this walk alike."""
+    replaced tree reaches generate and this walk alike.  Each child's slot
+    is read off the child: the index of m (or -m) and the entry there."""
     if map_id == "phi":
         tree = objects.class_functions("decorated")[0]
         step = _phi_step
 
         def children(node, m):
             word, state = node
-            return [(index, entry,
-                     (child, step(word, state, m, index, entry[1], entry[2])))
-                    for index, entry, child in tree(word, m)]
+            return [(child, step(word, state, m, i, child[i][1], child[i][2]))
+                    for child in tree(word, m)
+                    for i in (next(zip(*child)).index(m),)]
         return DecoratedPermutation, _phi_weighs, children
 
     tree = objects.class_functions("signed")[0]
@@ -266,9 +267,9 @@ def _domain_tree(map_id: str):
     def children(node, m):
         word, state = node
         bar = _bar_entries(word)
-        return [(index, entry,
-                 (child, step(word, state, m, index, entry < 0, bar)))
-                for index, entry, child in tree(word, m)]
+        return [(child, step(word, state, m, i, child[i] < 0, bar))
+                for child in tree(word, m)
+                for i in (child.index(m) if m in child else child.index(-m),)]
     return SignedPermutation, _psi_weighs, children
 
 

@@ -28,6 +28,7 @@ from .poly import (NVARS, ONE, Q, VAR_INDEX, X, Y, CapacityError, ExactPoly,
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
+from . import objects
 from .objects import class_functions, double_factorial, generate, stats
 
 
@@ -310,9 +311,10 @@ def _joint_table(class_name, n, s=None) -> MappingProxyType:
 
     Keys are ((name, value), ...) tuples.  The table is memoised per
     process, and its memo key holds every function the walk calls, so a
-    generator or statistic replaced after a first call misses the memo."""
+    walker, tree or statistic replaced after a first call misses the memo."""
     s = None if s is None else tuple(s)
-    key = (class_name, n, s, generate, stats, *class_functions(class_name))
+    key = (class_name, n, s, generate, stats, objects.walk,
+           *class_functions(class_name))
     table = _TABLES.get(key)
     if table is None:
         counts = Counter()

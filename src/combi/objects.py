@@ -101,17 +101,15 @@ def double_factorial(n: int) -> int:
 
 def walk(children, n: int, root=()):
     """Every node of size n of the tree grown from `root`, depth first.  A
-    node of size m - 1 has the children children(node, m): a list of
-    (index, entry, child), `entry` (holding m) inserted at `index` of node.
-    The stack holds an iterator over one child list per level, so the nodes
-    of size n are yielded straight from their list."""
-    stack = [iter(((None, None, root),))]
+    node of size m - 1 has the children children(node, m), a list of nodes
+    of size m.  The stack holds an iterator over one child list per level,
+    so the nodes of size n are yielded straight from their list."""
+    stack = [iter((root,))]
     while stack:
         if len(stack) > n:  # stack[-1] runs over nodes of size n
-            for _, _, node in stack.pop():
-                yield node
+            yield from stack.pop()
         else:
-            for _, _, node in stack[-1]:
+            for node in stack[-1]:
                 stack.append(iter(children(node, len(stack))))
                 break
             else:
@@ -120,13 +118,12 @@ def walk(children, n: int, root=()):
 
 def _permutation_children(word, m):
     """m at each index."""
-    return [(i, m, word[:i] + (m,) + word[i:]) for i in range(m)]
+    return [word[:i] + (m,) + word[i:] for i in range(m)]
 
 
 def _signed_children(word, m):
     """m, then -m, at each index."""
-    return [(i, v, word[:i] + (v,) + word[i:])
-            for i in range(m) for v in (m, -m)]
+    return [word[:i] + (v,) + word[i:] for i in range(m) for v in (m, -m)]
 
 
 def _matching_children(blocks, m):
@@ -139,38 +136,35 @@ def _matching_children(blocks, m):
     for j in range(1, top):
         if p < len(blocks) and blocks[p][0] < j:
             p += 1
-        block = (j, top)
         head = tuple([blk if blk[1] < j else (blk[0], blk[1] + 1)
                       for blk in blocks[:p]])
-        out.append((j, block, head + (block,) + up[p:]))
+        out.append(head + ((j, top),) + up[p:])
     return out
 
 
 def _stirling_children(word, m):
     """The pair m m in each of the 2m - 1 gaps."""
     pair = (m, m)
-    return [(i, pair, word[:i] + pair + word[i:]) for i in range(2 * m - 1)]
+    return [word[:i] + pair + word[i:] for i in range(2 * m - 1)]
 
 
 def _stirling2_children(cycles, m):
-    """The pair m m right after any entry of any cycle (index (c, j): after
-    entry j of cycle c), then the new cycle (m m)."""
+    """The pair m m right after any entry of any cycle, then the new cycle
+    (m m)."""
     pair = (m, m)
-    out = [((c, j), pair, cycles[:c] + (cycle[:j] + pair + cycle[j:],)
-            + cycles[c + 1:])
+    out = [cycles[:c] + (cycle[:j] + pair + cycle[j:],) + cycles[c + 1:]
            for c, cycle in enumerate(cycles) for j in range(1, len(cycle) + 1)]
-    out.append(((len(cycles), 0), pair, cycles + (pair,)))
+    out.append(cycles + (pair,))
     return out
 
 
 def _decorated_children(word, m):
     """(r2) before an entry, m copies that entry's hat flag and may carry a
     circle; (r1) at the end, only m or m-hat."""
-    out = [(i, e, word[:i] + (e,) + word[i:])
+    out = [word[:i] + (e,) + word[i:]
            for i, (_, hat, _) in enumerate(word)
            for e in ((m, hat, False), (m, hat, True))]
-    out += [(len(word), e, word + (e,))
-            for e in ((m, False, False), (m, True, False))]
+    out += [word + (e,) for e in ((m, False, False), (m, True, False))]
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import threading
 
@@ -203,6 +204,7 @@ def test_registered_family_route_caught(monkeypatch, check_id, attr):
 _STATS_STIRLING = objects.stats_stirling
 _STIRLING2_CHILDREN = objects._stirling2_children
 _DECORATED_CHILDREN = objects._decorated_children
+_WALK = objects.walk
 
 
 def _mutant_stats_stirling(sw):
@@ -211,18 +213,24 @@ def _mutant_stats_stirling(sw):
 
 
 def _mutant_stirling2_children(cycles, m):
+    """Drops one object: the first child of (1 2 2 1)."""
     kids = _STIRLING2_CHILDREN(cycles, m)
-    return kids[1:] if m > 1 else kids
+    return kids[1:] if m == 3 and cycles == ((1, 2, 2, 1),) else kids
 
 
 def _mutant_decorated_children(word, m):
     """Drops the first circled child of every node; the certificate walks
     the same tree as the enumeration, so both must see it."""
     kids = _DECORATED_CHILDREN(word, m)
-    for i, (_, entry, _) in enumerate(kids):
-        if entry[2]:
+    for i, kid in enumerate(kids):
+        if any(v == m and circle for v, _, circle in kid):
             return kids[:i] + kids[i + 1:]
     return kids
+
+
+def _mutant_walk(children, n, root=()):
+    """Drops the first node of size n."""
+    return itertools.islice(_WALK(children, n, root), 1, None)
 
 
 @pytest.mark.parametrize("check_id, attr, mutant", [
@@ -230,8 +238,10 @@ def _mutant_decorated_children(word, m):
     ("Q-recurrence-enum", "_stirling2_children", _mutant_stirling2_children),
     ("phi-bijection", "_decorated_children", _mutant_decorated_children),
     ("eq-1-3-refined-k", "_decorated_children", _mutant_decorated_children),
+    ("C-descents", "walk", _mutant_walk),
+    ("phi-bijection", "walk", _mutant_walk),
 ], ids=["C-descents", "Q-recurrence-enum", "phi-bijection",
-        "eq-1-3-refined-k"])
+        "eq-1-3-refined-k", "C-descents-walk", "phi-bijection-walk"])
 def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
     assert verify.run_check(check_id, 3).status == "pass"
     monkeypatch.setattr(objects, attr, mutant)

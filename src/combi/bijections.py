@@ -5,24 +5,30 @@ triple (first, second, index_set) with first a matching of [2k], second a
 matching of [2n-2k]; psi_map does the same for signed permutations with
 k = bar (the number of entries lying in blocks that end negatively).
 
-Both maps replay the object's unique construction history: values are
-peeled off the top and re-inserted in increasing order, each insertion
-appending a fresh block or splitting the p-th marked/unmarked block of the
-appropriate matching.
+One insertion rule serves both maps and the certificate.  `_slots` lists,
+once per word, the slot before each entry: the matching the entry belongs
+to, whether the split block is marked, and p.  `_insert` puts m in one
+slot: at the end it appends a fresh block to a matching, before an entry it
+splits the p-th marked or unmarked block of the slot's matching, straight
+or crossed.  `_phi_rule` and `_psi_rule` hold only what differs: which
+entries belong to the first matching (the hatted ones; the ones in blocks
+that end negatively, where the marking flips), and how a child word shows
+the slot of m and the straight or crossed split.  Each map replays the
+object's construction history through `_replay`, re-inserting the values
+in increasing order.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
 verify_bijection walks the domain's insertion tree in `objects`, the one
 `generate` walks (a generating tree of J. West, Discrete Math. 146 (1995)).
-The same step rules as the maps give each node's image state from its
-insertion slot, and at every leaf it checks
+The same rule gives each child its image state, and at every leaf it checks
   - that the image is new (injectivity),
   - the weight: asc (phi) or des_B (psi) of the leaf word against the
     even-larger (el) and odd-larger (ol) block counts of its matchings,
   - the index set: the hatted values (phi), or the magnitudes in the blocks
     that end negatively (psi).
 The weight and the index set are computed from the leaf word and the leaf
-matchings, never from the step rules.  Afterwards the images with k
-recorded indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
+matchings, never from the rule.  Afterwards the images with k recorded
+indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 
 Inside the maps and the walk, an index set is an int bitmask (bit v set iff
 v is recorded); it becomes a frozenset only in the results.
@@ -36,6 +42,7 @@ from bisect import insort
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import objects
 from .objects import (CapacityError, DecoratedPermutation, PerfectMatching,
@@ -80,6 +87,14 @@ def _triple(state, n: int) -> MatchingTriple:
                           iset, n, len(iset))
 
 
+# ---------------------------------------------------------------------------
+# the insertion rule, shared by phi and psi
+# ---------------------------------------------------------------------------
+
+# the state of the empty word: no blocks, nothing recorded
+_EMPTY = ((), (), 0)
+
+
 def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
     """Replace the p-th marked (even-larger) or unmarked block (a, b), in
     standard-form order, by (a, lo),(b, lo+1) when straight else
@@ -98,62 +113,76 @@ def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
     raise ValueError(f"no {p}-th {'marked' if use_marked else 'unmarked'} block")
 
 
-# the state of the empty word: no blocks, nothing recorded
-_EMPTY = ((), (), 0)
+def _slots(values, first, flip: bool):
+    """The slot before each entry of a word, as (in_first, marked, p).  The
+    entry's flag in `first` names the matching the slot splits.  The split
+    block is marked iff the slot is an ascent (from a virtual 0 in front),
+    negated in the first matching when `flip`.  p counts the slots up to
+    this one that split the same matching with the same marking."""
+    counts = [0, 0, 0, 0]
+    out = []
+    prev = 0
+    for v, f in zip(values, first):
+        marked = (prev < v) != (flip and f)
+        kind = 2 * f + marked
+        counts[kind] += 1
+        out.append((f, marked, counts[kind]))
+        prev = v
+    return out
 
 
-def _append(state, m: int, first: bool):
-    """Insert m at the end: a fresh top block in the first matching,
-    recording m, or in the second."""
+def _insert(state, m: int, slots, index: int, first: bool, straight: bool):
+    """Insert m at `index` of a word with these slots.  At the end, append a
+    fresh top block to the first matching if `first`, else to the second;
+    before an entry, split the p-th marked or unmarked block of that slot's
+    matching, straight or crossed.  An insertion into the first matching
+    records m."""
     s1, s2, iset = state
+    if index < len(slots):
+        first, marked, p = slots[index]
+    blocks = s1 if first else s2
+    lo = 2 * len(blocks) + 1
+    if index < len(slots):
+        blocks = _split_block(blocks, marked, p, lo, straight)
+    else:
+        blocks += ((lo, lo + 1),)
     if first:
-        t = 2 * len(s1)
-        return (s1 + ((t + 1, t + 2),), s2, iset | 1 << m)
-    t = 2 * len(s2)
-    return (s1, s2 + ((t + 1, t + 2),), iset)
+        return blocks, s2, iset | 1 << m
+    return s1, blocks, iset
+
+
+def _replay(rule, word, size) -> MatchingTriple:
+    """The triple of `word`: insert 1, ..., n in turn, the entries of size
+    <= m making the child of the entries of size < m."""
+    state = _EMPTY
+    parent = ()
+    for m in range(1, len(word) + 1):
+        child = tuple(e for e in word if size(e) <= m)
+        slots, ((_, i, first, straight),) = rule(parent, m, (child,))
+        state = _insert(state, m, slots, i, first, straight)
+        parent = child
+    return _triple(state, len(word))
 
 
 # ---------------------------------------------------------------------------
 # phi: decorated permutations
 # ---------------------------------------------------------------------------
 
-def _phi_step(word, state, m: int, index: int, hat: bool, circle: bool):
-    """Insert value m into `word` (the entries with values < m) at `index`;
-    index == len(word) is the append case."""
-    if index == len(word):
-        return _append(state, m, hat)
-    s1, s2, iset = state
-    succ, succ_hat, _ = word[index]
-    ascent = (word[index - 1][0] if index else 0) < succ
-    # p counts the slots up to `index` before an entry of the same hat class
-    # that are of the same kind (ascent or descent) as the slot at `index`
-    p = 0
-    prev = 0
-    for v, h, _ in word[:index + 1]:
-        if h == succ_hat and (prev < v) == ascent:
-            p += 1
-        prev = v
-    if hat:
-        s1 = _split_block(s1, ascent, p, 2 * len(s1) + 1, not circle)
-        return (s1, s2, iset | 1 << m)
-    s2 = _split_block(s2, ascent, p, 2 * len(s2) + 1, not circle)
-    return (s1, s2, iset)
+def _phi_rule(word, m: int, children):
+    """The hatted entries of `word` belong to the first matching.  Each
+    child gives the index of m, its hat (read only at the end: before an
+    entry, m copies that entry's hat), and a straight split unless m is
+    circled."""
+    slots = _slots([v for v, _, _ in word], [h for _, h, _ in word], False)
+    return slots, [(child, i, child[i][1], not child[i][2])
+                   for child in children
+                   for i in (next(zip(*child)).index(m),)]
 
 
 def phi_map(w: DecoratedPermutation) -> MatchingTriple:
     if not validate(w):
         raise ValueError(f"invalid decorated permutation: {w!r}")
-    entries = w.entries
-    n = len(entries)
-    pos = {v: i for i, (v, _, _) in enumerate(entries)}
-    by_value = {v: e for e in entries for v in (e[0],)}
-    state = _EMPTY
-    for m in range(1, n + 1):
-        word = tuple(e for e in entries if e[0] < m)
-        index = sum(1 for e in word if pos[e[0]] < pos[m])
-        _, hat, circ = by_value[m]
-        state = _phi_step(word, state, m, index, hat, circ)
-    return _triple(state, n)
+    return _replay(_phi_rule, w.entries, itemgetter(0))
 
 
 def _phi_weighs(word, state) -> bool:
@@ -174,47 +203,22 @@ def _phi_weighs(word, state) -> bool:
 # psi: signed permutations
 # ---------------------------------------------------------------------------
 
-def _bar_entries(word) -> frozenset[int]:
-    return frozenset(v for blk in signed_blocks(word) if blk[-1] < 0 for v in blk)
-
-
-def _psi_step(word, state, m: int, index: int, negative: bool, bar=None):
-    """Insert m (or -m) into the signed word at `index`."""
-    if index == len(word):
-        return _append(state, m, negative)
-    t1, t2, iset = state
-    if bar is None:
-        bar = _bar_entries(word)
-    succ = word[index]
-    ascent = (word[index - 1] if index else 0) < succ
-    in_bar = succ in bar
-    p = 0
-    prev = 0
-    for v in word[:index + 1]:
-        if (v in bar) == in_bar and (prev < v) == ascent:
-            p += 1
-        prev = v
-    if in_bar:
-        # ascent-top -> unmarked block, descent-bottom -> marked block
-        t1 = _split_block(t1, not ascent, p, 2 * len(t1) + 1, not negative)
-        return (t1, t2, iset | 1 << m)
-    t2 = _split_block(t2, ascent, p, 2 * len(t2) + 1, not negative)
-    return (t1, t2, iset)
+def _psi_rule(word, m: int, children):
+    """The entries in blocks of `word` that end negatively belong to the
+    first matching, where an ascent splits an unmarked block.  Each child
+    gives the index of m or -m, and a straight split unless it is -m, which
+    at the end appends to the first matching."""
+    first = [blk[-1] < 0 for blk in signed_blocks(word) for _ in blk]
+    return _slots(word, first, True), [
+        (child, i, child[i] < 0, child[i] > 0)
+        for child in children
+        for i in (child.index(m) if m in child else child.index(-m),)]
 
 
 def psi_map(pi: SignedPermutation) -> MatchingTriple:
     if not validate(pi):
         raise ValueError(f"invalid signed permutation: {pi!r}")
-    entries = pi.word
-    n = len(entries)
-    pos = {abs(v): i for i, v in enumerate(entries)}
-    signed = {abs(v): v for v in entries}
-    state = _EMPTY
-    for m in range(1, n + 1):
-        word = tuple(v for v in entries if abs(v) < m)
-        index = sum(1 for v in word if pos[abs(v)] < pos[m])
-        state = _psi_step(word, state, m, index, signed[m] < 0)
-    return _triple(state, n)
+    return _replay(_psi_rule, pi.word, abs)
 
 
 def _psi_weighs(word, state) -> bool:
@@ -247,30 +251,23 @@ def _psi_weighs(word, state) -> bool:
 
 def _domain_tree(map_id: str):
     """The object type, the leaf check, and the children of (word, state)
-    nodes over the domain's tree in `objects`, looked up now so that a
-    replaced tree reaches generate and this walk alike.  Each child's slot
-    is read off the child: the index of m (or -m) and the entry there."""
+    nodes over the domain's tree in `objects`, with m inserted by the map's
+    rule.  The tree and the rule are looked up now, so that a replaced one
+    reaches this walk as it reaches generate and the maps."""
     if map_id == "phi":
-        tree = objects.class_functions("decorated")[0]
-        step = _phi_step
-
-        def children(node, m):
-            word, state = node
-            return [(child, step(word, state, m, i, child[i][1], child[i][2]))
-                    for child in tree(word, m)
-                    for i in (next(zip(*child)).index(m),)]
-        return DecoratedPermutation, _phi_weighs, children
-
-    tree = objects.class_functions("signed")[0]
-    step = _psi_step
+        kind, cls, weighs, rule = (DecoratedPermutation, "decorated",
+                                   _phi_weighs, _phi_rule)
+    else:
+        kind, cls, weighs, rule = (SignedPermutation, "signed",
+                                   _psi_weighs, _psi_rule)
+    tree = objects.class_functions(cls)[0]
 
     def children(node, m):
         word, state = node
-        bar = _bar_entries(word)
-        return [(child, step(word, state, m, i, child[i] < 0, bar))
-                for child in tree(word, m)
-                for i in (child.index(m) if m in child else child.index(-m),)]
-    return SignedPermutation, _psi_weighs, children
+        slots, reads = rule(word, m, tree(word, m))
+        return [(child, _insert(state, m, slots, i, first, straight))
+                for child, i, first, straight in reads]
+    return kind, weighs, children
 
 
 @contextmanager

@@ -180,8 +180,6 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
         return egf_coefficient(series_families(max(n, DEFAULT_ORDER))["P"], n)
     if n > P_ENUM_MAX:
         raise CapacityError(f"enumeration route capped at n={P_ENUM_MAX}")
-    if n == 0:
-        return ONE
     return stat_distribution("stirling2", n, (("cap", "x"), ("fix", "y"),
                                               ("cyc", "q")))
 
@@ -283,6 +281,7 @@ def _series_families_cached(order: int) -> dict[str, TruncatedSeries]:
 
 def d_poly(n: int) -> ExactPoly:
     """Derangements of [n] by excedances, from the EGF (1-x)/(e^xz - x e^z)."""
+    _require_nonnegative(n)
     order = max(n, DEFAULT_ORDER)
     return egf_coefficient(series_families(order)["d"], n)
 

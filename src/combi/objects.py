@@ -183,10 +183,10 @@ def class_functions(class_name: str):
     return globals()[tree], globals()[stat]
 
 
-def _check_size(class_name: str, n: int, s, n_min: int):
+def _check_size(class_name: str, n: int, s):
     """Reject a size the class cannot take: an inversion sequence needs a
     bound sequence s of length n with entries >= 1, any other class needs
-    n >= n_min.  Returns s as a tuple for inversion sequences."""
+    n >= 0.  Returns s as a tuple for inversion sequences."""
     if class_name not in _CLASSES:
         raise ValueError(f"unknown object class {class_name!r}")
     if class_name == "invseq":
@@ -196,22 +196,22 @@ def _check_size(class_name: str, n: int, s, n_min: int):
         if len(s) != n or any(si < 1 for si in s):
             raise ValueError("bound sequence must have length n with entries >= 1")
         return s
-    if n < n_min:
-        raise ValueError(f"n must be >= {n_min}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return s
 
 
 def generate(class_name: str, n: int, s=None):
     """Stream every object of the class exactly once, deterministically."""
     tree = class_functions(class_name)[0]
-    s = _check_size(class_name, n, s, 1)
+    s = _check_size(class_name, n, s)
     if class_name == "invseq":
         return tree(s)
     return map(_CLASSES[class_name][0], walk(tree, n))
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
-    s = _check_size(class_name, n, s, 0)
+    s = _check_size(class_name, n, s)
     if class_name == "permutation":
         return math.factorial(n)
     if class_name in ("signed", "decorated"):
@@ -459,8 +459,6 @@ def count_paired_excedance_involutions(n: int) -> int:
     are always both excedances or both anti-excedances."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
     if n > 2:
         raise CapacityError(
             f"exhaustive search covers (4n-1)!! involutions; capped at n=2, got n={n}")

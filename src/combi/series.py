@@ -71,11 +71,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def _check_same_order(self, other):
         if self.order != other.order:
             raise ValueError("series orders differ")

@@ -344,7 +344,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
          Route("series", "n! [z^n] S(x,z)^2",
                lambda n: egf_coefficient(_series_square("S", 8), n)),
          Route("enumeration", "2^n d_n by enumeration",
-               lambda n: 2 ** n * families.d_poly_enum(n) if n else ONE))),
+               lambda n: 2 ** n * families.d_poly_enum(n)))),
     IdentityCheck(
         "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
         (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),

@@ -107,6 +107,40 @@ def test_psi_weights():
                                + stats_matching(t.second)["ol"])
 
 
+# Slot tables (in_first, marked, p) of prefixes of the worked examples, by
+# hand.  phi: hatted entries split the first matching, an ascent a marked
+# block.  psi: (-3 -1)(4 2)(-6 7 -5) are the blocks, so the entries of the
+# first and last split the first matching, where a descent splits a marked
+# block.  The block (3 -1) of the other signed example ends negatively.
+SLOTS = [
+    ("phi", "3h 1h 4 2",
+     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1)]),
+    ("phi", "3h 1h 4 2 6hc 5h",
+     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1),
+      (True, True, 2), (True, False, 2)]),
+    ("psi", "-3 -1 4 2",
+     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1)]),
+    ("psi", "-3 -1 4 2 -6 7 -5",
+     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1),
+      (True, True, 2), (True, False, 2), (True, True, 3)]),
+    ("psi", "3 -1 4 2",
+     [(True, False, 1), (True, True, 1), (False, True, 1), (False, False, 1)]),
+]
+
+
+@pytest.mark.parametrize("map_id,enc,want", SLOTS,
+                         ids=[e.replace(" ", "_") for _, e, _ in SLOTS])
+def test_slot_tables(map_id, enc, want):
+    cls = "decorated" if map_id == "phi" else "signed"
+    obj = parse(cls, enc)
+    word = obj.entries if map_id == "phi" else obj.word
+    values = [e[0] for e in word] if map_id == "phi" else list(word)
+    first = [f for f, _, _ in want]
+    assert bijections._slots(values, first, map_id == "psi") == want
+    rule = getattr(bijections, f"_{map_id}_rule")
+    assert rule(word, len(word) + 1, ()) == (want, [])
+
+
 @pytest.mark.parametrize("map_id,n", [("phi", 1), ("phi", 3), ("phi", 4),
                                       ("psi", 1), ("psi", 3), ("psi", 4)])
 def test_exhaustive_small(map_id, n):
@@ -142,18 +176,17 @@ def test_capacity_guard():
     ("psi", ("4 2 1 -3", "[(1,2)] [(1,3)(2,5)(4,6)] {0}")),
 ], ids=["phi", "psi"])
 def test_moved_index_caught(monkeypatch, map_id, counterexample):
-    # a step rule that records 0 in place of 3 keeps k, the statistic and
+    # an insertion that records 0 in place of 3 keeps k, the statistic and
     # injectivity; only the index set check on every leaf can see it
-    name = f"_{map_id}_step"
-    step = getattr(bijections, name)
+    insert = bijections._insert
 
-    def moved(word, state, m, *rest):
-        s1, s2, iset = step(word, state, m, *rest)
+    def moved(state, m, *rest):
+        s1, s2, iset = insert(state, m, *rest)
         if m == 3 and iset >> 3 & 1:
             iset ^= 1 << 3 | 1
         return s1, s2, iset
 
-    monkeypatch.setattr(bijections, name, moved)
+    monkeypatch.setattr(bijections, "_insert", moved)
     rep = verify_bijection(map_id, 4)
     assert rep.injective and rep.image_complete
     assert not rep.weight_preserving

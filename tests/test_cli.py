@@ -67,7 +67,7 @@ def test_poly_negative_n(capsys, family):
     code, out, err = run(capsys, "poly", "--family", family, "--n", "-2")
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err
+    assert err.startswith("error: n must be >= ")
 
 
 def test_enumerate_stirling2_stats(capsys):

@@ -39,8 +39,7 @@ def test_invseq_generation():
     assert all(validate(o) for o in objs)
     with pytest.raises(ValueError):
         generate("invseq", 3, None)
-    with pytest.raises(ValueError):
-        generate("permutation", 0)
+    assert list(generate("permutation", 0)) == [Permutation(())]
 
 
 @pytest.mark.parametrize("cls,n,s,message", [

@@ -289,8 +289,8 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
     on every leaf, then the image count for each k."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     domain_size = 2 ** n * math.factorial(n)
     if domain_size > _DOMAIN_CAP:
         raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")

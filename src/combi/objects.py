@@ -458,7 +458,7 @@ def count_paired_excedance_involutions(n: int) -> int:
     """Fixed-point-free involutions of [4n] in which positions 2i-1 and 2i
     are always both excedances or both anti-excedances."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError("n must be >= 0")
     if n > 2:
         raise CapacityError(
             f"exhaustive search covers (4n-1)!! involutions; capped at n=2, got n={n}")

@@ -2,9 +2,12 @@
 
 Every polynomial in this package lives in the ring Z[x^±, y^±, q^±, a^±,
 b^±, c^±, d^±] (coefficients are promoted to fractions.Fraction as soon as
-a division happens, never to floats).  The variable set is fixed and
-ordered, so an exponent vector is a dense 7-tuple of signed integers and
-two polynomials are equal iff their canonical term maps are equal.
+a division happens, never to floats).  Int coefficients stay ints, and a
+Fraction with denominator 1 is stored as its int numerator, so the kernel
+runs on ints first and pays for Fraction only where a division left one.
+The variable set is fixed and ordered, so an exponent vector is a dense
+7-tuple of signed integers and two polynomials are equal iff their
+canonical term maps are equal.
 
 Negative exponents are first-class: the grammar rewriting rule for the
 letter ``b`` produces the monomial b^-1*c^2*d^2.
@@ -12,6 +15,7 @@ letter ``b`` produces the monomial b^-1*c^2*d^2.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 VARS = ("x", "y", "q", "a", "b", "c", "d")
@@ -29,6 +33,8 @@ class CapacityError(Exception):
 def _norm_coeff(c: Coeff) -> Coeff:
     # Fractions with unit denominator collapse to int so that equal values
     # always share one stored representation (required for dict equality).
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -43,7 +49,8 @@ class ExactPoly:
         t = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _norm_coeff(coeff)
+                if type(coeff) is not int:
+                    coeff = _norm_coeff(coeff)
                 if coeff != 0:
                     t[exp] = coeff
         self._terms = t
@@ -133,8 +140,9 @@ class ExactPoly:
         if other is NotImplemented:
             return NotImplemented
         t = dict(self._terms)
+        get = t.get
         for exp, coeff in other._terms.items():
-            t[exp] = t.get(exp, 0) + coeff
+            t[exp] = get(exp, 0) + coeff
         return ExactPoly(t)
 
     __radd__ = __add__
@@ -155,11 +163,18 @@ class ExactPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # the outer loop runs over the factor with fewer terms
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        big_items = tuple(big.items())
+        add = operator.add
         t: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(i + j for i, j in zip(e1, e2))
-                t[exp] = t.get(exp, 0) + c1 * c2
+        get = t.get
+        for e1, c1 in small.items():
+            for e2, c2 in big_items:
+                exp = tuple(map(add, e1, e2))
+                t[exp] = get(exp, 0) + c1 * c2
         return ExactPoly(t)
 
     __rmul__ = __mul__
@@ -199,14 +214,9 @@ class ExactPoly:
     def diff(self, name: str) -> "ExactPoly":
         """Formal partial derivative; x^k -> k*x^(k-1) for any integer k."""
         i = VAR_INDEX[name]
-        t: dict[tuple[int, ...], Coeff] = {}
-        for exp, coeff in self._terms.items():
-            e = exp[i]
-            if e == 0:
-                continue
-            new = exp[:i] + (e - 1,) + exp[i + 1:]
-            t[new] = t.get(new, 0) + coeff * e
-        return ExactPoly(t)
+        # lowering one exponent is injective, so no two terms collide
+        return ExactPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
+                          for exp, coeff in self._terms.items() if exp[i]})
 
     def subs_num(self, name: str, value: Coeff) -> "ExactPoly":
         """Evaluate one variable at an exact number."""
@@ -266,7 +276,7 @@ class ExactPoly:
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
     """x^n * p(1/x) for a univariate p with exponent support inside [0, n]."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError("n must be >= 0")
     i = VAR_INDEX["x"]
     t = {}
     for exp, coeff in p.items():
@@ -290,12 +300,11 @@ def divexact(p: ExactPoly, d: ExactPoly) -> ExactPoly:
     terms = dict(d.items())
     if len(terms) == 1:
         (dexp, dcoeff), = terms.items()
-        out = {}
-        for exp, coeff in p.items():
-            q = Fraction(coeff, 1) / dcoeff if not isinstance(coeff, Fraction) \
-                else coeff / dcoeff
-            out[tuple(i - j for i, j in zip(exp, dexp))] = q
-        return ExactPoly(out)
+        # a unit divisor keeps int coefficients ints
+        scale = dcoeff if dcoeff in (1, -1) else 1 / Fraction(dcoeff)
+        sub = operator.sub
+        return ExactPoly({tuple(map(sub, exp, dexp)): coeff * scale
+                          for exp, coeff in p.items()})
 
     dvars = d.variables()
     if len(dvars) != 1:

@@ -1,17 +1,19 @@
-"""Sturm-chain real-root counting with exact rational arithmetic.
+"""Sturm-chain real-root counting with fraction-free integer remainders.
 
 Only distinct-root *counting* is provided: the number of distinct real
 roots over (-inf, +inf) equals the drop in sign variations of the Sturm
 chain between the two ends.  Chain elements are stripped to primitive
 integer polynomials (positive content only, so signs survive) to keep the
-coefficients small.
+coefficients small.  Remainders are taken by pseudo-division with a
+positive scale factor, so they stay in the integers: each one is a positive
+multiple of the rational remainder, and after stripping the content the
+chain is the one rational division gives (Collins, J. ACM 14, 1967).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .poly import ExactPoly
 
@@ -35,27 +37,38 @@ def _trim(f: list) -> list:
 
 def _primitive(f: list) -> list[int]:
     """Scale to a primitive integer polynomial, preserving signs."""
-    den = math.lcm(*(c.denominator if isinstance(c, Fraction) else 1 for c in f))
-    ints = [int(c * den) for c in f]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    if not all(type(c) is int for c in f):
+        den = math.lcm(*(c.denominator for c in f))
+        f = [int(c * den) for c in f]
+    g = math.gcd(*f)
+    return [c // g for c in f]
 
 
-def _rem(f: list, g: list) -> list:
-    """Polynomial remainder of f by g over the rationals (dense ascending)."""
-    r = [Fraction(c) for c in f]
-    dg = len(g) - 1
-    lead = Fraction(g[-1])
-    while len(r) - 1 >= dg:
-        k = len(r) - 1 - dg
-        factor = r[-1] / lead
-        for i, gc in enumerate(g):
-            r[k + i] -= factor * gc
-        r.pop()
-        _trim(r)
+def _rem(f: list[int], g: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of f by g (dense
+    ascending int lists): each step is r <- |lc(g)| r - sign(lc(g)) lc(r)
+    x^k g, which cancels the top term of r without leaving the integers."""
+    r = f
+    scale, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    while len(r) >= len(g):
+        k = len(r) - len(g)
+        factor = sign * r[-1]
+        r = _trim([scale * c for c in r[:k]]
+                  + [scale * c - factor * gc for c, gc in zip(r[k:], g)])
+    return r
+
+
+def _chain(coeffs: list) -> list[list[int]]:
+    """Primitive Sturm chain of a dense ascending coefficient list of
+    degree >= 1: f, f', then minus each remainder, until one divides."""
+    chain = [_primitive(coeffs),
+             _primitive([c * k for k, c in enumerate(coeffs)][1:])]
+    while len(chain[-1]) > 1:
+        r = _rem(chain[-2], chain[-1])
         if not r:
             break
-    return r
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
 def sturm_real_roots(p: ExactPoly) -> SturmReport:
@@ -67,14 +80,7 @@ def sturm_real_roots(p: ExactPoly) -> SturmReport:
     if degree == 0:
         return SturmReport(0, 0, True)
 
-    chain = [_primitive(coeffs)]
-    deriv = _trim([c * k for k, c in enumerate(coeffs)][1:])
-    chain.append(_primitive(deriv))
-    while len(chain[-1]) - 1 > 0:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive([-c for c in r]))
+    chain = _chain(coeffs)
 
     def variations(signs: list[int]) -> int:
         flips = 0

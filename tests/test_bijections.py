@@ -148,6 +148,18 @@ def test_exhaustive_small(map_id, n):
     assert rep.all_ok, rep
 
 
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_exhaustive_empty(map_id):
+    # the empty word is the one object of size 0, sent to the empty triple
+    # with k = 0: C(0,0)(-1)!!(-1)!! = 1 image
+    root = ((), bijections._EMPTY)
+    assert list(walk(bijections._domain_tree(map_id)[2], 0, root)) == [root]
+    rep = verify_bijection(map_id, 0)
+    assert rep.n == 0 and rep.all_ok and rep.counterexample is None
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        verify_bijection(map_id, -1)
+
+
 def test_peel_replay_matches_stepwise_construction():
     # mapping the finished object must reproduce the state reached by
     # building it one insertion at a time

@@ -138,6 +138,16 @@ def test_bijection_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_bijection_check_n0(capsys, map_id):
+    code, out, err = run(capsys, "bijection", "--map", map_id, "--check",
+                         "--n", "0")
+    assert code == 0
+    assert out == ("n=0 injective=True image_complete=True "
+                   "weight_preserving=True\n")
+    assert err == ""
+
+
 def test_verify_single(capsys):
     code, out, _ = run(capsys, "verify", "--id", "eq-1-3", "--max-n", "4")
     assert code == 0

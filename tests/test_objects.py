@@ -303,6 +303,8 @@ def test_paired_excedance_involutions():
     assert count_paired_excedance_involutions(2) == 28
     with pytest.raises(CapacityError):
         count_paired_excedance_involutions(3)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        count_paired_excedance_involutions(-1)
 
 
 # ---------------------------------------------------------------------------

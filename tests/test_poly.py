@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combi.poly import VARS, ExactPoly, X, Y, Q, divexact, poly_reverse
+from combi.poly import (VARS, ZERO_EXP, ExactPoly, X, Y, Q, divexact,
+                        poly_reverse)
 
 
 def rand_poly(rng, nvars=3, max_terms=4, lo=0):
@@ -23,6 +24,13 @@ def test_canonical_form_drops_zeros():
     assert list(p.items()) == [((0,) * 7, 3)]
     assert (X - X).is_zero
     assert ExactPoly.const(Fraction(4, 2)) == ExactPoly.const(2)
+
+
+def test_integral_fraction_stored_as_int():
+    p = ExactPoly({ZERO_EXP: Fraction(4, 2)})
+    assert p == ExactPoly.const(2)
+    assert hash(p) == hash(ExactPoly.const(2))
+    assert type(p.const_value()) is int
 
 
 def test_equality_and_hash():
@@ -93,6 +101,8 @@ def test_poly_reverse_errors():
         poly_reverse(ExactPoly.monomial(1, {"x": -1}), 2)
     with pytest.raises(ValueError):
         poly_reverse(X * Y, 3)
+    with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+        poly_reverse(X, -1)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
@@ -123,3 +133,75 @@ def test_render_canonical():
     assert (-X + Fraction(1, 2)).render() == "1/2 - x"
     b, c, d = (ExactPoly.var(v) for v in "bcd")
     assert (b ** -1 * c ** 2 * d ** 2).render() == "b^-1*c^2*d^2"
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle: the kernel against an independent implementation
+# ---------------------------------------------------------------------------
+
+_NAMES = ("x", "y", "q")
+_COEFF = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_NONZERO = _COEFF.filter(bool)
+
+
+def _exps(lo):
+    return st.tuples(*[st.integers(lo, 3)] * 3).map(lambda e: e + (0,) * 4)
+
+
+_POLY = st.dictionaries(_exps(-2), _COEFF, max_size=5).map(ExactPoly)
+_MONOMIAL = st.builds(lambda e, c: ExactPoly({e: c}), _exps(-2), _NONZERO)
+
+
+def _sympy(sympy, p):
+    syms = sympy.symbols(_NAMES)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(s ** k for s, k in zip(syms, exp)))
+                       for exp, c in p.items()))
+
+
+def _agree(sympy, ours, theirs):
+    assert sympy.expand(_sympy(sympy, ours) - theirs) == 0
+
+
+def _all_int(*polys):
+    return all(type(c) is int for p in polys for _, c in p.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(_POLY, _POLY, st.integers(0, 3), st.sampled_from(_NAMES), _NONZERO)
+def test_ring_and_calculus_match_sympy(a, b, k, name, value):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = _sympy(sympy, a), _sympy(sympy, b)
+    var = sympy.Symbol(name)
+    pairs = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+             (a ** k, sa ** k), (a.diff(name), sympy.diff(sa, var))]
+    for ours, theirs in pairs:
+        _agree(sympy, ours, theirs)
+    _agree(sympy, a.subs_num(name, value),
+           sa.subs(var, sympy.Rational(value.numerator, value.denominator)))
+    if _all_int(a, b):  # int coefficients stay ints
+        assert _all_int(*(ours for ours, _ in pairs))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_POLY, _MONOMIAL, st.integers(-3, 3))
+def test_monomial_division_and_power_match_sympy(p, m, k):
+    sympy = pytest.importorskip("sympy")
+    sp, sm = _sympy(sympy, p), _sympy(sympy, m)
+    _agree(sympy, divexact(p, m), sp / sm)
+    _agree(sympy, m ** k, sm ** k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_POLY, st.sampled_from(_NAMES),
+       st.lists(_COEFF, min_size=1, max_size=3), _NONZERO)
+def test_univariate_division_matches_sympy(a, name, low, lead):
+    sympy = pytest.importorskip("sympy")
+    var = ExactPoly.var(name)
+    a = a * var ** 2  # exponents of `name` in a are now nonnegative
+    d = sum((c * var ** i for i, c in enumerate(low)), lead * var ** len(low))
+    p = a * d
+    quotient = sympy.cancel(_sympy(sympy, p) / _sympy(sympy, d))
+    _agree(sympy, divexact(p, d), quotient)

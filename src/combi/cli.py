@@ -154,8 +154,9 @@ def _cmd_poly(args) -> int:
         if isinstance(value, int):
             print(value)
             return 0
-        try:
-            coeffs = value.univariate_coeffs("x")
+        try:  # the value's one variable, x for a constant
+            (name,) = value.variables() or {"x"}
+            coeffs = value.univariate_coeffs(name)
         except ValueError:
             print("error: csv output needs a univariate family", file=sys.stderr)
             return 2

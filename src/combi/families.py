@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .poly import (NVARS, ONE, Q, VAR_INDEX, X, Y, CapacityError, ExactPoly,
-                   poly_reverse)
+from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_reverse,
+                   poly_sum)
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
@@ -107,14 +107,8 @@ def c_triangle(n_max: int) -> TriangleTable:
 
 
 def _from_coeffs(coeffs, var="x") -> ExactPoly:
-    t = {}
-    i = VAR_INDEX[var]
-    for k, c in enumerate(coeffs):
-        if c:
-            exp = [0] * NVARS
-            exp[i] = k
-            t[tuple(exp)] = c
-    return ExactPoly(t)
+    return poly_sum(ExactPoly.monomial(c, {var: k})
+                    for k, c in enumerate(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +160,12 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
                  + 2 * X * (1 - Y) * p.diff("y"))
         return p
     if route == "convolution":
+        a_polys = [a_poly(j) for j in range(n)]
         ps = [ONE]
         for m in range(n):
-            nxt = Q * Y * ps[m]
-            for k in range(m):
-                nxt = nxt + (Q * X * math.comb(m, k) * 2 ** (m - k)) \
-                    * ps[k] * a_poly(m - k)
-            ps.append(nxt)
+            ps.append(poly_sum([Q * Y * ps[m]] + [
+                (Q * X * math.comb(m, k) * 2 ** (m - k)) * ps[k] * a_polys[m - k]
+                for k in range(m)]))
         return ps[n]
     if route == "series":
         if n > max_order():
@@ -327,17 +320,11 @@ def _joint_table(class_name, n, s=None) -> MappingProxyType:
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:
     """Sum over the class of prod(var^stat) for the given (stat, var) pairs;
     `where`, given the dict of an object's integer statistics, filters."""
-    terms: dict[tuple[int, ...], int] = {}
-    for key, count in _joint_table(class_name, n, s).items():
-        st = dict(key)
-        if where is not None and not where(st):
-            continue
-        exp = [0] * NVARS
-        for name, var in pairs:
-            exp[VAR_INDEX[var]] = st[name]
-        exp = tuple(exp)
-        terms[exp] = terms.get(exp, 0) + count
-    return ExactPoly(terms)
+    rows = ((dict(key), count)
+            for key, count in _joint_table(class_name, n, s).items())
+    return poly_sum(
+        ExactPoly.monomial(count, {var: st[name] for name, var in pairs})
+        for st, count in rows if where is None or where(st))
 
 
 def invseq_distribution(s) -> ExactPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import VAR_INDEX, VARS, CapacityError, ExactPoly, divexact
+from .poly import VAR_INDEX, VARS, CapacityError, ExactPoly, divexact, poly_sum
 from . import families
 
 
@@ -66,18 +66,12 @@ def derive(g: Grammar, expr: ExactPoly, n: int = 1) -> ExactPoly:
         raise ValueError(f"expression uses letters outside the grammar: {stray}")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
+    rules = [(i, g.rules[v]) for i, v in enumerate(VARS) if v in g.rules]
     for _ in range(n):
-        out = ExactPoly.zero()
-        for exp, coeff in expr.items():
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                rule = g.rules.get(VARS[i])
-                if rule is None:
-                    continue
-                lowered = exp[:i] + (e - 1,) + exp[i + 1:]
-                out = out + ExactPoly({lowered: coeff * e}) * rule
-        expr = out
+        # the power rule: D(c u^e) = c e u^(e-1) D(u), letter by letter
+        expr = poly_sum(
+            ExactPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]})
+            * rule for exp, coeff in expr.items() for i, rule in rules if exp[i])
     return expr
 
 
@@ -114,22 +108,16 @@ def from_xyq(p: ExactPoly, n: int) -> ExactPoly:
     d^(2n - 2 fix - 2 cap): a (cap, fix, cycles)-distribution of objects of
     size n in the letters of the cycle grammar."""
     ix, iy, iq = (VAR_INDEX[v] for v in ("x", "y", "q"))
-    total = ExactPoly.zero()
-    for exp, count in p.items():
-        cap, fix, cyc = exp[ix], exp[iy], exp[iq]
-        total = total + ExactPoly.monomial(count, {
-            "q": cyc, "b": 2 * fix, "c": 2 * cap,
-            "d": 2 * n - 2 * fix - 2 * cap})
-    return ExactPoly.var("a") * total
+    return poly_sum(ExactPoly.monomial(count, {
+        "a": 1, "q": exp[iq], "b": 2 * exp[iy], "c": 2 * exp[ix],
+        "d": 2 * n - 2 * exp[iy] - 2 * exp[ix]}) for exp, count in p.items())
 
 
 def eulerian_encoding(n: int) -> ExactPoly:
     """2^n * sum_k <n,k> c^(2k+2) d^(2n-2k)."""
-    total = ExactPoly.zero()
-    for k, e in enumerate(families.eulerian_row(n)):
-        total = total + ExactPoly.monomial(e * 2 ** n,
-                                           {"c": 2 * k + 2, "d": 2 * n - 2 * k})
-    return total
+    return poly_sum(ExactPoly.monomial(e * 2 ** n,
+                                       {"c": 2 * k + 2, "d": 2 * n - 2 * k})
+                    for k, e in enumerate(families.eulerian_row(n)))
 
 
 def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:

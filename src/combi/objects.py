@@ -495,18 +495,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split())
 
 
-def _parse_groups(class_name: str, text: str, parse_group) -> tuple:
-    """Parse each group of '(...)(...)' with `parse_group`; a missing
-    bracket or a group it rejects makes the text malformed."""
+def _parse_groups(text: str, parse_group) -> tuple:
+    """Parse each group of '(...)(...)' with `parse_group`."""
     inner = text.strip()
     if not inner:
         return ()
-    try:
-        if inner[0] != "(" or inner[-1] != ")":
-            raise ValueError
-        return tuple(parse_group(g) for g in re.split(r"\)\s*\(", inner[1:-1]))
-    except ValueError:
-        raise ValueError(f"malformed {class_name} encoding: {text!r}") from None
+    if inner[0] != "(" or inner[-1] != ")":
+        raise ValueError("missing bracket")
+    return tuple(parse_group(g) for g in re.split(r"\)\s*\(", inner[1:-1]))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -514,31 +510,47 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _parse_entry(tok: str) -> tuple[int, bool, bool]:
+    """A decorated entry: an integer, then '', 'h', 'c' or 'hc'."""
+    digits = tok.rstrip("hc")
+    flags = tok[len(digits):]
+    if flags not in ("", "h", "c", "hc"):
+        raise ValueError(f"bad decoration {flags!r}")
+    return int(digits), "h" in flags, "c" in flags
+
+
+def _parse_invseq(text: str) -> InversionSequence:
+    left, _, right = text.partition("|")
+    key, eq, svals = right.partition("=")
+    if key.strip() != "s" or not eq:
+        raise ValueError("expected 'e | s = s'")
+    return InversionSequence(_parse_ints(left), _parse_ints(svals))
+
+
+# class name -> the object that text encodes; a ValueError means malformed
+_PARSERS = {
+    "permutation": lambda text: Permutation(_parse_ints(text)),
+    "signed": lambda text: SignedPermutation(_parse_ints(text)),
+    "stirling": lambda text: StirlingWord(_parse_ints(text)),
+    "matching": lambda text: PerfectMatching(_parse_groups(text, _parse_pair)),
+    "stirling2": lambda text: CycleStirling(_parse_groups(text, _parse_ints)),
+    "decorated": lambda text: DecoratedPermutation(
+        tuple(map(_parse_entry, text.split()))),
+    "invseq": _parse_invseq,
+}
+
+
 def parse(class_name: str, text: str):
-    """Inverse of encode; the result is validated."""
-    if class_name == "permutation":
-        obj = Permutation(_parse_ints(text))
-    elif class_name == "signed":
-        obj = SignedPermutation(_parse_ints(text))
-    elif class_name == "stirling":
-        obj = StirlingWord(_parse_ints(text))
-    elif class_name == "matching":
-        obj = PerfectMatching(_parse_groups(class_name, text, _parse_pair))
-    elif class_name == "stirling2":
-        obj = CycleStirling(_parse_groups(class_name, text, _parse_ints))
-    elif class_name == "decorated":
-        entries = []
-        for tok in text.split():
-            digits = tok.rstrip("hc")
-            flags = tok[len(digits):]
-            entries.append((int(digits), "h" in flags, "c" in flags))
-        obj = DecoratedPermutation(tuple(entries))
-    elif class_name == "invseq":
-        left, _, right = text.partition("|")
-        svals = right.split("=", 1)[1] if "=" in right else right
-        obj = InversionSequence(_parse_ints(left), _parse_ints(svals))
-    else:
+    """Inverse of encode; the result is validated.  Text that is not an
+    encoding of the class at all (a bad integer, bracket, decoration or
+    bound-sequence part) is malformed."""
+    build = _PARSERS.get(class_name)
+    if build is None:
         raise ValueError(f"unknown object class {class_name!r}")
+    try:
+        obj = build(text)
+    except ValueError:
+        raise ValueError(f"malformed {class_name} encoding: {text!r}") from None
     if not validate(obj):
         raise ValueError(f"invalid {class_name} object: {text!r}")
     return obj

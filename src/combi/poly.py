@@ -273,6 +273,17 @@ class ExactPoly:
         return f"ExactPoly({self.render()})"
 
 
+def poly_sum(polys) -> ExactPoly:
+    """The sum of an iterable of polynomials, built as one term map (a
+    chain of `+` would copy the partial sum once per addend)."""
+    t: dict[tuple[int, ...], Coeff] = {}
+    get = t.get
+    for p in polys:
+        for exp, coeff in p._terms.items():
+            t[exp] = get(exp, 0) + coeff
+    return ExactPoly(t)
+
+
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
     """x^n * p(1/x) for a univariate p with exponent support inside [0, n]."""
     if n < 0:

@@ -5,8 +5,10 @@ exponential generating functions of the package live here.  Multiplication
 truncates consistently (the coefficient of z^n in a product only reads
 coefficients <= n of the factors), so every operation is exact.
 
-exp/log/sqrt and the symbolic power are computed by the classical
-coefficient recurrences F' = f'·F etc., entirely over rational arithmetic.
+The product, exp, log and ratio share one Cauchy step, `_convolve`, which
+sums the coefficient of z^m of a product in one `poly_sum`.  exp, log and
+ratio are the classical recurrences from F' = f'·F etc. (Knuth, TAOCP
+vol. 2, §4.7), entirely over rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 from fractions import Fraction
 
-from .poly import ExactPoly, divexact
+from .poly import ExactPoly, divexact, poly_sum
 
 DEFAULT_ORDER = 10
 _DEFAULT_MAX_ORDER = 16
@@ -34,6 +36,12 @@ def max_order() -> int:
         raise ValueError(
             f"COMBI_MAX_ORDER must be a nonnegative integer, got {text!r}")
     return cap
+
+
+def _convolve(a, b, m: int, start: int = 0) -> ExactPoly:
+    """sum a[k] b[m-k] over k = start..m, skipping zero factors."""
+    return poly_sum(a[k] * b[m - k] for k in range(start, m + 1)
+                    if not (a[k].is_zero or b[m - k].is_zero))
 
 
 def _as_poly(c) -> ExactPoly:
@@ -99,16 +107,8 @@ class TruncatedSeries:
             other = _as_poly(other)
             return TruncatedSeries([c * other for c in self.coeffs])
         self._check_same_order(other)
-        n = self.order
-        out = [ExactPoly.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries([_convolve(self.coeffs, other.coeffs, m)
+                                for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 
@@ -132,15 +132,11 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant coefficient."""
     if not s.coeffs[0].is_zero:
         raise ValueError("series_exp requires a zero constant term")
-    n = s.order
-    out = [ExactPoly.one()] + [ExactPoly.zero()] * n
-    for m in range(1, n + 1):
-        acc = ExactPoly.zero()
-        for k in range(1, m + 1):
-            sk = s.coeffs[k]
-            if not sk.is_zero:
-                acc = acc + (sk * out[m - k]) * k
-        out[m] = acc * Fraction(1, m)
+    # m F_m = sum_k k s_k F_{m-k}, from F' = s' F
+    ks = [c * k for k, c in enumerate(s.coeffs)]
+    out = [ExactPoly.one()]
+    for m in range(1, s.order + 1):
+        out.append(_convolve(ks, out, m, 1) * Fraction(1, m))
     return TruncatedSeries(out)
 
 
@@ -148,16 +144,13 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     """log of a series with constant coefficient 1."""
     if s.coeffs[0] != ExactPoly.one():
         raise ValueError("series_log requires constant term 1")
-    n = s.order
-    out = [ExactPoly.zero()] * (n + 1)
-    for m in range(1, n + 1):
-        acc = s.coeffs[m] * m
-        for k in range(1, m):
-            lk = out[k]
-            if not lk.is_zero:
-                acc = acc - (lk * s.coeffs[m - k]) * k
-        out[m] = acc * Fraction(1, m)
-    return TruncatedSeries(out)
+    # kl[k] = k [z^k] log s; s' = s (log s)' gives kl[m] = m s_m minus the
+    # sum of s_j kl[m-j] over j = 1..m (the j = m term is s_m kl[0] = 0)
+    kl = [ExactPoly.zero()]
+    for m in range(1, s.order + 1):
+        kl.append(s.coeffs[m] * m - _convolve(s.coeffs, kl, m, 1))
+    return TruncatedSeries([c * Fraction(1, k) if k else c
+                            for k, c in enumerate(kl)])
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
@@ -199,12 +192,8 @@ def series_ratio(num, den: TruncatedSeries) -> TruncatedSeries:
         raise ZeroDivisionError("denominator has zero constant coefficient")
     out = [divexact(num_coeffs[0], d0)]
     for m in range(1, den.order + 1):
-        acc = num_coeffs[m]
-        for k in range(1, m + 1):
-            dk = den.coeffs[k]
-            if not dk.is_zero:
-                acc = acc - dk * out[m - k]
-        out.append(divexact(acc, d0))
+        out.append(divexact(num_coeffs[m] - _convolve(den.coeffs, out, m, 1),
+                            d0))
     return TruncatedSeries(out)
 
 

@@ -25,7 +25,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .poly import ONE, X, CapacityError, ExactPoly, divexact, poly_reverse
+from .poly import (ONE, X, CapacityError, ExactPoly, divexact, poly_reverse,
+                   poly_sum)
 from .series import TruncatedSeries, egf_coefficient
 from .sturm import sturm_real_roots
 from . import bijections, families, grammar, objects
@@ -89,7 +90,7 @@ def _binomial_terms(n, left, right):
 
 
 def _binomial_convolution(n, left, right):
-    return sum(_binomial_terms(n, left, right), ExactPoly.zero())
+    return poly_sum(_binomial_terms(n, left, right))
 
 
 def _coefficients(p, var, n):

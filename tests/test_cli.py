@@ -49,6 +49,17 @@ def test_poly_csv_multivariate_rejected(capsys):
     assert "univariate" in err
 
 
+def test_poly_csv_takes_the_one_variable(capsys):
+    # L_3 = 8q + 6q^2 + q^3 is univariate in q, not in x
+    code, out, _ = run(capsys, "poly", "--family", "L", "--n", "3",
+                       "--format", "csv")
+    assert (code, out) == (0, "0,8,6,1\n")
+    code, out, err = run(capsys, "poly", "--family", "Q", "--n", "2",
+                         "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: csv output needs a univariate family\n"
+
+
 @pytest.mark.parametrize("family", ["N", "C"])
 def test_poly_csv_n0(capsys, family):
     code, out, _ = run(capsys, "poly", "--family", family, "--n", "0",
@@ -127,6 +138,12 @@ def test_bijection_empty_input(capsys, map_id):
     assert code == 0
     assert out == "[] [] {}\n"
     assert "Traceback" not in err
+
+
+def test_bijection_malformed_input(capsys):
+    code, out, err = run(capsys, "bijection", "--map", "phi", "--input", "h")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed decorated encoding: 'h'\n"
 
 
 def test_bijection_check(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combi.poly import CapacityError, ExactPoly, X
@@ -43,6 +43,39 @@ def test_leibniz_on_monomials(eb, ec, ed, ea):
     v = ExactPoly.monomial(1, {"d": ed, "a": ea})
     assert derive(CYCLE_GRAMMAR, u * v) == \
         derive(CYCLE_GRAMMAR, u) * v + u * derive(CYCLE_GRAMMAR, v)
+
+
+_GRAMMARS = pytest.mark.parametrize(
+    "g", [CYCLE_GRAMMAR, EULERIAN_GRAMMAR], ids=["cycle", "eulerian"])
+
+
+def _grammar_poly(g):
+    """Polynomials in the grammar's letters, exponents -2..3."""
+    letters = sorted(g.rules) + sorted(g.constants)
+    monomial = st.builds(
+        lambda c, es: ExactPoly.monomial(c, dict(zip(letters, es))),
+        st.integers(-3, 3), st.tuples(*[st.integers(-2, 3)] * len(letters)))
+    return st.lists(monomial, max_size=4).map(
+        lambda ms: sum(ms, ExactPoly.zero()))
+
+
+@_GRAMMARS
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_derive_is_linear(g, data):
+    f, h = data.draw(_grammar_poly(g)), data.draw(_grammar_poly(g))
+    s, t = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    assert derive(g, s * f + t * h) == s * derive(g, f) + t * derive(g, h)
+    assert derive(g, s * f + t * h, 2) == \
+        s * derive(g, f, 2) + t * derive(g, h, 2)
+
+
+@_GRAMMARS
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_derive_obeys_leibniz(g, data):
+    f, h = data.draw(_grammar_poly(g)), data.draw(_grammar_poly(g))
+    assert derive(g, f * h) == derive(g, f) * h + f * derive(g, h)
 
 
 def test_lemma1_small():

@@ -344,8 +344,14 @@ def test_parse_rejects_invalid():
         parse("matching", "(2,1)")
     with pytest.raises(ValueError):
         parse("nonsense", "1")
-    for cls in ("matching", "stirling2"):
-        for text in ("(1,2", "(1,2,3)"):
-            with pytest.raises(ValueError,
-                               match=fr"^malformed {cls} encoding: '\(1,2"):
-                parse(cls, text)
+    malformed = [(cls, text) for cls in ("matching", "stirling2")
+                 for text in ("(1,2", "(1,2,3)")]
+    malformed += [("permutation", "1 a"), ("signed", "1 -"),
+                  ("stirling", "1 1.0"), ("decorated", "h"),
+                  ("decorated", "1hh"), ("decorated", "1ch"),
+                  ("decorated", "1 2x"), ("invseq", "0 1 | s = 1 q"),
+                  ("invseq", "0 1 | t = 1 2"), ("invseq", "0 1 1 2")]
+    for cls, text in malformed:
+        with pytest.raises(ValueError) as err:
+            parse(cls, text)
+        assert str(err.value) == f"malformed {cls} encoding: {text!r}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combi.poly import (VARS, ZERO_EXP, ExactPoly, X, Y, Q, divexact,
-                        poly_reverse)
+                        poly_reverse, poly_sum)
 
 
 def rand_poly(rng, nvars=3, max_terms=4, lo=0):
@@ -205,3 +205,20 @@ def test_univariate_division_matches_sympy(a, name, low, lead):
     p = a * d
     quotient = sympy.cancel(_sympy(sympy, p) / _sympy(sympy, d))
     _agree(sympy, divexact(p, d), quotient)
+
+
+def _typed_terms(p):
+    return {e: (c, type(c)) for e, c in p.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_POLY, max_size=6))
+def test_poly_sum_is_the_fold_of_add(ps):
+    fold = ExactPoly.zero()
+    for p in ps:
+        fold = fold + p
+    # the same terms, each coefficient stored as the same type
+    assert _typed_terms(poly_sum(ps)) == _typed_terms(fold)
+    assert _typed_terms(poly_sum(iter(ps))) == _typed_terms(fold)
+    assert poly_sum(ps + [-p for p in reversed(ps)]).is_zero
+    assert poly_sum([]).is_zero

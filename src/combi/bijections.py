@@ -19,9 +19,23 @@ in increasing order.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
 verify_bijection walks the domain's insertion tree in `objects`, the one
-`generate` walks (a generating tree of J. West, Discrete Math. 146 (1995)).
-The same rule gives each child its image state, and at every leaf it checks
-  - that the image is new (injectivity),
+`generate` walks (a generating tree: J. West, Discrete Math. 146 (1995);
+Banderier et al., Discrete Math. 246 (2002)).  The same rule gives each
+child its image state, and the walk keeps no image.  Instead each node is
+checked locally, inside the children function the walk calls:
+  - `peel(child, m)`, which reads the child's state and never the rule,
+    must give back the node's state, and
+  - no two children may share a peel key.
+This proves injectivity by induction on the level.  Say the states of level
+m - 1 are distinct.  Two nodes of level m with the same state peel to the
+same state, so they have the same parent; their keys are then equal, so
+they are the same child.  The peel is strict: in the matching that took m,
+with j blocks, the tops must be 2j - 1 and 2j, and the block starts must
+increase.  Also, bit m of the index mask is set iff the first matching
+gained a block.  So, by induction from the empty root, every state of level
+m is a pair of perfect matchings of [2k] and [2m-2k] in standard form, with
+k the number of recorded indices.  That is the codomain, and the count
+below needs it.  At every leaf the walk checks
   - the weight: asc (phi) or des_B (psi) of the leaf word against the
     even-larger (el) and odd-larger (ol) block counts of its matchings,
   - the index set: the hatted values (phi), or the magnitudes in the blocks
@@ -30,17 +44,20 @@ The weight and the index set are computed from the leaf word and the leaf
 matchings, never from the rule.  Afterwards the images with k recorded
 indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 
+A failed local check only means that the rule and `peel` disagree.  The
+walk then runs again and keeps every image in a set, and the images decide:
+a repeated image, or one outside the codomain, is a counterexample.  So a
+report never depends on which of the two walks produced it.
+
 Inside the maps and the walk, an index set is an int bitmask (bit v set iff
 v is recorded); it becomes a frozenset only in the results.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 from bisect import insort
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -187,7 +204,8 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
 
 def _phi_weighs(word, state) -> bool:
     """asc(word) = el(first) + el(second), and the index set is the set of
-    hatted values."""
+    hatted values.  el counts the blocks with an even top, so asc plus the
+    odd tops must make up the blocks."""
     s1, s2, iset = state
     asc = prev = hats = 0
     for v, h, _ in word:
@@ -195,8 +213,11 @@ def _phi_weighs(word, state) -> bool:
         if h:
             hats |= 1 << v
         prev = v
-    el = [b & 1 for _, b in s1 + s2].count(0)
-    return asc == el and hats == iset
+    for _, b in s1:
+        asc += b & 1
+    for _, b in s2:
+        asc += b & 1
+    return asc == len(s1) + len(s2) and hats == iset
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +262,12 @@ def _psi_weighs(word, state) -> bool:
             negative = v < 0
         if negative:
             bars |= 1 << a
-    el_ol = [b & 1 for _, b in t1].count(0) + [b & 1 for _, b in t2].count(1)
-    return des == el_ol and bars == iset
+    # el(t1) is len(t1) less the odd tops of t1, ol(t2) the odd tops of t2
+    for _, b in t1:
+        des += b & 1
+    for _, b in t2:
+        des -= b & 1
+    return des == len(t1) and bars == iset
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +295,72 @@ def _domain_tree(map_id: str):
     return kind, weighs, children
 
 
-@contextmanager
-def _no_cycle_collection():
-    """Pause the cyclic garbage collector.  The walk keeps an image per leaf
-    and allocates tuples that never form a cycle, so the collector would
-    only rescan them: that took about a quarter of phi's time at n = 7."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def peel(state, m: int):
+    """Undo the insertion of m from the state alone: the parent state, and a
+    key that tells the state apart from its siblings'.  Bit m of the index
+    mask names the matching that took m (the key's low bit); with j blocks,
+    it holds the points 2j - 1 and 2j.  A last block (2j - 1, 2j) was
+    appended: drop it (key 0, above the low bit).  Otherwise the blocks
+    topped by 2j - 1 and 2j, at indices x and y, were split from one block:
+    the earlier keeps its place and takes the later's start as its top, and
+    the later goes (key x * j + y + 1).  Raises ValueError unless both tops
+    are there and the later block's start lies between its neighbours'."""
+    s1, s2, mask = state
+    first = mask >> m & 1
+    blocks = s1 if first else s2
+    if not blocks:
+        raise ValueError(f"no block took {m}")
+    j = len(blocks)
+    top = 2 * j
+    if blocks[-1] == (top - 1, top):
+        blocks = blocks[:-1]
+        key = first
+    else:
+        tops = [b for _, b in blocks]
+        x = tops.index(top - 1)
+        y = tops.index(top)
+        i, k = (x, y) if x < y else (y, x)
+        out = list(blocks)
+        b = out.pop(k)[0]
+        if not out[k - 1][0] < b < (out[k][0] if k < j - 1 else top):
+            raise ValueError(f"block starts out of order: {blocks}")
+        out[i] = (out[i][0], b)
+        blocks = tuple(out)
+        key = 2 * (x * j + y + 1) + first
+    if first:
+        return (blocks, s2, mask ^ 1 << m), key
+    return (s1, blocks, mask), key
+
+
+class _Unpeeled(Exception):
+    """A node whose children do not peel to it, or not to distinct keys."""
+
+
+def _peeled(children):
+    """children, checking at each node that every child peels back to the
+    node and that no two children share a key."""
+    def checked(node, m):
+        kids = children(node, m)
+        keys = set()
+        for _, kid in kids:
+            try:
+                parent, key = peel(kid, m)
+            except ValueError:
+                raise _Unpeeled from None
+            if parent != node[1]:
+                raise _Unpeeled
+            keys.add(key)
+        if len(keys) != len(kids):
+            raise _Unpeeled
+        return kids
+    return checked
 
 
 def verify_bijection(map_id: str, n: int) -> BijectionReport:
-    """Walk the map's whole domain: check injectivity, weight and index set
-    on every leaf, then the image count for each k."""
+    """Walk the map's whole domain: check injectivity at every node, weight
+    and index set on every leaf, then the image count for each k.  If a
+    node fails its local check, walk again keeping every image, so that
+    the verdict and the counterexample come from the images themselves."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
     if n < 0:
@@ -294,33 +368,57 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
     domain_size = 2 ** n * math.factorial(n)
     if domain_size > _DOMAIN_CAP:
         raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")
-    kind, weighs, children = _domain_tree(map_id)
+    try:
+        return _certify(map_id, n, None)
+    except _Unpeeled:
+        return _certify(map_id, n, set())
 
-    images = set()
+
+def _certify(map_id: str, n: int, images) -> BijectionReport:
+    """One walk of the domain.  Without `images` every node is checked
+    locally, and the first that fails raises _Unpeeled.  With a set, every
+    image goes into it, a repeat is a counterexample, and so is an image
+    that is not a pair of perfect matchings in standard form with one block
+    of the first per recorded index."""
+    kind, weighs, children = _domain_tree(map_id)
+    if images is None:
+        children = _peeled(children)
     per_k = Counter()
     weight_ok = True
     injective = True
+    in_codomain = True
     counterexample = None
-    with _no_cycle_collection():
-        for word, state in objects.walk(children, n, ((), _EMPTY)):
-            if weight_ok and not weighs(word, state):
-                weight_ok = False
-                counterexample = (encode(kind(word)), _encode_state(state))
+    for word, state in objects.walk(children, n, ((), _EMPTY)):
+        if weight_ok and not weighs(word, state):
+            weight_ok = False
+            counterexample = (encode(kind(word)), _encode_state(state))
+        if images is not None:
             seen = len(images)  # one hash of the image, not two
             images.add(state)
             if injective and len(images) == seen:
                 injective = False
                 counterexample = counterexample or (encode(kind(word)),
                                                     _encode_state(state))
-            per_k[state[2].bit_count()] += 1
+            if in_codomain and not _in_codomain(state):
+                in_codomain = False
+                counterexample = counterexample or (encode(kind(word)),
+                                                    _encode_state(state))
+        per_k[state[2].bit_count()] += 1
 
     expected = {k: math.comb(n, k) * double_factorial(k) * double_factorial(n - k)
                 for k in range(n + 1)}
-    complete = injective and all(per_k.get(k, 0) == expected[k] for k in expected)
+    complete = (injective and in_codomain
+                and all(per_k.get(k, 0) == expected[k] for k in expected))
     if not complete and counterexample is None:
         counterexample = ("image cardinality mismatch",
                           repr({k: per_k.get(k, 0) for k in expected}))
     return BijectionReport(n, injective, complete, weight_ok, counterexample)
+
+
+def _in_codomain(state) -> bool:
+    s1, s2, mask = state
+    return (validate(PerfectMatching(s1)) and validate(PerfectMatching(s2))
+            and mask.bit_count() == len(s1))
 
 
 def _encode_state(state) -> str:

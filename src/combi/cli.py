@@ -178,7 +178,12 @@ def _cmd_enumerate(args) -> int:
             print("error: --s is required for inversion sequences",
                   file=sys.stderr)
             return 2
-        s = tuple(int(tok) for tok in args.s.replace(",", " ").split())
+        try:
+            s = tuple(int(tok) for tok in args.s.replace(",", " ").split())
+        except ValueError:
+            print(f"error: bad bound sequence --s {args.s!r}: expected "
+                  "integers", file=sys.stderr)
+            return 2
     stream = objects.generate(args.class_name, args.n, s)
     pairs = ((obj, objects.stats(obj) if args.stats else None)
              for obj in stream)

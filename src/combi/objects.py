@@ -543,11 +543,15 @@ _PARSERS = {
 def parse(class_name: str, text: str):
     """Inverse of encode; the result is validated.  Text that is not an
     encoding of the class at all (a bad integer, bracket, decoration or
-    bound-sequence part) is malformed."""
+    bound-sequence part) is malformed.  An encoding is ASCII and spells each
+    integer -?[0-9]+; int() would also take '+1', '1_0' and non-ASCII
+    digits, so text that holds any of them is malformed."""
     build = _PARSERS.get(class_name)
     if build is None:
         raise ValueError(f"unknown object class {class_name!r}")
     try:
+        if not text.isascii() or "+" in text or "_" in text:
+            raise ValueError("not an encoding")
         obj = build(text)
     except ValueError:
         raise ValueError(f"malformed {class_name} encoding: {text!r}") from None

@@ -510,7 +510,8 @@ def run_all(max_n_overrides: dict[str, int] | None = None) -> list[VerifyReport]
 
     With two or more CPUs and `os.fork`, a forked child runs the checks
     that share statistic tables while this process runs the bijection
-    certificates, whose image sets set the peak memory.  A rebound
+    certificates, which check each node of their walks locally and keep no
+    images, so neither process holds much memory.  A rebound
     `run_check` (a tracer, a test stub) keeps its counters in this
     process, so then everything runs here, as on one CPU or with other
     threads running.  When units raise, the exception of the earliest in

@@ -1,6 +1,10 @@
-import pytest
+import tracemalloc
 
-from combi import bijections
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from combi import bijections, objects
 from combi.bijections import (encode_triple, phi_map, psi_map,
                               verify_bijection)
 from combi.objects import (CapacityError, DecoratedPermutation,
@@ -231,3 +235,128 @@ def test_split_block_mutants_caught(monkeypatch, map_id, repeated):
     assert rep.injective and rep.image_complete
     assert not rep.weight_preserving
     assert rep.counterexample == ("4 3 2 1", "[] [(1,7)(2,4)(3,6)(5,8)] {}")
+
+
+# The certificate checks each node locally: every child peels back to it.
+# Mutants that leave a state insertion cannot make are caught, and the
+# verdict is taken from a second walk that keeps every image.
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_unsorted_split_caught(monkeypatch, map_id):
+    # the new block goes at the end, not in order of its start: the images
+    # stay distinct and the weights hold, but they are not in standard form
+    monkeypatch.setattr(bijections, "insort",
+                        lambda blocks, block: blocks.append(block))
+    rep = verify_bijection(map_id, 4)
+    assert rep.injective and rep.weight_preserving
+    assert not rep.image_complete
+    assert rep.counterexample == ("3 4 2 1", "[] [(1,7)(2,5)(4,6)(3,8)] {}")
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_wrong_top_pair_caught(monkeypatch, map_id):
+    # a split into j blocks that tops the two new ones with 2j + 1 and
+    # 2j + 2, not 2j - 1 and 2j, keeps the parity of every top, so only
+    # the matchings' point sets show it
+    split = bijections._split_block
+
+    def high(blocks, use_marked, p, lo, straight):
+        return split(blocks, use_marked, p, lo + 2, straight)
+
+    monkeypatch.setattr(bijections, "_split_block", high)
+    rep = verify_bijection(map_id, 4)
+    assert rep.injective and rep.weight_preserving
+    assert not rep.image_complete
+    assert rep.counterexample == ("4 3 2 1", "[] [(1,5)(2,7)(6,9)(8,10)] {}")
+
+
+@pytest.mark.parametrize("map_id,word", [("phi", "2h 1h 3"),
+                                         ("psi", "2 -1 3")],
+                         ids=["phi", "psi"])
+def test_forgetful_insertion_caught(monkeypatch, map_id, word):
+    # an insertion into the second matching that resets the first to
+    # (1,2)(3,4)...: every child is a valid state and peels with its own
+    # key, but not to its parent, and children of different parents meet
+    insert = bijections._insert
+
+    def forgetful(state, m, *rest):
+        s1, s2, iset = insert(state, m, *rest)
+        if iset == state[2]:  # m went into the second matching
+            s1 = tuple((2 * i + 1, 2 * i + 2) for i in range(len(s1)))
+        return s1, s2, iset
+
+    monkeypatch.setattr(bijections, "_insert", forgetful)
+    assert verify_bijection(map_id, 3) == bijections.BijectionReport(
+        3, False, False, False, (word, "[(1,2)(3,4)] [(1,2)] {1,2}"))
+
+
+@st.composite
+def _grown(draw):
+    """A map and a word of its domain, grown along a random path of the
+    domain's insertion tree."""
+    map_id = draw(st.sampled_from(["phi", "psi"]))
+    tree = (objects._decorated_children if map_id == "phi"
+            else objects._signed_children)
+    word = ()
+    for m in range(1, draw(st.integers(0, 40)) + 1):
+        kids = tree(word, m)
+        word = kids[draw(st.integers(0, len(kids) - 1))]
+    return map_id, word
+
+
+@given(_grown())
+def test_peel_inverts_each_insertion(case):
+    map_id, word = case
+    steps = []
+    insert = bijections._insert
+
+    def recording(state, m, *rest):
+        child = insert(state, m, *rest)
+        steps.append((state, m, child))
+        return child
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bijections, "_insert", recording)
+        if map_id == "phi":
+            phi_map(DecoratedPermutation(word))
+        else:
+            psi_map(SignedPermutation(word))
+    assert [m for _, m, _ in steps] == list(range(1, len(word) + 1))
+    for state, m, child in steps:
+        parent, key = bijections.peel(child, m)
+        assert parent == state
+        assert key & 1 == child[2] >> m & 1
+
+
+def test_peel_of_each_child():
+    # the three ways 2 enters the second matching (1,2), and one way into
+    # the first: each peels back to the parent, under its own key
+    parent = ((), ((1, 2),), 0)
+    assert bijections.peel(((), ((1, 3), (2, 4)), 0), 2) == (parent, 4)
+    assert bijections.peel(((), ((1, 4), (2, 3)), 0), 2) == (parent, 6)
+    assert bijections.peel(((), ((1, 2), (3, 4)), 0), 2) == (parent, 0)
+    assert bijections.peel((((1, 2),), ((1, 2),), 0b100), 2) == (parent, 1)
+
+
+@pytest.mark.parametrize("state", [
+    ((), (), 0),                     # no block took 2
+    ((), ((1, 2), (3, 5)), 0),       # no top 4
+    ((), ((2, 4), (1, 3)), 0),       # block starts out of order
+    ((), ((1, 4), (3, 2)), 0),       # no top 3
+], ids=["empty", "missing-top", "unsorted", "reversed-block"])
+def test_peel_is_strict(state):
+    with pytest.raises(ValueError):
+        bijections.peel(state, 2)
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_certificate_keeps_no_image_set(map_id):
+    # one image per leaf would take about 0.6 MiB at n = 5 (3840 leaves)
+    assert verify_bijection(map_id, 2).all_ok  # imports and caches
+    tracemalloc.start()
+    try:
+        assert verify_bijection(map_id, 5).all_ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2 ** 20

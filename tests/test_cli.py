@@ -123,6 +123,15 @@ def test_enumerate_invseq(capsys):
     assert "--s" in err
 
 
+@pytest.mark.parametrize("bounds", ["1,a", "1,2.5", "x"])
+def test_enumerate_bad_bound_sequence(capsys, bounds):
+    code, out, err = run(capsys, "enumerate", "--class", "invseq", "--n", "2",
+                         "--s", bounds)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad bound sequence --s {bounds!r}: expected "
+                   "integers\n")
+
+
 def test_bijection_input(capsys):
     code, out, _ = run(capsys, "bijection", "--map", "phi", "--input",
                        "3h 1h 4 2 6hc 5h")

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -322,6 +323,55 @@ def test_encode_parse_roundtrip(cls, n, s):
         back = parse(cls, enc)
         assert back == obj
         assert encode(back) == enc
+
+
+# Canonical text of each class, with two-digit integers in the permutation
+# and signed words, the matchings and the bounds.
+_CANONICAL = [(cls, encode(obj)) for cls, n, s in (
+    ("matching", 5, None), ("stirling", 3, None), ("stirling2", 3, None),
+    ("decorated", 3, None), ("invseq", 2, (3, 10)))
+    for obj in generate(cls, n, s)]
+
+
+@st.composite
+def _canonical_text(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_CANONICAL))
+    word = draw(st.integers(0, 12).flatmap(
+        lambda n: st.permutations(range(1, n + 1))))
+    if draw(st.booleans()):
+        return "permutation", encode(Permutation(tuple(word)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(word),
+                          max_size=len(word)))
+    return "signed", encode(SignedPermutation(
+        tuple(v * e for v, e in zip(word, signs))))
+
+
+def _respellings(digits: str, negative: bool):
+    """Other spellings of the same integer that int() takes: non-ASCII
+    digits, an underscore, a plus sign."""
+    yield "".join(chr(0x0660 + int(c)) for c in digits)  # Arabic-Indic
+    yield "".join(chr(0xFF10 + int(c)) for c in digits)  # fullwidth
+    if len(digits) > 1:
+        yield digits[0] + "_" + digits[1:]
+    if not negative:
+        yield "+" + digits
+
+
+@given(_canonical_text(), st.data())
+def test_parse_is_the_exact_inverse_of_encode(case, data):
+    cls, text = case
+    assert encode(parse(cls, text)) == text
+    tokens = list(re.finditer(r"(-?)([0-9]+)", text))
+    if not tokens:
+        return
+    tok = data.draw(st.sampled_from(tokens))
+    for spelling in _respellings(tok[2], bool(tok[1])):
+        assert int(tok[1] + spelling) == int(tok[0])
+        bad = text[:tok.start(2)] + spelling + text[tok.end(2):]
+        with pytest.raises(ValueError) as err:
+            parse(cls, bad)
+        assert str(err.value) == f"malformed {cls} encoding: {bad!r}"
 
 
 @pytest.mark.parametrize("cls", ["permutation", "signed", "matching",

@@ -100,24 +100,13 @@ def _report_lines(rep: verify.VerifyReport):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    if args.id is not None and args.id not in verify.REGISTRY:
-        print(f"error: unknown check id {args.id!r}", file=sys.stderr)
-        return 2
-    checks = verify.CHECKS if args.all else (verify.REGISTRY[args.id],)
-    smallest = min(check.min_n for check in checks)
-    if args.max_n is not None and args.max_n < smallest:
+    ids = None if args.all else (args.id,)
+    reports = verify.run_all(args.max_n, ids)
+    if not reports:  # only a cap below every selected check's first n
+        smallest = min(ns[0] for _, ns in verify.plan(ids=ids))
         print(f"error: --max-n {args.max_n} selects no n; the smallest "
               f"n is {smallest}", file=sys.stderr)
         return 2
-    if args.all:
-        overrides = None
-        if args.max_n is not None:
-            overrides = {c.id: args.max_n for c in checks}
-        reports = verify.run_all(overrides)
-    else:
-        check, = checks
-        hi = check.max_n if args.max_n is None else min(args.max_n, check.max_n)
-        reports = [verify.run_check(check.id, n) for n in check.ns if n <= hi]
     if args.format == "json":
         print(json.dumps([rep.__dict__ for rep in reports], indent=None))
     else:
@@ -178,12 +167,13 @@ def _cmd_enumerate(args) -> int:
             print("error: --s is required for inversion sequences",
                   file=sys.stderr)
             return 2
-        try:
-            s = tuple(int(tok) for tok in args.s.replace(",", " ").split())
-        except ValueError:
+        tokens = args.s.replace(",", " ").split()
+        # ASCII digits only: int() would also take '+1', '1_0' and non-ASCII
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             print(f"error: bad bound sequence --s {args.s!r}: expected "
                   "integers", file=sys.stderr)
             return 2
+        s = tuple(map(int, tokens))
     stream = objects.generate(args.class_name, args.n, s)
     pairs = ((obj, objects.stats(obj) if args.stats else None)
              for obj in stream)

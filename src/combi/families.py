@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_reverse,
@@ -116,6 +115,7 @@ def _from_coeffs(coeffs, var="x") -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 def n_poly(n: int) -> ExactPoly:
+    _require_nonnegative(n)
     return ONE if n == 0 else _from_coeffs(n_row(n))
 
 
@@ -125,6 +125,7 @@ def m_poly(n: int) -> ExactPoly:
 
 
 def c_poly(n: int) -> ExactPoly:
+    _require_nonnegative(n)
     return ONE if n == 0 else _from_coeffs(c_row(n))
 
 
@@ -239,6 +240,17 @@ def q_seq(n_max: int) -> list[int]:
 # exponential generating functions
 # ---------------------------------------------------------------------------
 
+_MEMO: dict[tuple, object] = {}
+
+
+def _memo(key: tuple, build):
+    """build(), memoised per process under key.  A key holds every function
+    its build calls by name, so one replaced after a first call misses."""
+    if key not in _MEMO:
+        _MEMO[key] = build()
+    return _MEMO[key]
+
+
 def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     """All the package's EGFs at the requested truncation order."""
     if order < 0:
@@ -246,11 +258,12 @@ def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     if order > max_order():
         raise CapacityError(
             f"order {order} exceeds cap {max_order()} (raise COMBI_MAX_ORDER)")
-    return _series_families_cached(order)
+    key = ("series", order, series_exp, series_sqrt, series_ratio,
+           series_pow_symbolic, series_inverse)
+    return _memo(key, lambda: _build_series_families(order))
 
 
-@lru_cache(maxsize=None)
-def _series_families_cached(order: int) -> dict[str, TruncatedSeries]:
+def _build_series_families(order: int) -> dict[str, TruncatedSeries]:
     one = TruncatedSeries.const(1, order)
 
     def expz(p):
@@ -295,26 +308,17 @@ def h_values(k_max: int) -> list[int]:
 # exhaustive-enumeration routes
 # ---------------------------------------------------------------------------
 
-_TABLES: dict[tuple, MappingProxyType] = {}
-
-
 def _joint_table(class_name, n, s=None) -> MappingProxyType:
     """How many objects of the class have each tuple of integer statistics.
 
-    Keys are ((name, value), ...) tuples.  The table is memoised per
-    process, and its memo key holds every function the walk calls, so a
-    walker, tree or statistic replaced after a first call misses the memo."""
+    Keys are ((name, value), ...) tuples.  The table is memoised, keyed
+    also on every function the walk calls: walker, tree and statistics."""
     s = None if s is None else tuple(s)
     key = (class_name, n, s, generate, stats, objects.walk,
            *class_functions(class_name))
-    table = _TABLES.get(key)
-    if table is None:
-        counts = Counter()
-        for obj in generate(class_name, n, s):
-            counts[tuple((name, v) for name, v in stats(obj).items()
-                         if type(v) is int)] += 1
-        table = _TABLES[key] = MappingProxyType(counts)
-    return table
+    return _memo(key, lambda: MappingProxyType(Counter(
+        tuple((name, v) for name, v in stats(obj).items() if type(v) is int)
+        for obj in generate(class_name, n, s))))
 
 
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:

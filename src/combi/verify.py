@@ -8,8 +8,9 @@ every route and compares each value with the first, exactly; a failing
 report names the first route and the first route that disagrees, each
 with its value in canonical text.
 
-`run_all` runs the whole plan, the bijection certificates beside the
-other checks on a second process where it can.
+`run_all(max_n, ids)` runs the checks in `ids` (all by default) at their
+default n up to `max_n`, the bijection certificates beside the other
+checks on a second process where it can.
 
 Routes look their functions up in `families`, `grammar`, `objects` and
 `bijections` when they run, so a function replaced on its module is the
@@ -389,12 +390,17 @@ CHECKS: tuple[IdentityCheck, ...] = (
 REGISTRY: dict[str, IdentityCheck] = {c.id: c for c in CHECKS}
 
 
-def run_check(check_id: str, n: int) -> VerifyReport:
-    """Evaluate every route of one identity at one n and compare each value
-    with the first route's, exactly."""
+def _check(check_id: str) -> IdentityCheck:
     check = REGISTRY.get(check_id)
     if check is None:
         raise ValueError(f"unknown check id {check_id!r}")
+    return check
+
+
+def run_check(check_id: str, n: int) -> VerifyReport:
+    """Evaluate every route of one identity at one n and compare each value
+    with the first route's, exactly."""
+    check = _check(check_id)
     if n < check.min_n or n > check.max_n:
         return VerifyReport(check_id, n, "skipped-capacity")
     t0 = time.perf_counter()
@@ -413,13 +419,13 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     return VerifyReport(check_id, n, "pass", runtime_ms=ms)
 
 
-def plan(max_n_overrides: dict[str, int] | None = None):
-    overrides = max_n_overrides or {}
-    out = []
-    for check in CHECKS:
-        hi = min(check.max_n, overrides.get(check.id, check.max_n))
-        out.append((check.id, tuple(n for n in check.ns if n <= hi)))
-    return out
+def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
+    """(check id, ns) for each check in `ids`, by default every check in
+    registry order: its default n values, those above `max_n` dropped."""
+    checks = CHECKS if ids is None else tuple(map(_check, ids))
+    return [(check.id, tuple(n for n in check.ns
+                             if max_n is None or n <= max_n))
+            for check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +510,10 @@ def _join(pid, read):
     return pickle.loads(data)
 
 
-def run_all(max_n_overrides: dict[str, int] | None = None) -> list[VerifyReport]:
-    """Run every registered check at every default n up to capacity, and
-    return the reports in plan order.
+def run_all(max_n: int | None = None,
+            ids: tuple[str, ...] | None = None) -> list[VerifyReport]:
+    """Run `plan(max_n, ids)`, by default every check at every default n,
+    and return the reports in plan order; `verify --all` and `--id` both do.
 
     With two or more CPUs and `os.fork`, a forked child runs the checks
     that share statistic tables while this process runs the bijection
@@ -518,7 +525,7 @@ def run_all(max_n_overrides: dict[str, int] | None = None) -> list[VerifyReport]
     plan order is raised."""
     import threading
 
-    pairs = [(check_id, n) for check_id, ns in plan(max_n_overrides) for n in ns]
+    pairs = [(check_id, n) for check_id, ns in plan(max_n, ids) for n in ns]
     units = [(pos, *pair) for pos, pair in enumerate(pairs)]
     shards = [units]
     # A forked child holds only the calling thread, and locks other

@@ -79,6 +79,8 @@ def test_poly_negative_n(capsys, family):
     assert code == 2
     assert out == ""
     assert err.startswith("error: n must be >= ")
+    if family in ("N", "M", "C"):  # --n 0 is valid for these
+        assert err == "error: n must be >= 0\n"
 
 
 def test_enumerate_stirling2_stats(capsys):
@@ -123,7 +125,8 @@ def test_enumerate_invseq(capsys):
     assert "--s" in err
 
 
-@pytest.mark.parametrize("bounds", ["1,a", "1,2.5", "x"])
+@pytest.mark.parametrize("bounds", ["1,a", "1,2.5", "x", "+1,1_0", "1,\u0663",
+                                    "1,-1"])
 def test_enumerate_bad_bound_sequence(capsys, bounds):
     code, out, err = run(capsys, "enumerate", "--class", "invseq", "--n", "2",
                          "--s", bounds)
@@ -207,6 +210,21 @@ def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--id", "nope")
     assert code == 2
     assert "unknown check id" in err
+
+
+@pytest.mark.parametrize("check_id", ["psi-bijection", "eq-1-3"])
+def test_verify_id_matches_all(capsys, check_id):
+    def tuples(*argv):
+        code, out, _ = run(capsys, "verify", *argv, "--max-n", "4",
+                           "--format", "json")
+        assert code == 0
+        return [(r["id"], r["n"], r["status"], r["lhs"], r["rhs"])
+                for r in json.loads(out)]
+
+    single = tuples("--id", check_id)
+    assert single == [t for t in tuples("--all") if t[0] == check_id]
+    assert [t[1] for t in single] == [n for n in verify.REGISTRY[check_id].ns
+                                      if n <= 4]
 
 
 def test_verify_fail_exit_code(capsys, monkeypatch):

@@ -58,16 +58,23 @@ def test_run_check_capacity_skip():
 
 def test_plan_override_semantics():
     default = verify.plan()
-    assert default == verify.plan({})
-    capped = dict(verify.plan({"eq-1-3": 3}))
+    assert default == verify.plan(None, None)
+    assert [cid for cid, _ in default] == EXPECTED_IDS
+    assert all(ns == c.ns for (_, ns), c in zip(default, verify.CHECKS))
+    capped = dict(verify.plan(3))
     assert capped["eq-1-3"] == (0, 1, 2, 3)
+    assert capped["N2-equals-A2z"] == ()
     assert dict(default)["eq-1-3"] == tuple(range(0, 9))
+    assert verify.plan(3, ("eq-1-3",)) == [("eq-1-3", (0, 1, 2, 3))]
+    assert verify.plan(ids=("psi-bijection", "A-via-invseq")) == [
+        ("psi-bijection", tuple(range(1, 7))), ("A-via-invseq", tuple(range(7)))]
+    with pytest.raises(ValueError, match="unknown check id 'nope'"):
+        verify.plan(ids=("nope",))
 
 
 def test_run_all_determinism():
-    overrides = {c.id: min(c.max_n, 3) for c in verify.CHECKS}
-    a = verify.run_all(overrides)
-    b = verify.run_all(overrides)
+    a = verify.run_all(3)
+    b = verify.run_all(3)
     strip = lambda reps: [(r.id, r.n, r.status, r.lhs, r.rhs) for r in reps]
     assert strip(a) == strip(b)
     assert all(r.status == "pass" for r in a)
@@ -205,6 +212,7 @@ _STATS_STIRLING = objects.stats_stirling
 _STIRLING2_CHILDREN = objects._stirling2_children
 _DECORATED_CHILDREN = objects._decorated_children
 _WALK = objects.walk
+_SERIES_SQRT = families.series_sqrt
 
 
 def _mutant_stats_stirling(sw):
@@ -233,18 +241,30 @@ def _mutant_walk(children, n, root=()):
     return itertools.islice(_WALK(children, n, root), 1, None)
 
 
-@pytest.mark.parametrize("check_id, attr, mutant", [
-    ("C-descents", "stats_stirling", _mutant_stats_stirling),
-    ("Q-recurrence-enum", "_stirling2_children", _mutant_stirling2_children),
-    ("phi-bijection", "_decorated_children", _mutant_decorated_children),
-    ("eq-1-3-refined-k", "_decorated_children", _mutant_decorated_children),
-    ("C-descents", "walk", _mutant_walk),
-    ("phi-bijection", "walk", _mutant_walk),
+def _mutant_series_sqrt(s):
+    """A fourth root in place of the square root; the EGFs are memoised
+    per order, so the memo key must hold this function."""
+    return _SERIES_SQRT(_SERIES_SQRT(s))
+
+
+@pytest.mark.parametrize("check_id, module, attr, mutant", [
+    ("C-descents", objects, "stats_stirling", _mutant_stats_stirling),
+    ("Q-recurrence-enum", objects, "_stirling2_children",
+     _mutant_stirling2_children),
+    ("phi-bijection", objects, "_decorated_children",
+     _mutant_decorated_children),
+    ("eq-1-3-refined-k", objects, "_decorated_children",
+     _mutant_decorated_children),
+    ("C-descents", objects, "walk", _mutant_walk),
+    ("phi-bijection", objects, "walk", _mutant_walk),
+    ("Q-gf", families, "series_sqrt", _mutant_series_sqrt),
 ], ids=["C-descents", "Q-recurrence-enum", "phi-bijection",
-        "eq-1-3-refined-k", "C-descents-walk", "phi-bijection-walk"])
-def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
+        "eq-1-3-refined-k", "C-descents-walk", "phi-bijection-walk",
+        "Q-gf-series_sqrt"])
+def test_mutant_after_warm_up_caught(monkeypatch, check_id, module, attr,
+                                     mutant):
     assert verify.run_check(check_id, 3).status == "pass"
-    monkeypatch.setattr(objects, attr, mutant)
+    monkeypatch.setattr(module, attr, mutant)
     assert verify.run_check(check_id, 3).status == "fail"
 
 
@@ -256,10 +276,6 @@ def test_mutant_after_warm_up_caught(monkeypatch, check_id, attr, mutant):
 
 def _strip(reports):
     return [(r.id, r.n, r.status, r.lhs, r.rhs) for r in reports]
-
-
-def _small_plan(max_n=4):
-    return {c.id: min(c.max_n, max_n) for c in verify.CHECKS}
 
 
 @pytest.fixture
@@ -296,20 +312,20 @@ def test_shards_split_bijections_from_tables():
 
 def test_empty_plan_runs_nothing(monkeypatch, forks):
     _cpus(monkeypatch, 2)
-    assert verify.run_all({c.id: -1 for c in verify.CHECKS}) == []
+    assert verify.run_all(-1) == []
     assert not forks
 
 
 def test_parallel_and_serial_agree(monkeypatch, forks):
     _cpus(monkeypatch, 1)
-    serial = verify.run_all(_small_plan())
+    serial = verify.run_all(4)
     assert not forks
     _cpus(monkeypatch, 2)
-    parallel = verify.run_all(_small_plan())
+    parallel = verify.run_all(4)
     assert len(forks) == 1
     assert _strip(parallel) == _strip(serial)
     assert [(r.id, r.n) for r in parallel] == [
-        (cid, n) for cid, ns in verify.plan(_small_plan()) for n in ns]
+        (cid, n) for cid, ns in verify.plan(4) for n in ns]
     assert all(r.status == "pass" for r in parallel)
     _no_children_left()
 
@@ -320,7 +336,7 @@ def test_other_thread_keeps_run_all_serial(monkeypatch, forks):
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        reports = verify.run_all(_small_plan(2))
+        reports = verify.run_all(2)
     finally:
         release.set()
         thread.join(60)
@@ -332,7 +348,7 @@ def test_other_thread_keeps_run_all_serial(monkeypatch, forks):
 def test_mutant_planted_in_parent_fails_in_child(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(families, "n_row", _mutant_n_row)
-    reports = verify.run_all(_small_plan())
+    reports = verify.run_all(4)
     assert len(forks) == 1
     failed = {r.id for r in reports if r.status == "fail"}
     assert {"eq-1-3", "N-el-enum", "M-via-invseq"} <= failed
@@ -360,7 +376,7 @@ def test_earliest_unit_error_is_raised(monkeypatch, table_attr, expected):
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            verify.run_all(_small_plan(3))
+            verify.run_all(3)
         _no_children_left()
 
 
@@ -403,7 +419,7 @@ def test_child_dying_without_result_raises(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(families, "a_poly", die)
     with pytest.raises(RuntimeError, match="exited with status 3"):
-        verify.run_all(_small_plan(2))
+        verify.run_all(2)
     assert len(forks) == 1
     _no_children_left()
 

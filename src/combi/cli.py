@@ -171,7 +171,7 @@ def _cmd_enumerate(args) -> int:
         # ASCII digits only: int() would also take '+1', '1_0' and non-ASCII
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             print(f"error: bad bound sequence --s {args.s!r}: expected "
-                  "integers", file=sys.stderr)
+                  "positive integers", file=sys.stderr)
             return 2
         s = tuple(map(int, tokens))
     stream = objects.generate(args.class_name, args.n, s)

@@ -9,6 +9,7 @@ are taken at face value from their defining relations:
     C(n,k)   = k C(n-1,k) + (2n-k) C(n-1,k-1)          C(1,1) = 1
     <n,k>    = (k+1)<n-1,k> + (n-k)<n-1,k-1>           <0,0> = 1
     A_{n+1}  = (1+nx) A_n + x(1-x) A_n'
+    B_{n+1}  = (1+(2n+1)x) B_n + 2x(1-x) B_n'           B_0 = 1
     Q_{n+1}  = (q+2nx) Q_n + 2x(1-x) dQ_n/dx
     P_{n+1}  = (2nx+qy) P_n + 2x(1-x) dP_n/dx + 2x(1-y) dP_n/dy
     R_{n+1}  = 2nx R_n + 2x(1-x) dR_n/dx + 2nxq R_{n-1}
@@ -339,9 +340,16 @@ def a_poly_enum(n: int) -> ExactPoly:
     return stat_distribution("permutation", n, (("des_A", "x"),))
 
 
-def b_poly(n: int, route: str = "invseq") -> ExactPoly:
-    """Signed permutations by descents (with a leading virtual 0)."""
+def b_poly(n: int, route: str = "recurrence") -> ExactPoly:
+    """Signed permutations by descents (with a leading virtual 0): Brenti's
+    recurrence (Europ. J. Combin. 15, 1994), (2,4,..,2n)-inversion
+    sequences (Savage and Schuster, JCTA 119, 2012) or signed permutations."""
     _require_nonnegative(n)
+    if route == "recurrence":
+        p = ONE
+        for m in range(n):
+            p = (1 + (2 * m + 1) * X) * p + 2 * X * (1 - X) * p.diff("x")
+        return p
     if route == "invseq":
         if n > 8:
             raise CapacityError("inversion-sequence route capped at n=8")

@@ -66,12 +66,10 @@ def derive(g: Grammar, expr: ExactPoly, n: int = 1) -> ExactPoly:
         raise ValueError(f"expression uses letters outside the grammar: {stray}")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    rules = [(i, g.rules[v]) for i, v in enumerate(VARS) if v in g.rules]
+    rules = [(v, g.rules[v]) for v in VARS if v in g.rules]
     for _ in range(n):
-        # the power rule: D(c u^e) = c e u^(e-1) D(u), letter by letter
-        expr = poly_sum(
-            ExactPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]})
-            * rule for exp, coeff in expr.items() for i, rule in rules if exp[i])
+        # D is the derivation sum_u D(u) d/du, by the Leibniz and power rules
+        expr = poly_sum(expr.diff(v) * rule for v, rule in rules)
     return expr
 
 

@@ -5,9 +5,26 @@ b^±, c^±, d^±] (coefficients are promoted to fractions.Fraction as soon as
 a division happens, never to floats).  Int coefficients stay ints, and a
 Fraction with denominator 1 is stored as its int numerator, so the kernel
 runs on ints first and pays for Fraction only where a division left one.
-The variable set is fixed and ordered, so an exponent vector is a dense
-7-tuple of signed integers and two polynomials are equal iff their
-canonical term maps are equal.
+Two polynomials are equal iff their canonical term maps are equal.
+
+A term map is keyed by packed exponents.  The exponent vector (e_x, e_y,
+e_q, e_a, e_b, e_c, e_d) is one int whose field i, bits 16i to 16i+15,
+holds e_i + BIAS with BIAS = 2^15; ZERO_KEY packs the zero vector.  Every
+stored exponent lies in [-LIMIT, LIMIT) with LIMIT = 2^14, so each field of
+a product key k1 + k2 - ZERO_KEY holds e1 + e2 + BIAS, which lies in
+[0, 2^16): fields never carry into each other, and a monomial product is
+one int addition (the packed-monomial layout of Monagan and Pearce, ISSAC
+2009).  A field is in range iff its bits 14 and 15 differ, so the one test
+(k ^ k >> 1) & _TOP == _TOP checks a whole key.  Every operation that moves
+exponents (`*`, `**`, `diff`, `divexact`, `poly_reverse` and the
+constructor) guards its result keys: an exponent outside [-LIMIT, LIMIT)
+raises CapacityError and never carries silently.  The field test only sees
+a field that went at most 2^15 out of range, so `poly_reverse`, whose
+shift comes from an unbounded n, bounds each new exponent before packing.
+
+The public interface speaks 7-tuples: the constructor takes a dict of
+{exponent tuple: coefficient} (anything but a tuple of seven ints as a key
+raises ValueError), and `items()` gives (exponent tuple, coefficient) pairs.
 
 Negative exponents are first-class: the grammar rewriting rule for the
 letter ``b`` produces the monomial b^-1*c^2*d^2.
@@ -15,13 +32,20 @@ letter ``b`` produces the monomial b^-1*c^2*d^2.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 VARS = ("x", "y", "q", "a", "b", "c", "d")
 NVARS = len(VARS)
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ZERO_EXP = (0,) * NVARS
+
+FIELD_BITS = 16
+BIAS = 1 << (FIELD_BITS - 1)
+LIMIT = 1 << (FIELD_BITS - 2)
+_MASK = (1 << FIELD_BITS) - 1
+_SHIFT = tuple(FIELD_BITS * i for i in range(NVARS))
+ZERO_KEY = sum(BIAS << s for s in _SHIFT)
+_TOP = sum(LIMIT << s for s in _SHIFT)  # bit 14 of every field
 
 Coeff = int | Fraction
 
@@ -40,34 +64,81 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def _out_of_range(exp) -> CapacityError:
+    return CapacityError(f"exponent vector {exp} leaves the packed range: "
+                         f"every exponent must lie in [-{LIMIT}, {LIMIT})")
+
+
+def _pack(exp) -> int:
+    if (type(exp) is not tuple or len(exp) != NVARS
+            or any(type(e) is not int for e in exp)):
+        raise ValueError(
+            f"exponent vector must be a tuple of {NVARS} ints, got {exp!r}")
+    key = 0
+    for e, s in zip(exp, _SHIFT):
+        if not -LIMIT <= e < LIMIT:
+            raise _out_of_range(exp)
+        key |= (e + BIAS) << s
+    return key
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    return tuple(((key >> s) & _MASK) - BIAS for s in _SHIFT)
+
+
+def _canonical(t: dict[int, Coeff]) -> dict[int, Coeff]:
+    """t without zero coefficients, unit Fractions stored as ints."""
+    out = {}
+    for key, coeff in t.items():
+        if type(coeff) is not int:
+            coeff = _norm_coeff(coeff)
+        if coeff:
+            out[key] = coeff
+    return out
+
+
+def _checked(t: dict[int, Coeff]) -> dict[int, Coeff]:
+    """t, once every key is known to hold exponents in [-LIMIT, LIMIT)."""
+    for key in t:
+        if (key ^ key >> 1) & _TOP != _TOP:
+            raise _out_of_range(_unpack(key))
+    return t
+
+
+def _poly(t: dict[int, Coeff]) -> "ExactPoly":
+    """The polynomial of a packed term map whose keys are in range."""
+    p = object.__new__(ExactPoly)
+    p._terms = _canonical(t)
+    return p
+
+
+def _others(i: int) -> int:
+    """Mask of every field but field i."""
+    return ~(_MASK << _SHIFT[i])
+
+
 class ExactPoly:
-    """Immutable sparse polynomial; terms maps exponent tuple -> coefficient."""
+    """Immutable sparse polynomial; terms maps packed key -> coefficient."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, ...], Coeff] | None = None):
-        t = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if type(coeff) is not int:
-                    coeff = _norm_coeff(coeff)
-                if coeff != 0:
-                    t[exp] = coeff
-        self._terms = t
+        self._terms = _canonical(
+            {_pack(exp): coeff for exp, coeff in terms.items()} if terms else {})
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ExactPoly":
-        return cls()
+        return _poly({})
 
     @classmethod
     def one(cls) -> "ExactPoly":
-        return cls({ZERO_EXP: 1})
+        return _poly({ZERO_KEY: 1})
 
     @classmethod
     def const(cls, c: Coeff) -> "ExactPoly":
-        return cls({ZERO_EXP: c})
+        return _poly({ZERO_KEY: c})
 
     @classmethod
     def var(cls, name: str) -> "ExactPoly":
@@ -78,12 +149,13 @@ class ExactPoly:
         e = [0] * NVARS
         for name, k in exps.items():
             e[VAR_INDEX[name]] = k
-        return cls({tuple(e): coeff})
+        return _poly({_pack(tuple(e)): coeff})
 
     # -- inspection ---------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[tuple[int, ...], Coeff]]:
+        """(exponent tuple, coefficient) pairs."""
+        return [(_unpack(key), coeff) for key, coeff in self._terms.items()]
 
     @property
     def is_zero(self) -> bool:
@@ -91,37 +163,38 @@ class ExactPoly:
 
     @property
     def is_const(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and ZERO_EXP in self._terms)
+        return not self._terms or (len(self._terms) == 1 and ZERO_KEY in self._terms)
 
     def const_value(self) -> Coeff:
         if not self.is_const:
             raise ValueError("polynomial is not constant")
-        return self._terms.get(ZERO_EXP, 0)
+        return self._terms.get(ZERO_KEY, 0)
 
     def variables(self) -> set[str]:
-        used = set()
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(VARS[i])
-        return used
+        used = 0
+        for key in self._terms:
+            used |= key ^ ZERO_KEY
+        return {v for v, s in zip(VARS, _SHIFT) if used >> s & _MASK}
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name``; zero polynomial has degree 0."""
-        i = VAR_INDEX[name]
-        return max((exp[i] for exp in self._terms), default=0)
+        s = _SHIFT[VAR_INDEX[name]]
+        return max(((key >> s) & _MASK for key in self._terms),
+                   default=BIAS) - BIAS
 
     def univariate_coeffs(self, name: str = "x") -> list[Coeff]:
         """Dense ascending coefficient list; requires a genuine univariate
         polynomial in ``name`` with nonnegative exponents."""
         i = VAR_INDEX[name]
+        s, others = _SHIFT[i], _others(i)
         by_deg: dict[int, Coeff] = {}
-        for exp, coeff in self._terms.items():
-            if any(e for j, e in enumerate(exp) if j != i):
+        for key, coeff in self._terms.items():
+            if (key ^ ZERO_KEY) & others:
                 raise ValueError(f"polynomial is not univariate in {name}")
-            if exp[i] < 0:
+            e = ((key >> s) & _MASK) - BIAS
+            if e < 0:
                 raise ValueError("negative exponent where polynomial expected")
-            by_deg[exp[i]] = coeff
+            by_deg[e] = coeff
         deg = max(by_deg, default=0)
         return [by_deg.get(k, 0) for k in range(deg + 1)]
 
@@ -141,14 +214,14 @@ class ExactPoly:
             return NotImplemented
         t = dict(self._terms)
         get = t.get
-        for exp, coeff in other._terms.items():
-            t[exp] = get(exp, 0) + coeff
-        return ExactPoly(t)
+        for key, coeff in other._terms.items():
+            t[key] = get(key, 0) + coeff
+        return _poly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPoly({exp: -c for exp, c in self._terms.items()})
+        return _poly({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -168,14 +241,14 @@ class ExactPoly:
         if len(small) > len(big):
             small, big = big, small
         big_items = tuple(big.items())
-        add = operator.add
-        t: dict[tuple[int, ...], Coeff] = {}
+        t: dict[int, Coeff] = {}
         get = t.get
-        for e1, c1 in small.items():
-            for e2, c2 in big_items:
-                exp = tuple(map(add, e1, e2))
-                t[exp] = get(exp, 0) + c1 * c2
-        return ExactPoly(t)
+        for k1, c1 in small.items():
+            shift = k1 - ZERO_KEY
+            for k2, c2 in big_items:
+                key = shift + k2
+                t[key] = get(key, 0) + c1 * c2
+        return _poly(_checked(t))
 
     __rmul__ = __mul__
 
@@ -185,8 +258,9 @@ class ExactPoly:
         if k < 0:
             if len(self._terms) != 1:
                 raise ValueError("negative power of a non-monomial")
-            (exp, coeff), = self._terms.items()
-            return ExactPoly({tuple(e * k for e in exp): Fraction(coeff) ** k})
+            (key, coeff), = self._terms.items()
+            return _poly({_pack(tuple(e * k for e in _unpack(key))):
+                          Fraction(coeff) ** k})
         result = ExactPoly.one()
         base = self
         while k:
@@ -213,33 +287,39 @@ class ExactPoly:
 
     def diff(self, name: str) -> "ExactPoly":
         """Formal partial derivative; x^k -> k*x^(k-1) for any integer k."""
-        i = VAR_INDEX[name]
+        s = _SHIFT[VAR_INDEX[name]]
+        unit = 1 << s
         # lowering one exponent is injective, so no two terms collide
-        return ExactPoly({exp[:i] + (exp[i] - 1,) + exp[i + 1:]: coeff * exp[i]
-                          for exp, coeff in self._terms.items() if exp[i]})
+        t = {}
+        for key, coeff in self._terms.items():
+            e = ((key >> s) & _MASK) - BIAS
+            if e:
+                if e == -LIMIT:
+                    raise _out_of_range(_unpack(key - unit))
+                t[key - unit] = coeff * e
+        return _poly(t)
 
     def subs_num(self, name: str, value: Coeff) -> "ExactPoly":
         """Evaluate one variable at an exact number."""
-        i = VAR_INDEX[name]
-        t: dict[tuple[int, ...], Coeff] = {}
-        for exp, coeff in self._terms.items():
-            e = exp[i]
+        s = _SHIFT[VAR_INDEX[name]]
+        t: dict[int, Coeff] = {}
+        for key, coeff in self._terms.items():
+            e = ((key >> s) & _MASK) - BIAS
             if e:
                 if value == 0 and e < 0:
                     raise ZeroDivisionError("negative exponent at value 0")
                 coeff = coeff * (Fraction(value) ** e if e < 0 else value ** e)
-            new = exp[:i] + (0,) + exp[i + 1:]
-            t[new] = t.get(new, 0) + coeff
-        return ExactPoly(t)
+                key -= e << s
+            t[key] = t.get(key, 0) + coeff
+        return _poly(t)
 
     def coefficient_of(self, name: str, k: int) -> "ExactPoly":
         """Polynomial coefficient of name^k (the variable is removed)."""
-        i = VAR_INDEX[name]
-        t = {}
-        for exp, coeff in self._terms.items():
-            if exp[i] == k:
-                t[exp[:i] + (0,) + exp[i + 1:]] = coeff
-        return ExactPoly(t)
+        s = _SHIFT[VAR_INDEX[name]]
+        # a field never holds k + BIAS for k outside the range, so such a k
+        # matches no term
+        return _poly({key - (k << s): coeff for key, coeff in self._terms.items()
+                      if (key >> s) & _MASK == k + BIAS})
 
     # -- rendering ------------------------------------------------------
 
@@ -248,8 +328,8 @@ class ExactPoly:
         if not self._terms:
             return "0"
         pieces = []
-        for exp in sorted(self._terms, key=lambda e: (sum(e), e)):
-            coeff = self._terms[exp]
+        for exp, coeff in sorted(self.items(),
+                                 key=lambda it: (sum(it[0]), it[0])):
             factors = []
             for i, e in enumerate(exp):
                 if e == 0:
@@ -276,12 +356,12 @@ class ExactPoly:
 def poly_sum(polys) -> ExactPoly:
     """The sum of an iterable of polynomials, built as one term map (a
     chain of `+` would copy the partial sum once per addend)."""
-    t: dict[tuple[int, ...], Coeff] = {}
+    t: dict[int, Coeff] = {}
     get = t.get
     for p in polys:
-        for exp, coeff in p._terms.items():
-            t[exp] = get(exp, 0) + coeff
-    return ExactPoly(t)
+        for key, coeff in p._terms.items():
+            t[key] = get(key, 0) + coeff
+    return _poly(t)
 
 
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
@@ -289,14 +369,21 @@ def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     i = VAR_INDEX["x"]
+    s, others = _SHIFT[i], _others(i)
     t = {}
-    for exp, coeff in p.items():
-        if any(e for j, e in enumerate(exp) if j != i):
+    for key, coeff in p._terms.items():
+        if (key ^ ZERO_KEY) & others:
             raise ValueError("poly_reverse requires a polynomial univariate in x")
-        if not 0 <= exp[i] <= n:
-            raise ValueError(f"exponent {exp[i]} outside [0, {n}]")
-        t[exp[:i] + (n - exp[i],) + exp[i + 1:]] = coeff
-    return ExactPoly(t)
+        e = ((key >> s) & _MASK) - BIAS
+        if not 0 <= e <= n:
+            raise ValueError(f"exponent {e} outside [0, {n}]")
+        if n - e >= LIMIT:
+            # checked before packing: n is unbounded, and a field pushed
+            # far enough carries into the next one past the _checked test
+            raise _out_of_range(tuple(n - e if j == i else 0
+                                      for j in range(NVARS)))
+        t[key + ((n - 2 * e) << s)] = coeff
+    return _poly(t)
 
 
 def divexact(p: ExactPoly, d: ExactPoly) -> ExactPoly:
@@ -308,47 +395,49 @@ def divexact(p: ExactPoly, d: ExactPoly) -> ExactPoly:
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    terms = dict(d.items())
-    if len(terms) == 1:
-        (dexp, dcoeff), = terms.items()
+    if len(d._terms) == 1:
+        (dkey, dcoeff), = d._terms.items()
         # a unit divisor keeps int coefficients ints
         scale = dcoeff if dcoeff in (1, -1) else 1 / Fraction(dcoeff)
-        sub = operator.sub
-        return ExactPoly({tuple(map(sub, exp, dexp)): coeff * scale
-                          for exp, coeff in p.items()})
+        shift = ZERO_KEY - dkey
+        return _poly(_checked({key + shift: coeff * scale
+                               for key, coeff in p._terms.items()}))
 
     dvars = d.variables()
     if len(dvars) != 1:
         raise ValueError("divisor must be a monomial or univariate")
     name = dvars.pop()
-    i = VAR_INDEX[name]
+    s = _SHIFT[VAR_INDEX[name]]
     dcoeffs = d.univariate_coeffs(name)
     ddeg = len(dcoeffs) - 1
     lead = dcoeffs[-1]
 
-    rem = dict(p.items())
-    quo: dict[tuple[int, ...], Coeff] = {}
+    # every exponent of `name` met below lies in [0, top] for the first top,
+    # and the other fields are copied, so no key leaves the range
+    rem = dict(p._terms)
+    quo: dict[int, Coeff] = {}
     while rem:
-        top = max(exp[i] for exp in rem)
-        if top < ddeg or any(exp[i] < 0 for exp in rem):
+        fields = [(key >> s) & _MASK for key in rem]
+        top = max(fields) - BIAS
+        if top < ddeg or min(fields) < BIAS:
             raise ValueError("polynomials do not divide exactly")
-        shift = top - ddeg
-        head = {exp: c for exp, c in rem.items() if exp[i] == top}
-        for exp, c in head.items():
+        head = {key: c for key, c in rem.items()
+                if (key >> s) & _MASK == top + BIAS}
+        for key, c in head.items():
             qc = _norm_coeff(Fraction(c, 1) / lead if not isinstance(c, Fraction)
                              else c / lead)
-            qexp = exp[:i] + (shift,) + exp[i + 1:]
-            quo[qexp] = quo.get(qexp, 0) + qc
+            qkey = key - (ddeg << s)
+            quo[qkey] = quo.get(qkey, 0) + qc
             for k, dc in enumerate(dcoeffs):
                 if dc == 0:
                     continue
-                rexp = exp[:i] + (shift + k,) + exp[i + 1:]
-                nv = rem.get(rexp, 0) - qc * dc
+                rkey = qkey + (k << s)
+                nv = rem.get(rkey, 0) - qc * dc
                 if nv == 0:
-                    rem.pop(rexp, None)
+                    rem.pop(rkey, None)
                 else:
-                    rem[rexp] = nv
-    return ExactPoly(quo)
+                    rem[rkey] = nv
+    return _poly(quo)
 
 
 # Frequently used atoms.

@@ -150,7 +150,9 @@ CHECKS: tuple[IdentityCheck, ...] = (
         (Route("enumeration", "inversion sequences",
                lambda n: families.b_poly(n, "invseq")),
          Route("enumeration", "signed permutations",
-               lambda n: families.b_poly(n, "signed")))),
+               lambda n: families.b_poly(n, "signed")),
+         Route("recurrence", "Brenti recurrence",
+               lambda n: families.b_poly(n, "recurrence")))),
     IdentityCheck(
         "M-via-invseq", "odd-larger matching polynomial equals the ascent "
         "distribution of (1,3,..,2n-1)-inversion sequences", range(0, 8),
@@ -193,7 +195,9 @@ CHECKS: tuple[IdentityCheck, ...] = (
                lambda n: families.b_poly(n, "signed")),
          Route("convolution", "binomial convolution",
                lambda n: _binomial_convolution(n, families.n_poly,
-                                               families.m_poly)))),
+                                               families.m_poly)),
+         Route("recurrence", "Brenti recurrence",
+               lambda n: families.b_poly(n, "recurrence")))),
     IdentityCheck(
         "eq-1-3-refined-k", "hat-refined ascent distribution equals "
         "C(n,k) N_k N_{n-k}", range(1, 7),

@@ -60,6 +60,14 @@ def test_poly_csv_takes_the_one_variable(capsys):
     assert err == "error: csv output needs a univariate family\n"
 
 
+def test_poly_type_b_past_the_enumeration_cap(capsys):
+    # the inversion-sequence route stops at n = 8; Brenti's recurrence does not
+    code, out, _ = run(capsys, "poly", "--family", "B", "--n", "9",
+                       "--format", "csv")
+    assert (code, out) == (0, "1,19673,1756340,21707972,69413294,69413294,"
+                              "21707972,1756340,19673,1\n")
+
+
 @pytest.mark.parametrize("family", ["N", "C"])
 def test_poly_csv_n0(capsys, family):
     code, out, _ = run(capsys, "poly", "--family", family, "--n", "0",
@@ -132,7 +140,7 @@ def test_enumerate_bad_bound_sequence(capsys, bounds):
                          "--s", bounds)
     assert (code, out) == (2, "")
     assert err == (f"error: bad bound sequence --s {bounds!r}: expected "
-                   "integers\n")
+                   "positive integers\n")
 
 
 def test_bijection_input(capsys):

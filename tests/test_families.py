@@ -120,14 +120,31 @@ def test_d_poly():
 
 
 def test_b_poly():
+    assert F.b_poly(0) == 1
     assert F.b_poly(1) == 1 + X
     assert F.b_poly(2) == 1 + 6 * X + X ** 2
     for n in range(1, 5):
-        assert F.b_poly(n, "invseq") == F.b_poly(n, "signed")
+        assert F.b_poly(n, "invseq") == F.b_poly(n, "signed") == F.b_poly(n)
     with pytest.raises(CapacityError):
         F.b_poly(9, "invseq")
     with pytest.raises(ValueError):
         F.b_poly(2, "sideways")
+
+
+def _type_b_triangle(n):
+    """B(n,k) = (2k+1) B(n-1,k) + (2n-2k+1) B(n-1,k-1), B(0,0) = 1."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(2 * k + 1) * (row[k] if k < m else 0)
+               + (2 * m - 2 * k + 1) * (row[k - 1] if k else 0)
+               for k in range(m + 1)]
+    return row
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_b_poly_recurrence_beyond_enumeration(n):
+    assert F.b_poly(n).univariate_coeffs("x") == _type_b_triangle(n)
+    assert F.b_poly(n, "recurrence") == F.b_poly(n)
 
 
 def test_y_poly():

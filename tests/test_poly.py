@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combi.poly import (VARS, ZERO_EXP, ExactPoly, X, Y, Q, divexact,
-                        poly_reverse, poly_sum)
+from combi.poly import (LIMIT, NVARS, VARS, ZERO_EXP, CapacityError,
+                        ExactPoly, X, Y, Q, divexact, poly_reverse, poly_sum)
 
 
 def rand_poly(rng, nvars=3, max_terms=4, lo=0):
@@ -155,7 +155,7 @@ _MONOMIAL = st.builds(lambda e, c: ExactPoly({e: c}), _exps(-2), _NONZERO)
 
 
 def _sympy(sympy, p):
-    syms = sympy.symbols(_NAMES)
+    syms = sympy.symbols(VARS)
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(s ** k for s, k in zip(syms, exp)))
                        for exp, c in p.items()))
@@ -222,3 +222,124 @@ def test_poly_sum_is_the_fold_of_add(ps):
     assert _typed_terms(poly_sum(iter(ps))) == _typed_terms(fold)
     assert poly_sum(ps + [-p for p in reversed(ps)]).is_zero
     assert poly_sum([]).is_zero
+
+
+# ---------------------------------------------------------------------------
+# packed exponent keys: the whole range [-LIMIT, LIMIT) and its guard
+# ---------------------------------------------------------------------------
+
+_WIDE = st.one_of(st.integers(-2, 3), st.integers(-(LIMIT - 1), LIMIT - 1))
+_WIDE_EXP = st.tuples(*[_WIDE] * NVARS)
+_LAURENT = st.dictionaries(_WIDE_EXP, _COEFF, max_size=4).map(ExactPoly)
+
+
+def _fits(sympy, expr):
+    """Every exponent of the expanded expression lies in [-LIMIT, LIMIT)."""
+    syms = set(sympy.symbols(VARS))
+    return all(-LIMIT <= e < LIMIT
+               for term in sympy.Add.make_args(sympy.expand(expr))
+               for base, e in term.as_powers_dict().items() if base in syms)
+
+
+def _agree_or_capacity(sympy, op, theirs):
+    """op() equals the sympy value, or raises CapacityError exactly when
+    that value has an exponent outside the packed range."""
+    try:
+        ours = op()
+    except CapacityError:
+        assert not _fits(sympy, theirs)
+        return
+    _agree(sympy, ours, theirs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_LAURENT, _LAURENT, st.integers(0, 3), st.sampled_from(VARS), _NONZERO,
+       st.data())
+def test_wide_exponents_match_sympy(a, b, k, name, value, data):
+    sympy = pytest.importorskip("sympy")
+    sa, sb = _sympy(sympy, a), _sympy(sympy, b)
+    var = sympy.Symbol(name)
+    _agree(sympy, a + b, sa + sb)
+    _agree_or_capacity(sympy, lambda: a * b, sa * sb)
+    _agree_or_capacity(sympy, lambda: a ** k, sa ** k)
+    _agree_or_capacity(sympy, lambda: a.diff(name), sympy.diff(sa, var))
+    _agree(sympy, a.subs_num(name, value),
+           sa.subs(var, sympy.Rational(value.numerator, value.denominator)))
+    i = VARS.index(name)
+    e = data.draw(st.sampled_from(sorted({exp[i] for exp, _ in a.items()}) or [0]))
+    _agree(sympy, a.coefficient_of(name, e), sympy.expand(sa).coeff(var, e))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_LAURENT, _WIDE_EXP, _NONZERO, st.integers(-3, 3))
+def test_wide_monomial_division_and_power_match_sympy(p, exp, c, k):
+    sympy = pytest.importorskip("sympy")
+    m = ExactPoly({exp: c})
+    sp, sm = _sympy(sympy, p), _sympy(sympy, m)
+    _agree_or_capacity(sympy, lambda: divexact(p, m), sp / sm)
+    _agree_or_capacity(sympy, lambda: m ** k, sm ** k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_LAURENT, st.sampled_from(VARS), st.lists(_COEFF, min_size=1, max_size=3),
+       _NONZERO)
+def test_wide_univariate_division(a, name, low, lead):
+    sympy = pytest.importorskip("sympy")
+    i = VARS.index(name)
+    # exponents of `name` in [0, LIMIT - 4], so a * d stays in range
+    a = poly_sum(ExactPoly({exp[:i] + (abs(exp[i]) % (LIMIT - 3),) + exp[i + 1:]: c})
+                 for exp, c in a.items())
+    var = ExactPoly.var(name)
+    d = sum((c * var ** j for j, c in enumerate(low)), lead * var ** len(low))
+    p = a * d
+    _agree(sympy, p, _sympy(sympy, a) * _sympy(sympy, d))
+    assert divexact(p, d) == a
+
+
+@given(_WIDE_EXP, _COEFF)
+def test_packed_key_round_trip(exp, c):
+    assert ExactPoly({exp: c}).items() == ([(exp, c)] if c else [])
+
+
+def test_exponent_guard():
+    top = X ** (LIMIT - 1)
+    assert top.degree("x") == LIMIT - 1
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        top * X
+    with pytest.raises(CapacityError):
+        top ** 2
+    with pytest.raises(CapacityError):
+        divexact(top, ExactPoly.monomial(1, {"x": -1}))
+    bottom = ExactPoly.monomial(1, {"x": -LIMIT})
+    assert bottom * X == ExactPoly.monomial(1, {"x": 1 - LIMIT})
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        bottom.diff("x")
+    with pytest.raises(CapacityError):
+        ExactPoly.monomial(1, {"y": 2}) ** -(LIMIT // 2 + 1)
+    # n - e past the field would carry into the next field, or above field 6
+    for n in (LIMIT, 2 ** 15 + 2 ** 14, 2 ** 16, 2 ** 112):
+        with pytest.raises(CapacityError, match=str(LIMIT)):
+            poly_reverse(ExactPoly.one(), n)
+    with pytest.raises(CapacityError):
+        poly_reverse(X ** 3, 3 + LIMIT)
+    assert poly_reverse(X, LIMIT) == X ** (LIMIT - 1)
+    # the other fields are untouched by a failed field
+    assert (ExactPoly.monomial(1, {"d": LIMIT - 1}) * Q).degree("d") == LIMIT - 1
+
+
+@pytest.mark.parametrize("e", [LIMIT, -LIMIT - 1, 2 ** 40])
+@pytest.mark.parametrize("i", [0, NVARS - 1])
+def test_constructor_rejects_exponents_out_of_range(e, i):
+    exp = tuple(e if j == i else 0 for j in range(NVARS))
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        ExactPoly({exp: 1})
+    with pytest.raises(CapacityError):
+        ExactPoly.monomial(1, {VARS[i]: e})
+
+
+@pytest.mark.parametrize("exp", [(1,), (1,) * (NVARS + 1), (), 1,
+                                 (1.0,) + (0,) * (NVARS - 1),
+                                 ("1",) + (0,) * (NVARS - 1)])
+def test_malformed_exponent_vector_rejected(exp):
+    with pytest.raises(ValueError, match="tuple of 7 ints"):
+        ExactPoly({exp: 2})

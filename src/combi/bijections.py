@@ -15,7 +15,8 @@ entries belong to the first matching (the hatted ones; the ones in blocks
 that end negatively, where the marking flips), and how a child word shows
 the slot of m and the straight or crossed split.  Each map replays the
 object's construction history through `_replay`, re-inserting the values
-in increasing order.
+in increasing order; `map_steps` yields the image of every prefix on the
+way.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
 verify_bijection walks the domain's insertion tree in `objects`, the one
@@ -168,16 +169,33 @@ def _insert(state, m: int, slots, index: int, first: bool, straight: bool):
     return s1, blocks, iset
 
 
-def _replay(rule, word, size) -> MatchingTriple:
-    """The triple of `word`: insert 1, ..., n in turn, the entries of size
-    <= m making the child of the entries of size < m."""
+def _replay(map_id: str, obj):
+    """Insert 1, ..., n in turn by the rule of phi (`obj` a decorated
+    permutation) or psi (a signed one), the entries of size <= m making the
+    child of the entries of size < m; yield each child with its state."""
+    if map_id not in ("phi", "psi"):
+        raise ValueError(f"unknown map {map_id!r}")
+    phi = map_id == "phi"
+    if not validate(obj):
+        raise ValueError(f"invalid {'decorated' if phi else 'signed'} "
+                         f"permutation: {obj!r}")
+    rule, word, size = ((_phi_rule, obj.entries, itemgetter(0)) if phi
+                        else (_psi_rule, obj.word, abs))
     state = _EMPTY
     parent = ()
     for m in range(1, len(word) + 1):
         child = tuple(e for e in word if size(e) <= m)
         slots, ((_, i, first, straight),) = rule(parent, m, (child,))
         state = _insert(state, m, slots, i, first, straight)
+        yield child, state
         parent = child
+
+
+def _image(steps) -> MatchingTriple:
+    """The triple of a replay's last state; the empty word's if none."""
+    word, state = (), _EMPTY
+    for word, state in steps:
+        pass
     return _triple(state, len(word))
 
 
@@ -197,9 +215,7 @@ def _phi_rule(word, m: int, children):
 
 
 def phi_map(w: DecoratedPermutation) -> MatchingTriple:
-    if not validate(w):
-        raise ValueError(f"invalid decorated permutation: {w!r}")
-    return _replay(_phi_rule, w.entries, itemgetter(0))
+    return _image(_replay("phi", w))
 
 
 def _phi_weighs(word, state) -> bool:
@@ -237,9 +253,16 @@ def _psi_rule(word, m: int, children):
 
 
 def psi_map(pi: SignedPermutation) -> MatchingTriple:
-    if not validate(pi):
-        raise ValueError(f"invalid signed permutation: {pi!r}")
-    return _replay(_psi_rule, pi.word, abs)
+    return _image(_replay("psi", pi))
+
+
+def map_steps(map_id: str, obj):
+    """The insertions of phi_map ("phi", a decorated permutation) or psi_map
+    ("psi", a signed one), as one (prefix, triple) pair for each m = 1..n:
+    the prefix keeps the entries of size <= m and the triple is its image,
+    so the last triple is the image of `obj`.  One replay gives them all."""
+    for word, state in _replay(map_id, obj):
+        yield type(obj)(word), _triple(state, len(word))
 
 
 def _psi_weighs(word, state) -> bool:

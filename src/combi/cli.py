@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from collections import Counter
 
 from .poly import CapacityError, ExactPoly
 from .series import egf_coefficient
@@ -30,7 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--id", help="check id to run")
     g.add_argument("--all", action="store_true", help="run every check")
     v.add_argument("--max-n", type=int, default=None)
-    v.add_argument("--format", choices=("text", "json"), default="text")
+    v.add_argument("--format", choices=("text", "json", "summary"),
+                   default="text")
 
     q = sub.add_parser("poly", help="print a polynomial family member")
     q.add_argument("--family", required=True, choices=FAMILIES)
@@ -53,6 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--check", action="store_true",
                     help="exhaustively certify at --n")
     b.add_argument("--n", type=int, default=None)
+    b.add_argument("--steps", action="store_true",
+                   help="print the image of every prefix of --input")
 
     s = sub.add_parser("series", help="print EGF coefficients")
     s.add_argument("--id", required=True, choices=sorted(
@@ -95,13 +100,37 @@ def _report_lines(rep: verify.VerifyReport):
         yield f"  rhs: {rep.rhs}"
 
 
+def _summary_lines(reports, plan, seconds: float):
+    """One row per planned check: its runs and its first non-pass status,
+    the sides of a failure under it; then the totals."""
+    runs = Counter(rep.id for rep in reports)
+    worst = {}
+    for rep in reports:
+        if rep.status != "pass":
+            worst.setdefault(rep.id, rep)
+    width = max(len(c.id) for c in verify.CHECKS)
+    for check_id, _ in plan:
+        rep = worst.get(check_id)
+        status = (rep.status if rep else
+                  "ok" if runs[check_id] else "not run")
+        yield f"{check_id:<{width}}  runs={runs[check_id]:<3} {status}"
+        if rep is not None and rep.status == "fail":
+            yield f"  n={rep.n}  lhs: {rep.lhs}"
+            yield f"  n={rep.n}  rhs: {rep.rhs}"
+    failures = sum(rep.status == "fail" for rep in reports)
+    yield ""
+    yield f"{len(reports)} reports, {failures} failures, {seconds:.1f}s"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
     ids = None if args.all else (args.id,)
+    start = time.perf_counter()
     reports = verify.run_all(args.max_n, ids)
+    seconds = time.perf_counter() - start
     if not reports:  # only a cap below every selected check's first n
         smallest = min(ns[0] for _, ns in verify.plan(ids=ids))
         print(f"error: --max-n {args.max_n} selects no n; the smallest "
@@ -109,6 +138,10 @@ def _cmd_verify(args) -> int:
         return 2
     if args.format == "json":
         print(json.dumps([rep.__dict__ for rep in reports], indent=None))
+    elif args.format == "summary":
+        for line in _summary_lines(reports, verify.plan(args.max_n, ids),
+                                   seconds):
+            print(line)
     else:
         for rep in reports:
             for line in _report_lines(rep):
@@ -185,10 +218,23 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bijection(args) -> int:
     mapper = bijections.phi_map if args.map == "phi" else bijections.psi_map
     if args.input is not None:
+        if args.n is not None:
+            print("error: --n applies to --check, not --input",
+                  file=sys.stderr)
+            return 2
         cls = "decorated" if args.map == "phi" else "signed"
         obj = objects.parse(cls, args.input)
-        print(bijections.encode_triple(mapper(obj)))
+        if args.steps:
+            for prefix, triple in bijections.map_steps(args.map, obj):
+                print(f"{objects.encode(prefix)} -> "
+                      f"{bijections.encode_triple(triple)}")
+        else:
+            print(bijections.encode_triple(mapper(obj)))
         return 0
+    if args.steps:
+        print("error: --steps applies to --input, not --check",
+              file=sys.stderr)
+        return 2
     if args.n is None:
         print("error: --check requires --n", file=sys.stderr)
         return 2

@@ -545,7 +545,9 @@ def parse(class_name: str, text: str):
     encoding of the class at all (a bad integer, bracket, decoration or
     bound-sequence part) is malformed.  An encoding is ASCII and spells each
     integer -?[0-9]+; int() would also take '+1', '1_0' and non-ASCII
-    digits, so text that holds any of them is malformed."""
+    digits, so text that holds any of them is malformed.  Leading zeros and
+    runs of whitespace are read, not rejected: "01  2" is the permutation
+    1 2.  Accepting canonical text only would cost one encode per call."""
     build = _PARSERS.get(class_name)
     if build is None:
         raise ValueError(f"unknown object class {class_name!r}")

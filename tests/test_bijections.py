@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combi import bijections, objects
+from combi import bijections, cli, objects
 from combi.bijections import (encode_triple, phi_map, psi_map,
                               verify_bijection)
 from combi.objects import (CapacityError, DecoratedPermutation,
@@ -83,11 +83,37 @@ def test_psi_worked_chain():
         assert encode_triple(psi_map(parse("signed", enc))) == want
 
 
+@pytest.mark.parametrize("map_id,chain", [("phi", PHI_CHAIN),
+                                           ("psi", PSI_CHAIN)])
+def test_steps_print_the_worked_chain(capsys, map_id, chain):
+    argv = ["bijection", "--map", map_id, "--input", chain[-1][0], "--steps"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{enc} -> {want}" for enc, want in chain]
+
+
+@pytest.mark.parametrize("map_id,cls", [("phi", "decorated"),
+                                        ("psi", "signed")])
+def test_map_steps_are_the_images_of_the_prefixes(map_id, cls):
+    mapper = phi_map if map_id == "phi" else psi_map
+    for n in range(5):
+        for obj in generate(cls, n):
+            steps = list(bijections.map_steps(map_id, obj))
+            assert len(steps) == n
+            assert all(mapper(prefix) == t for prefix, t in steps)
+            if steps:
+                assert steps[-1][0] == obj
+    with pytest.raises(ValueError, match="unknown map"):
+        next(bijections.map_steps("nope", obj))
+
+
 def test_maps_reject_invalid_input():
     with pytest.raises(ValueError):
         phi_map(DecoratedPermutation(((1, False, True),)))
     with pytest.raises(ValueError):
         psi_map(SignedPermutation((1, 1)))
+    with pytest.raises(ValueError):
+        next(bijections.map_steps("psi", SignedPermutation((1, 1))))
 
 
 def test_triple_shapes():

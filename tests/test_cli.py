@@ -1,6 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +16,7 @@ from combi import objects, verify
 from combi.cli import FAMILIES, emit_jsonl, main
 
 SERIES_IDS = ("A", "M", "N", "P", "Q", "S", "d", "pm", "qn", "sqrtsec")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -175,6 +182,16 @@ def test_bijection_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("--input", "1h", "--n", "3"), "--n applies to --check, not --input"),
+    (("--check", "--n", "3", "--steps"),
+     "--steps applies to --input, not --check"),
+], ids=["input-n", "check-steps"])
+def test_bijection_rejects_flags_its_mode_ignores(capsys, argv, err):
+    assert run(capsys, "bijection", "--map", "phi", *argv) == (
+        2, "", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("map_id", ["phi", "psi"])
 def test_bijection_check_n0(capsys, map_id):
     code, out, err = run(capsys, "bijection", "--map", map_id, "--check",
@@ -206,6 +223,7 @@ def test_verify_json(capsys):
     (("--id", "phi-bijection", "--max-n", "0"), 1),
     (("--id", "N2-equals-A2z", "--max-n", "7"), 8),
     (("--all", "--max-n", "-1"), 0),
+    (("--all", "--max-n", "-1", "--format", "summary"), 0),
 ])
 def test_verify_empty_plan_is_usage_error(capsys, argv, smallest):
     code, out, err = run(capsys, "verify", *argv)
@@ -246,6 +264,77 @@ def test_verify_fail_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "lhs" in out
+
+
+def test_verify_summary_rows(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--max-n", "0",
+                         "--format", "summary")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    width = max(len(c.id) for c in verify.CHECKS)
+    assert [row.split()[0] for row in rows[:-2]] == [c.id for c in verify.CHECKS]
+    assert f"{'A-via-invseq':<{width}}  runs=1   ok" in rows
+    # the cap leaves phi-bijection no n, so it did not pass: it did not run
+    assert f"{'phi-bijection':<{width}}  runs=0   not run" in rows
+    assert rows[-2] == ""
+    assert re.fullmatch(r"11 reports, 0 failures, \d+\.\ds", rows[-1])
+
+
+def test_verify_summary_fail_row(capsys, monkeypatch):
+    from combi import families as fam
+
+    row = fam.n_row
+    monkeypatch.setattr(fam, "n_row", lambda n: tuple(
+        c + (k == n) for k, c in enumerate(row(n))))
+    code, out, _ = run(capsys, "verify", "--id", "eq-1-3", "--max-n", "3",
+                       "--format", "summary")
+    assert code == 1
+    head, lhs, rhs, blank, total = out.splitlines()
+    assert head.split() == ["eq-1-3", "runs=4", "fail"]
+    assert lhs == "  n=1  lhs: 2^n x A_n by recurrence: 2*x"
+    assert rhs == "  n=1  rhs: binomial convolution: 4*x"
+    assert blank == ""
+    assert total.startswith("4 reports, 3 failures, ")
+
+
+def test_verify_summary_bad_max_order(capsys, monkeypatch):
+    monkeypatch.setenv("COMBI_MAX_ORDER", "abc")
+    code, out, err = run(capsys, "verify", "--all", "--max-n", "2",
+                         "--format", "summary")
+    assert (code, out) == (2, "")
+    assert err == ("error: COMBI_MAX_ORDER must be a nonnegative integer, "
+                   "got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--all", "--max-n", "2", "--format", "summary"],
+    ["bijection", "--map", "psi", "--input", "3 -1 4 2 -6 7 -5", "--steps"],
+], ids=["verify_summary", "bijection_steps"])
+def test_fresh_interpreter(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "combi.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def _readme_commands():
+    """The literal `combi ...` lines of the README's CLI block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines()
+            if line.startswith("combi ") and "[" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_example_runs(capsys, line):
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_grammar_command(capsys):
@@ -324,7 +413,8 @@ _S_LIST = st.lists(st.integers(-1, 4), max_size=4).map(
 
 _ARGV = st.one_of(
     st.tuples(st.just(["verify"]), _opt("--id", st.sampled_from(
-        [c.id for c in verify.CHECKS])), _opt("--max-n", st.integers(-2, 3))),
+        [c.id for c in verify.CHECKS])), _opt("--max-n", st.integers(-2, 3)),
+        _opt("--format", st.sampled_from(["text", "json", "summary"]))),
     st.tuples(st.just(["poly"]), _opt("--family", st.sampled_from(FAMILIES)),
               _opt("--n", _N),
               _opt("--format", st.sampled_from(["text", "csv", "json"]))),
@@ -334,8 +424,9 @@ _ARGV = st.one_of(
               st.sampled_from([[], ["--stats"]])),
     st.tuples(st.just(["bijection"]),
               _opt("--map", st.sampled_from(["phi", "psi"])),
-              _opt("--input", _INPUT) | st.just(["--check"])
-              | _opt("--n", _N).map(lambda a: ["--check"] + a)),
+              _opt("--input", _INPUT) | st.just(["--check"]),
+              st.just([]) | _opt("--n", _N),
+              st.sampled_from([[], ["--steps"]])),
     st.tuples(st.just(["series"]), _opt("--id", st.sampled_from(SERIES_IDS)),
               _opt("--order", st.integers(-1, 6))),
     st.tuples(st.just(["grammar"]), _opt("--lemma", st.sampled_from([1, 2])),

@@ -405,3 +405,11 @@ def test_parse_rejects_invalid():
         with pytest.raises(ValueError) as err:
             parse(cls, text)
         assert str(err.value) == f"malformed {cls} encoding: {text!r}"
+
+
+def test_parse_reads_leading_zeros_and_whitespace_runs():
+    # encode writes one spelling; parse also reads these, by decision
+    for cls, text, canonical in (("permutation", "01  2", "1 2"),
+                                 ("matching", "(1,  02)", "(1,2)"),
+                                 ("invseq", "00 1 | s = 1 2", "0 1 | s = 1 2")):
+        assert encode(parse(cls, text)) == canonical

@@ -45,6 +45,18 @@ The weight and the index set are computed from the leaf word and the leaf
 matchings, never from the rule.  Afterwards the images with k recorded
 indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 
+The walk is cut at level SPLIT_LEVEL.  `certificate_roots` walks the
+levels above the cut, checking each node locally, and returns the nodes at
+the cut in walk order.  `subtree_tally` walks the subtree below one of them
+and returns a `Tally`: its images counted by k, whether every leaf weighs
+right, its first leaf in walk order that does not, and whether a node
+failed its local check.  `certificate` sums the tallies in walk order, so
+the first counterexample is the whole walk's first.  A local check reads
+only a node and its children, so the induction above runs across the cut
+unchanged, and the subtrees may be tallied in any order, in any process:
+`verify.run_all` shares them between its two processes, and
+`verify_bijection` tallies them one after another.
+
 A failed local check only means that the rule and `peel` disagree.  The
 walk then runs again and keeps every image in a set, and the images decide:
 a repeated image, or one outside the codomain, is a counterexample.  So a
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -379,33 +391,92 @@ def _peeled(children):
     return checked
 
 
+# A certificate sums the tallies of the subtrees rooted at this level of
+# the domain tree (at the root when n is no deeper), which `verify.run_all`
+# shares out between its processes.  Level 3 gives 48 subtrees; at n = 7
+# each phi subtree takes about 0.1 s on a 2-core Xeon.
+SPLIT_LEVEL = 3
+
+
+# What one subtree adds to a certificate: its images counted by k, whether
+# every leaf weighs right, the first leaf in walk order that does not, and
+# whether a node failed its local check.  A named tuple: it crosses the fork
+# pickled, and a dataclass would add a millisecond to every import.
+Tally = namedtuple("Tally", "per_k weight_ok counterexample unpeeled")
+
+
 def verify_bijection(map_id: str, n: int) -> BijectionReport:
     """Walk the map's whole domain: check injectivity at every node, weight
     and index set on every leaf, then the image count for each k.  If a
     node fails its local check, walk again keeping every image, so that
     the verdict and the counterexample come from the images themselves."""
+    roots = certificate_roots(map_id, n)
+    tallies = (None if roots is None
+               else [subtree_tally(map_id, n, root) for root in roots])
+    return certificate(map_id, n, tallies)
+
+
+def certificate_roots(map_id: str, n: int):
+    """The (word, state) roots of the certificate's subtrees in walk order:
+    the nodes of level SPLIT_LEVEL, or the root alone when n <= SPLIT_LEVEL.
+    Every node above them is checked locally; None if one fails."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    objects.require_size(n)
     domain_size = 2 ** n * math.factorial(n)
     if domain_size > _DOMAIN_CAP:
         raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")
+    children = _peeled(_domain_tree(map_id)[2])
+    level = SPLIT_LEVEL if n > SPLIT_LEVEL else 0
     try:
-        return _certify(map_id, n, None)
+        return list(objects.walk(children, level, ((), _EMPTY)))
     except _Unpeeled:
-        return _certify(map_id, n, set())
+        return None
 
 
-def _certify(map_id: str, n: int, images) -> BijectionReport:
-    """One walk of the domain.  Without `images` every node is checked
-    locally, and the first that fails raises _Unpeeled.  With a set, every
-    image goes into it, a repeat is a counterexample, and so is an image
-    that is not a pair of perfect matchings in standard form with one block
-    of the first per recorded index."""
+def subtree_tally(map_id: str, n: int, root) -> Tally:
+    """Walk the domain tree below `root` down to size n, checking each node
+    locally, and weigh every leaf from its word and its matchings."""
     kind, weighs, children = _domain_tree(map_id)
-    if images is None:
-        children = _peeled(children)
+    checked = _peeled(children)
+    level = len(root[0])
+    per_k = Counter()
+    weight_ok = True
+    counterexample = None
+    try:
+        for word, state in objects.walk(
+                lambda node, m: checked(node, level + m), n - level, root):
+            if weight_ok and not weighs(word, state):
+                weight_ok = False
+                counterexample = (encode(kind(word)), _encode_state(state))
+            per_k[state[2].bit_count()] += 1
+    except _Unpeeled:
+        return Tally(Counter(), False, None, True)
+    return Tally(per_k, weight_ok, counterexample, False)
+
+
+def certificate(map_id: str, n: int, tallies) -> BijectionReport:
+    """The report of the subtrees' tallies, in walk order.  If a node above
+    them (`tallies` None) or in one of them failed its local check, the
+    report comes from a walk that keeps every image instead."""
+    if tallies is None or any(t.unpeeled for t in tallies):
+        return _image_walk(map_id, n)
+    per_k = Counter()
+    for t in tallies:
+        per_k.update(t.per_k)
+    counterexample = next((t.counterexample for t in tallies
+                           if t.counterexample is not None), None)
+    return _report(n, per_k, True, True, all(t.weight_ok for t in tallies),
+                   counterexample)
+
+
+def _image_walk(map_id: str, n: int) -> BijectionReport:
+    """One walk of the domain that keeps every image in a set: a repeat is
+    a counterexample, and so is an image that is not a pair of perfect
+    matchings in standard form with one block of the first per recorded
+    index."""
+    kind, weighs, children = _domain_tree(map_id)
+    images = set()
     per_k = Counter()
     weight_ok = True
     injective = True
@@ -415,19 +486,24 @@ def _certify(map_id: str, n: int, images) -> BijectionReport:
         if weight_ok and not weighs(word, state):
             weight_ok = False
             counterexample = (encode(kind(word)), _encode_state(state))
-        if images is not None:
-            seen = len(images)  # one hash of the image, not two
-            images.add(state)
-            if injective and len(images) == seen:
-                injective = False
-                counterexample = counterexample or (encode(kind(word)),
-                                                    _encode_state(state))
-            if in_codomain and not _in_codomain(state):
-                in_codomain = False
-                counterexample = counterexample or (encode(kind(word)),
-                                                    _encode_state(state))
+        seen = len(images)  # one hash of the image, not two
+        images.add(state)
+        if injective and len(images) == seen:
+            injective = False
+            counterexample = counterexample or (encode(kind(word)),
+                                                _encode_state(state))
+        if in_codomain and not _in_codomain(state):
+            in_codomain = False
+            counterexample = counterexample or (encode(kind(word)),
+                                                _encode_state(state))
         per_k[state[2].bit_count()] += 1
+    return _report(n, per_k, injective, in_codomain, weight_ok,
+                   counterexample)
 
+
+def _report(n, per_k, injective, in_codomain, weight_ok,
+            counterexample) -> BijectionReport:
+    """Compare the images counted by k with C(n,k)(2k-1)!!(2n-2k-1)!!."""
     expected = {k: math.comb(n, k) * double_factorial(k) * double_factorial(n - k)
                 for k in range(n + 1)}
     complete = (injective and in_codomain

@@ -29,7 +29,7 @@ from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
 from . import objects
-from .objects import class_functions, double_factorial, generate, stats
+from .objects import class_functions, double_factorial, generate, require_size
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,7 @@ class TriangleTable:
 
 def n_row(n: int) -> tuple[int, ...]:
     """Matchings of [2n] with k even-larger blocks."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, 1)
     row = [0, 1]
     for m in range(1, n):
         new = [0] * (m + 2)
@@ -67,8 +66,7 @@ def n_row(n: int) -> tuple[int, ...]:
 
 def c_row(n: int) -> tuple[int, ...]:
     """Stirling words of order n with k descents (second-order Eulerian)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, 1)
     row = [0, 1]
     for m in range(2, n + 1):
         new = [0] * (m + 1)
@@ -79,14 +77,9 @@ def c_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _require_nonnegative(n: int) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-
 def eulerian_row(n: int) -> tuple[int, ...]:
     """Permutations of [n] with k descents; row n has entries k = 0..n-1."""
-    _require_nonnegative(n)
+    require_size(n)
     row = [1]
     for m in range(1, n + 1):
         new = [0] * m
@@ -116,7 +109,7 @@ def _from_coeffs(coeffs, var="x") -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 def n_poly(n: int) -> ExactPoly:
-    _require_nonnegative(n)
+    require_size(n)
     return ONE if n == 0 else _from_coeffs(n_row(n))
 
 
@@ -126,12 +119,12 @@ def m_poly(n: int) -> ExactPoly:
 
 
 def c_poly(n: int) -> ExactPoly:
-    _require_nonnegative(n)
+    require_size(n)
     return ONE if n == 0 else _from_coeffs(c_row(n))
 
 
 def a_poly(n: int) -> ExactPoly:
-    _require_nonnegative(n)
+    require_size(n)
     p = ONE
     for m in range(n):
         p = (1 + m * X) * p + X * (1 - X) * p.diff("x")
@@ -139,7 +132,7 @@ def a_poly(n: int) -> ExactPoly:
 
 
 def q_poly(n: int, with_q: bool = True) -> ExactPoly:
-    _require_nonnegative(n)
+    require_size(n)
     p = ONE
     for m in range(n):
         p = (Q + 2 * m * X) * p + 2 * X * (1 - X) * p.diff("x")
@@ -154,7 +147,7 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
     """Cycle-Stirling distribution by (cap, fix, cycles), four ways."""
     if route not in _P_ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {_P_ROUTES}")
-    _require_nonnegative(n)
+    require_size(n)
     if route == "recurrence":
         p = ONE
         for m in range(n):
@@ -181,7 +174,7 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
 
 def r_poly(n: int, with_q: bool = True) -> ExactPoly:
     """Fixed-point-free cycle-Stirling distribution by (cap, cycles)."""
-    _require_nonnegative(n)
+    require_size(n)
     if n == 0:
         p = ONE
     elif n == 1:
@@ -202,7 +195,7 @@ def r_nk_poly(n: int, k: int) -> ExactPoly:
 
 def l_closed(n: int) -> ExactPoly:
     """The rising product q(q+2)...(q+2n-2)."""
-    _require_nonnegative(n)
+    require_size(n)
     p = ONE
     for m in range(n):
         p = p * (Q + 2 * m)
@@ -211,15 +204,14 @@ def l_closed(n: int) -> ExactPoly:
 
 def y_poly(n: int) -> ExactPoly:
     """One-cycle objects by cycle ascent plateaus: 2^(n-1) x A_(n-1) for n>=2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, 1)
     if n == 1:
         return ONE
     return 2 ** (n - 1) * X * a_poly(n - 1)
 
 
 def rlmin_closed_form(n: int) -> ExactPoly:
-    _require_nonnegative(n)
+    require_size(n)
     if n == 0:
         return ONE  # the empty word has no right-to-left minima
     p = 2 ** n * X
@@ -230,7 +222,7 @@ def rlmin_closed_form(n: int) -> ExactPoly:
 
 def q_seq(n_max: int) -> list[int]:
     """Counts of fixed-point-free cycle-Stirling objects."""
-    _require_nonnegative(n_max)
+    require_size(n_max)
     vals = [1, 0]
     for m in range(1, n_max):
         vals.append(2 * m * (vals[m] + vals[m - 1]))
@@ -288,14 +280,14 @@ def _build_series_families(order: int) -> dict[str, TruncatedSeries]:
 
 def d_poly(n: int) -> ExactPoly:
     """Derangements of [n] by excedances, from the EGF (1-x)/(e^xz - x e^z)."""
-    _require_nonnegative(n)
+    require_size(n)
     order = max(n, DEFAULT_ORDER)
     return egf_coefficient(series_families(order)["d"], n)
 
 
 def h_values(k_max: int) -> list[int]:
     """h_k = (-1)^k (2k)! [z^(2k)] sqrt(2/(e^(2z)+e^(-2z)))."""
-    _require_nonnegative(k_max)
+    require_size(k_max)
     order = max(2 * k_max, DEFAULT_ORDER)
     s = series_families(order)["sqrtsec"]
     out = []
@@ -312,21 +304,25 @@ def h_values(k_max: int) -> list[int]:
 def _joint_table(class_name, n, s=None) -> MappingProxyType:
     """How many objects of the class have each tuple of integer statistics.
 
-    Keys are ((name, value), ...) tuples.  The table is memoised, keyed
-    also on every function the walk calls: walker, tree and statistics."""
+    A key is the tuple the class's integer statistic function returns, its
+    values named by `objects.INT_STAT_NAMES[class_name]`, so the table
+    builds no dict per object.  The table is memoised, keyed also on every
+    function the walk calls: walker, tree and statistic function.  The
+    size is checked first, since True would hit the memo of n = 1."""
+    require_size(n)
     s = None if s is None else tuple(s)
-    key = (class_name, n, s, generate, stats, objects.walk,
-           *class_functions(class_name))
+    tree, ints = class_functions(class_name)
+    key = (class_name, n, s, generate, objects.walk, tree, ints)
     return _memo(key, lambda: MappingProxyType(Counter(
-        tuple((name, v) for name, v in stats(obj).items() if type(v) is int)
-        for obj in generate(class_name, n, s))))
+        map(ints, generate(class_name, n, s)))))
 
 
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:
     """Sum over the class of prod(var^stat) for the given (stat, var) pairs;
     `where`, given the dict of an object's integer statistics, filters."""
-    rows = ((dict(key), count)
-            for key, count in _joint_table(class_name, n, s).items())
+    table = _joint_table(class_name, n, s)
+    names = objects.INT_STAT_NAMES[class_name]
+    rows = ((dict(zip(names, key)), count) for key, count in table.items())
     return poly_sum(
         ExactPoly.monomial(count, {var: st[name] for name, var in pairs})
         for st, count in rows if where is None or where(st))
@@ -344,7 +340,7 @@ def b_poly(n: int, route: str = "recurrence") -> ExactPoly:
     """Signed permutations by descents (with a leading virtual 0): Brenti's
     recurrence (Europ. J. Combin. 15, 1994), (2,4,..,2n)-inversion
     sequences (Savage and Schuster, JCTA 119, 2012) or signed permutations."""
-    _require_nonnegative(n)
+    require_size(n)
     if route == "recurrence":
         p = ONE
         for m in range(n):

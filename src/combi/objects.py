@@ -9,6 +9,15 @@ Each class but the inversion sequences is one insertion tree, walked depth
 first by `walk` holding one child list per level: generate streams its
 leaves, and the phi/psi certificates in `bijections` walk the decorated and
 signed trees.
+
+Each class has an integer statistic schema: a fixed tuple of names
+(`INT_STAT_NAMES`) and one function that returns the values in that order
+as a tuple of ints.  The statistic tables in `families` count those tuples
+directly.  `stats` zips the names with the same tuple and adds the
+set-valued statistics of signed (`bar_set`, `nbar_set`, `blocks`) and
+decorated permutations (`hat_value_set`), so one function computes every
+integer statistic of a class.  The statistics are read off the finished
+object, never carried along the insertion tree.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import gt, lt, mul
 
 from .poly import CapacityError
 
@@ -71,20 +81,29 @@ class InversionSequence:
 
 
 # class name -> (object type, children function (for inversion sequences, a
-# generator of s), statistic function).  The functions are named, not held,
-# so that generate, stats and the bijection certificates call whatever this
-# module binds when they run.
+# generator of s), integer statistic function, the names of its values in
+# order, set-valued statistic function or None).  The functions are named,
+# not held, so that generate, stats, the tables and the bijection
+# certificates call whatever this module binds when they run.
 _CLASSES = {
-    "permutation": (Permutation, "_permutation_children", "stats_permutation"),
-    "signed": (SignedPermutation, "_signed_children", "stats_signed"),
-    "matching": (PerfectMatching, "_matching_children", "stats_matching"),
-    "stirling": (StirlingWord, "_stirling_children", "stats_stirling"),
-    "stirling2": (CycleStirling, "_stirling2_children", "stats_cycle_stirling"),
-    "decorated": (DecoratedPermutation, "_decorated_children", "stats_decorated"),
-    "invseq": (InversionSequence, "_invseq_product", "stats_inversion"),
+    "permutation": (Permutation, "_permutation_children", "int_stats_permutation",
+                    ("des_A", "asc", "exc", "anti_exc", "rlmin"), None),
+    "signed": (SignedPermutation, "_signed_children", "int_stats_signed",
+               ("des_B", "rlmin", "bar"), "set_stats_signed"),
+    "matching": (PerfectMatching, "_matching_children", "int_stats_matching",
+                 ("el", "ol"), None),
+    "stirling": (StirlingWord, "_stirling_children", "int_stats_stirling",
+                 ("descents", "ap", "desi"), None),
+    "stirling2": (CycleStirling, "_stirling2_children", "int_stats_stirling2",
+                  ("cplat", "casc", "cap", "cyc", "fix"), None),
+    "decorated": (DecoratedPermutation, "_decorated_children",
+                  "int_stats_decorated", ("asc", "hat"), "set_stats_decorated"),
+    "invseq": (InversionSequence, "_invseq_product", "int_stats_invseq",
+               ("asc",), None),
 }
 CLASS_NAMES = tuple(_CLASSES)
-_STATS_BY_TYPE = {cls: stat for cls, _, stat in _CLASSES.values()}
+INT_STAT_NAMES = {name: entry[3] for name, entry in _CLASSES.items()}
+_STATS_BY_TYPE = {entry[0]: entry[2:] for entry in _CLASSES.values()}
 
 
 def double_factorial(n: int) -> int:
@@ -176,28 +195,36 @@ def _invseq_product(s):
 
 def class_functions(class_name: str):
     """The children function (for inversion sequences, the generator) and
-    the statistic function of the class, as bound now."""
+    the integer statistic function of the class, as bound now."""
     if class_name not in _CLASSES:
         raise ValueError(f"unknown object class {class_name!r}")
-    _, tree, stat = _CLASSES[class_name]
-    return globals()[tree], globals()[stat]
+    _, tree, ints, _, _ = _CLASSES[class_name]
+    return globals()[tree], globals()[ints]
+
+
+def require_size(n, least: int = 0) -> None:
+    """Reject a size that is not an int (a bool or a float is not one) or
+    is below `least`."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
 
 
 def _check_size(class_name: str, n: int, s):
-    """Reject a size the class cannot take: an inversion sequence needs a
-    bound sequence s of length n with entries >= 1, any other class needs
-    n >= 0.  Returns s as a tuple for inversion sequences."""
+    """Reject a size the class cannot take: n must be an int >= 0, and an
+    inversion sequence needs a bound sequence s of length n with entries
+    >= 1.  Returns s as a tuple for inversion sequences."""
     if class_name not in _CLASSES:
         raise ValueError(f"unknown object class {class_name!r}")
-    if class_name == "invseq":
-        if s is None:
-            raise ValueError("inversion sequences need a bound sequence s")
-        s = tuple(s)
-        if len(s) != n or any(si < 1 for si in s):
-            raise ValueError("bound sequence must have length n with entries >= 1")
+    require_size(n)
+    if class_name != "invseq":
         return s
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if s is None:
+        raise ValueError("inversion sequences need a bound sequence s")
+    s = tuple(s)
+    if len(s) != n or any(si < 1 for si in s):
+        raise ValueError("bound sequence must have length n with entries >= 1")
     return s
 
 
@@ -319,22 +346,19 @@ def validate(obj) -> bool:
 # statistics
 # ---------------------------------------------------------------------------
 
-def stats_permutation(p: Permutation) -> dict:
+def int_stats_permutation(p: Permutation) -> tuple[int, ...]:
+    """des_A, asc, exc, anti_exc, rlmin."""
     w = p.word
-    n = len(w)
+    w1 = w[1:]
+    places = range(1, len(w) + 1)
     rlmin = 0
-    cur = n + 1
+    low = len(w) + 1
     for v in reversed(w):
-        if v < cur:
-            cur = v
+        if v < low:
+            low = v
             rlmin += 1
-    return {
-        "des_A": sum(w[i] > w[i + 1] for i in range(n - 1)),
-        "asc": sum(w[i] < w[i + 1] for i in range(n - 1)),
-        "exc": sum(w[i] > i + 1 for i in range(n)),
-        "anti_exc": sum(w[i] < i + 1 for i in range(n)),
-        "rlmin": rlmin,
-    }
+    return (sum(map(gt, w, w1)), sum(map(lt, w, w1)), sum(map(gt, w, places)),
+            sum(map(lt, w, places)), rlmin)
 
 
 def signed_blocks(word) -> tuple[tuple[int, ...], ...]:
@@ -356,96 +380,128 @@ def signed_blocks(word) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def stats_signed(sp: SignedPermutation) -> dict:
+def int_stats_signed(sp: SignedPermutation) -> tuple[int, ...]:
+    """des_B (a virtual 0 in front), rlmin (the number of blocks), bar (the
+    entries in blocks that end negatively)."""
     w = sp.word
-    des_b = sum(a > b for a, b in zip((0,) + w, w))  # a virtual 0 in front
-    blocks = signed_blocks(w)
+    rlmin = bar = 0
+    low = len(w) + 1
+    negative = False
+    # from the right, each right-to-left minimum of the magnitudes ends a
+    # block, and the entries met until the next one belong to it
+    for v in reversed(w):
+        a = -v if v < 0 else v
+        if a < low:
+            low = a
+            rlmin += 1
+            negative = v < 0
+        bar += negative
+    return sum(map(gt, (0,) + w, w)), rlmin, bar
+
+
+def set_stats_signed(sp: SignedPermutation) -> dict:
+    blocks = signed_blocks(sp.word)
     bar_set = {v for blk in blocks if blk[-1] < 0 for v in blk}
-    nbar_set = {v for v in w if v not in bar_set}
-    return {
-        "des_B": des_b,
-        "rlmin": len(blocks),
-        "bar": len(bar_set),
-        "bar_set": bar_set,
-        "nbar_set": nbar_set,
-        "blocks": blocks,
-    }
+    return {"bar_set": bar_set,
+            "nbar_set": {v for v in sp.word if v not in bar_set},
+            "blocks": blocks}
 
 
-def stats_matching(m: PerfectMatching) -> dict:
-    el = sum(b % 2 == 0 for _, b in m.blocks)
-    return {"el": el, "ol": len(m.blocks) - el}
+def int_stats_matching(m: PerfectMatching) -> tuple[int, ...]:
+    """el (blocks with an even top), ol (with an odd top)."""
+    ol = sum([b & 1 for _, b in m.blocks])
+    return len(m.blocks) - ol, ol
 
 
-def stats_stirling(sw: StirlingWord) -> dict:
+def int_stats_stirling(sw: StirlingWord) -> tuple[int, ...]:
+    """descents (a virtual 0 at the end), ap (plateaus v v after a smaller
+    entry, or at the front), desi, in one pass over adjacent pairs.
+
+    desi counts the values m whose two copies precede every smaller value,
+    i.e. the word restricted to 1..m starts with the pair m m.  Inserting
+    the pair (n+1, n+1) at the front raises this count by one; any other
+    insertion slot keeps it, which is exactly the descent-interval growth
+    rule.  The first copy of m is then the least entry so far, so the
+    second copy is an entry equal to the least entry before it."""
     w = sw.word
-    n2 = len(w)
-    descents = 0
-    ap = 0
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for i in range(n2):
-        v = w[i]
-        if v in first:
-            second[v] = i
-        else:
-            first[v] = i
-        prev = w[i - 1] if i else 0
-        nxt = w[i + 1] if i + 1 < n2 else 0
-        if i + 1 < n2 and prev < v == w[i + 1]:
-            ap += 1
-        if v > nxt:
+    if not w:
+        return 0, 0, 0
+    descents = ap = desi = 0
+    up = True  # the entry before a is smaller (a virtual 0 before w[0])
+    a = low = w[0]
+    for b in w[1:]:
+        if a == b:
+            ap += up
+            desi += b == low
+            up = False
+        elif a > b:
             descents += 1
-    # desi: values m whose two copies precede every smaller value, i.e. the
-    # word restricted to 1..m starts with the pair m m.  Inserting the pair
-    # (n+1, n+1) at the front raises this count by one; any other insertion
-    # slot keeps it, which is exactly the descent-interval growth rule.
-    desi = 0
-    run = n2 + 1
-    for m in range(1, n2 // 2 + 1):
-        if run > second[m]:
-            desi += 1
-        run = min(run, first[m])
-    return {"descents": descents, "ap": ap, "desi": desi}
+            if b <= low:
+                desi += b == low
+                low = b
+            up = False
+        else:
+            up = True
+        a = b
+    return descents + 1, ap, desi
 
 
-def stats_cycle_stirling(cs: CycleStirling) -> dict:
+def int_stats_stirling2(cs: CycleStirling) -> tuple[int, ...]:
+    """cplat (plateaus inside a cycle), casc (ascents inside a cycle), cap
+    (plateaus after an ascent inside a cycle), cyc, fix (cycles (m m))."""
     cplat = casc = cap = fix = 0
     for c in cs.cycles:
         if len(c) == 2:
             fix += 1
-        for i in range(len(c) - 1):
-            if c[i] == c[i + 1]:
+            cplat += 1
+            continue
+        up = False  # the cycle's first entry has no entry before it
+        a = c[0]
+        for b in c[1:]:
+            if a == b:
                 cplat += 1
-                if i >= 1 and c[i - 1] < c[i]:
-                    cap += 1
-            elif c[i] < c[i + 1]:
-                casc += 1
-    return {"cplat": cplat, "casc": casc, "cap": cap,
-            "cyc": len(cs.cycles), "fix": fix}
+                cap += up
+                up = False
+            else:
+                up = a < b
+                casc += up
+            a = b
+    return cplat, casc, cap, len(cs.cycles), fix
 
 
-def stats_decorated(dp: DecoratedPermutation) -> dict:
-    vals = [v for v, _, _ in dp.entries]
-    asc = sum(a < b for a, b in zip([0] + vals, vals))  # a virtual 0 in front
-    hats = [v for v, h, _ in dp.entries if h]
-    return {"asc": asc, "hat": len(hats), "hat_value_set": set(hats)}
+def int_stats_decorated(dp: DecoratedPermutation) -> tuple[int, ...]:
+    """asc (a virtual 0 in front), hat."""
+    asc = hat = prev = 0
+    for v, h, _ in dp.entries:
+        asc += prev < v
+        hat += h
+        prev = v
+    return asc, hat
 
 
-def stats_inversion(iv: InversionSequence) -> dict:
+def set_stats_decorated(dp: DecoratedPermutation) -> dict:
+    return {"hat_value_set": {v for v, h, _ in dp.entries if h}}
+
+
+def int_stats_invseq(iv: InversionSequence) -> tuple[int, ...]:
+    """asc: e_1 > 0, and each i with e_i / s_i < e_(i+1) / s_(i+1)."""
     e, s = iv.e, iv.s
-    asc = int(len(e) > 0 and e[0] > 0)
-    for i in range(len(e) - 1):
-        if e[i] * s[i + 1] < e[i + 1] * s[i]:
-            asc += 1
-    return {"asc": asc}
+    if not e:
+        return (0,)
+    return (int(e[0] > 0) + sum(map(lt, map(mul, e, s[1:]), map(mul, e[1:], s))),)
 
 
 def stats(obj) -> dict:
-    name = _STATS_BY_TYPE.get(type(obj))
-    if name is None:
+    """Every statistic of the object by name: the integer ones of its class
+    in schema order, then the set-valued ones."""
+    entry = _STATS_BY_TYPE.get(type(obj))
+    if entry is None:
         raise TypeError(f"not a combinatorial object: {obj!r}")
-    return globals()[name](obj)
+    ints, names, sets = entry
+    out = dict(zip(names, globals()[ints](obj)))
+    if sets is not None:
+        out.update(globals()[sets](obj))
+    return out
 
 
 def reduce_word(word) -> tuple[int, ...]:
@@ -457,8 +513,7 @@ def reduce_word(word) -> tuple[int, ...]:
 def count_paired_excedance_involutions(n: int) -> int:
     """Fixed-point-free involutions of [4n] in which positions 2i-1 and 2i
     are always both excedances or both anti-excedances."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_size(n)
     if n > 2:
         raise CapacityError(
             f"exhaustive search covers (4n-1)!! involutions; capped at n=2, got n={n}")

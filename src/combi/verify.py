@@ -10,7 +10,13 @@ with its value in canonical text.
 
 `run_all(max_n, ids)` runs the checks in `ids` (all by default) at their
 default n up to `max_n`, the bijection certificates beside the other
-checks on a second process where it can.
+checks on a second process where it can.  Each certificate is a sum of
+tallies over the subtrees at one level of its domain tree
+(`bijections.SPLIT_LEVEL`).  Before the fork, one fixed-width token per
+subtree goes into a pipe.  This process drains the pipe at once, and the
+child drains it once its table checks are done, so the two processes end
+together.  This process then sums each certificate's tallies in subtree
+order and compares the result with the other routes as `run_check` does.
 
 Routes look their functions up in `families`, `grammar`, `objects` and
 `bijections` when they run, so a function replaced on its module is the
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -45,6 +52,7 @@ class VerifyReport:
     lhs: str | None = None
     rhs: str | None = None
     runtime_ms: float = 0.0
+    detail: str | None = None  # the CapacityError message of a skip
 
 
 @dataclass(frozen=True)
@@ -407,20 +415,27 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     check = _check(check_id)
     if n < check.min_n or n > check.max_n:
         return VerifyReport(check_id, n, "skipped-capacity")
+    return _compare(check, n, [route.fn for route in check.routes])
+
+
+def _compare(check: IdentityCheck, n: int, fns, ms: float = 0.0) -> VerifyReport:
+    """Evaluate fns, one per route of the check, at n and compare each value
+    with the first's, exactly.  A route computed elsewhere comes as a
+    function of its value, and its time as `ms`."""
     t0 = time.perf_counter()
     try:
-        values = [route.fn(n) for route in check.routes]
-    except CapacityError:
-        return VerifyReport(check_id, n, "skipped-capacity")
-    ms = (time.perf_counter() - t0) * 1000
+        values = [fn(n) for fn in fns]
+    except CapacityError as exc:
+        return VerifyReport(check.id, n, "skipped-capacity", detail=str(exc))
+    ms += (time.perf_counter() - t0) * 1000
     first, want = check.routes[0], values[0]
     for route, got in zip(check.routes[1:], values[1:]):
         if got != want:
-            return VerifyReport(check_id, n, "fail",
+            return VerifyReport(check.id, n, "fail",
                                 lhs=f"{first.label}: {_fmt(want)}",
                                 rhs=f"{route.label}: {_fmt(got)}",
                                 runtime_ms=ms)
-    return VerifyReport(check_id, n, "pass", runtime_ms=ms)
+    return VerifyReport(check.id, n, "pass", runtime_ms=ms)
 
 
 def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
@@ -437,6 +452,15 @@ def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
 # ---------------------------------------------------------------------------
 
 _RUN_CHECK_CODE = run_check.__code__
+_VERIFY_BIJECTION_CODE = bijections.verify_bijection.__code__
+
+# check id -> the map whose bijections.verify_bijection certificate is the
+# check's first route
+_CERTIFIED = {"phi-bijection": "phi", "psi-bijection": "psi"}
+
+# One token per certificate subtree: the index of the certificate among the
+# shared ones, and the subtree's index in walk order.
+_TOKEN = struct.Struct("<HH")
 
 
 def _cpu_count() -> int:
@@ -448,33 +472,97 @@ def _cpu_count() -> int:
 
 
 def _shards(units):
-    """Split (position, check id, n) units by route kind.  A bijection
-    certificate walks its own construction tree and reads no statistic
-    table; every other check stays in one shard, so the (class, n) tables
-    its checks share are each built once."""
-    walks = {c.id for c in CHECKS if any(r.kind == "bijection" for r in c.routes)}
-    shards = ([u for u in units if u[1] in walks],
-              [u for u in units if u[1] not in walks])
+    """Split (position, check id, n) units into the bijection certificates
+    and the rest.  A certificate walks its own construction tree and reads
+    no statistic table; every other check stays in one shard, so the
+    (class, n) tables its checks share are each built once."""
+    shards = ([u for u in units if u[1] in _CERTIFIED],
+              [u for u in units if u[1] not in _CERTIFIED])
     return [shard for shard in shards if shard] or [units]
 
 
-def _run_units(units):
-    """Run the units in order up to the first that raises.  Returns the
-    (position, report) pairs and None, or the pairs before the unit that
-    raised and (its position, the exception)."""
-    done = []
+def _share(units):
+    """Split the certificate units into those run whole and those whose
+    subtrees either process may tally.  Returns the units run whole, the
+    (position, check id, n, subtree roots) of each shared unit, and the
+    read end of a pipe that holds one token per subtree in plan order (None
+    if no unit is shared).  The tokens are written before any process
+    reads them, so they must fit in the pipe: a unit whose tokens would not
+    fit is run whole, and so is one whose roots cannot be had.  Then
+    run_check meets the same capacity skip, failed local check above the
+    roots (its image walk) or exception, in plan order."""
+    import select
+
+    whole, shared, data = [], [], bytearray()
+    for pos, check_id, n in units:
+        try:
+            roots = bijections.certificate_roots(_CERTIFIED[check_id], n)
+        except Exception:  # run_check raises or reports it in its turn
+            roots = None
+        if roots is None or len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
+            whole.append((pos, check_id, n))
+            continue
+        for i in range(len(roots)):
+            data += _TOKEN.pack(len(shared), i)
+        shared.append((pos, check_id, n, roots))
+    if not shared:
+        return units, [], None
+    read, write = os.pipe()
+    try:
+        os.write(write, data)  # at most PIPE_BUF bytes: written whole
+    finally:
+        os.close(write)
+    return whole, shared, read
+
+
+def _run_units(units, shared=(), tokens=None):
+    """Run the units in order up to the first that raises.  Then take
+    tokens from the pipe `tokens` until it is empty and tally the subtrees
+    they name, up to the first that raises or that belongs to a unit after
+    one that raised.  Returns the (position, report) pairs, the (shared
+    index, subtree index, tally, ms) tuples, and None or ((position,
+    subtree index), the exception) of what raised."""
+    done, tallies, error = [], [], None
     for pos, check_id, n in units:
         try:
             done.append((pos, run_check(check_id, n)))
         except Exception as exc:
-            return done, (pos, exc)
-    return done, None
+            error = ((pos, 0), exc)
+            break
+    # Every token is in the pipe and no process writes to it any more, so
+    # a read of one token's width returns one whole token, or b"" at the end.
+    while tokens is not None and (token := os.read(tokens, _TOKEN.size)):
+        j, i = _TOKEN.unpack(token)
+        pos, check_id, n, roots = shared[j]
+        if error is not None and pos >= error[0][0]:
+            break
+        t0 = time.perf_counter()
+        try:
+            tally = bijections.subtree_tally(_CERTIFIED[check_id], n, roots[i])
+        except Exception as exc:
+            error = ((pos, i), exc)
+            break
+        tallies.append((j, i, tally, (time.perf_counter() - t0) * 1000))
+    return done, tallies, error
 
 
-def _fork_units(units):
-    """Run the units in a forked child, which inherits every function
-    bound in this process, mutants included.  Returns (pid, read end of
-    the pipe that carries the child's pickled `_run_units` result)."""
+def _certified_report(check_id, n, tallies) -> VerifyReport:
+    """The report of a shared certificate from the (subtree index, tally,
+    ms) of all its subtrees, compared as run_check compares; its time is
+    the sum of the subtrees' times and of what is computed here."""
+    map_id = _CERTIFIED[check_id]
+    found = [tally for _, tally, _ in sorted(tallies, key=lambda t: t[0])]
+    check = REGISTRY[check_id]
+    fns = [lambda n: bijections.certificate(map_id, n, found),
+           *(route.fn for route in check.routes[1:])]
+    return _compare(check, n, fns, sum(ms for _, _, ms in tallies))
+
+
+def _fork_units(units, shared, tokens):
+    """Run the units, then drain the tokens, in a forked child, which
+    inherits every function bound in this process, mutants included.
+    Returns (pid, read end of the pipe that carries the child's pickled
+    `_run_units` result)."""
     import pickle
 
     read, write = os.pipe()
@@ -487,13 +575,13 @@ def _fork_units(units):
     status = 1
     try:
         os.close(read)
-        result = _run_units(units)
+        result = _run_units(units, shared, tokens)
         try:
             data = pickle.dumps(result)
         except Exception:  # the exception of a unit does not pickle
-            done, (pos, exc) = result
-            data = pickle.dumps(
-                (done, (pos, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+            done, tallies, (key, exc) = result
+            data = pickle.dumps((done, tallies, (
+                key, RuntimeError(f"{type(exc).__name__}: {exc}"))))
         with os.fdopen(write, "wb") as fh:
             fh.write(data)
         status = 0
@@ -522,11 +610,13 @@ def run_all(max_n: int | None = None,
     With two or more CPUs and `os.fork`, a forked child runs the checks
     that share statistic tables while this process runs the bijection
     certificates, which check each node of their walks locally and keep no
-    images, so neither process holds much memory.  A rebound
-    `run_check` (a tracer, a test stub) keeps its counters in this
-    process, so then everything runs here, as on one CPU or with other
-    threads running.  When units raise, the exception of the earliest in
-    plan order is raised."""
+    images, so neither process holds much memory.  Both processes tally
+    certificate subtrees, as the module docstring says.  A rebound
+    `run_check` or `bijections.verify_bijection` (a tracer, a test stub)
+    keeps its counters in this process, so then everything (or every
+    certificate) runs here, as on one CPU or with other threads running.
+    When units raise, the exception of the earliest in plan order is
+    raised."""
     import threading
 
     pairs = [(check_id, n) for check_id, ns in plan(max_n, ids) for n in ns]
@@ -539,9 +629,13 @@ def run_all(max_n: int | None = None,
             and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE):
         shards = _shards(units)
     here, *elsewhere = shards
-    children = [_fork_units(shard) for shard in elsewhere]
+    shared, tokens = [], None
+    if (elsewhere and getattr(bijections.verify_bijection, "__code__", None)
+            is _VERIFY_BIJECTION_CODE):
+        here, shared, tokens = _share(here)
+    children = [_fork_units(shard, shared, tokens) for shard in elsewhere]
     try:
-        results = [_run_units(here)]
+        results = [_run_units(here, shared, tokens)]
     except BaseException:  # an interrupt: stop the child too
         import signal
 
@@ -550,8 +644,23 @@ def run_all(max_n: int | None = None,
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
+    finally:
+        if tokens is not None:
+            os.close(tokens)
     results += [_join(*child) for child in children]
-    errors = [error for _, error in results if error is not None]
+    reports = [pair for done, _, _ in results for pair in done]
+    errors = [error for _, _, error in results if error is not None]
+    by_unit = [[] for _ in shared]
+    for _, tallies, _ in results:
+        for j, i, tally, ms in tallies:
+            by_unit[j].append((i, tally, ms))
+    for (pos, check_id, n, roots), tallies in zip(shared, by_unit):
+        if len(tallies) < len(roots):
+            continue  # a process stopped at an error no later in the plan
+        try:
+            reports.append((pos, _certified_report(check_id, n, tallies)))
+        except Exception as exc:
+            errors.append(((pos, 0), exc))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return [rep for _, rep in sorted(pair for done, _ in results for pair in done)]
+    return [rep for _, rep in sorted(reports)]

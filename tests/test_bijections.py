@@ -8,9 +8,7 @@ from combi import bijections, cli, objects
 from combi.bijections import (encode_triple, phi_map, psi_map,
                               verify_bijection)
 from combi.objects import (CapacityError, DecoratedPermutation,
-                           SignedPermutation, generate, parse,
-                           stats_decorated, stats_matching, stats_signed,
-                           walk)
+                           SignedPermutation, generate, parse, stats, walk)
 
 PHI_BASE = {
     "1": "[] [(1,2)] {}",
@@ -119,22 +117,22 @@ def test_maps_reject_invalid_input():
 def test_triple_shapes():
     for w in generate("decorated", 4):
         t = phi_map(w)
-        st = stats_decorated(w)
+        st = stats(w)
         assert t.k == len(t.index_set) == st["hat"]
         assert len(t.first.blocks) == st["hat"]
         assert len(t.second.blocks) == 4 - st["hat"]
         assert t.index_set == frozenset(st["hat_value_set"])
-        assert st["asc"] == (stats_matching(t.first)["el"]
-                             + stats_matching(t.second)["el"])
+        assert st["asc"] == (stats(t.first)["el"]
+                             + stats(t.second)["el"])
 
 
 def test_psi_weights():
     for pi in generate("signed", 4):
         t = psi_map(pi)
-        st = stats_signed(pi)
+        st = stats(pi)
         assert t.index_set == frozenset(abs(v) for v in st["bar_set"])
-        assert st["des_B"] == (stats_matching(t.first)["el"]
-                               + stats_matching(t.second)["ol"])
+        assert st["des_B"] == (stats(t.first)["el"]
+                               + stats(t.second)["ol"])
 
 
 # Slot tables (in_first, marked, p) of prefixes of the worked examples, by
@@ -211,6 +209,13 @@ def test_capacity_guard():
         verify_bijection("phi", 9)
     with pytest.raises(ValueError):
         verify_bijection("nope", 2)
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+@pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+def test_sizes_that_are_not_ints_rejected(map_id, n):
+    with pytest.raises(ValueError, match="^n must be an int, got "):
+        verify_bijection(map_id, n)
 
 
 @pytest.mark.parametrize("map_id,counterexample", [
@@ -314,6 +319,24 @@ def test_forgetful_insertion_caught(monkeypatch, map_id, word):
     monkeypatch.setattr(bijections, "_insert", forgetful)
     assert verify_bijection(map_id, 3) == bijections.BijectionReport(
         3, False, False, False, (word, "[(1,2)(3,4)] [(1,2)] {1,2}"))
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_collision_above_the_cut_caught(monkeypatch, map_id):
+    # the always-straight split, only where 2 is inserted: two siblings
+    # above the subtree roots get one state, so their subtrees give the
+    # same images.  The nodes above the roots are checked locally too, or
+    # the subtrees' tallies would not see the collision.
+    insert = bijections._insert
+
+    def straight_at_2(state, m, slots, index, first, straight):
+        return insert(state, m, slots, index, first, straight or m == 2)
+
+    monkeypatch.setattr(bijections, "_insert", straight_at_2)
+    assert 2 <= bijections.SPLIT_LEVEL < 5
+    assert bijections.certificate_roots(map_id, 5) is None
+    rep = verify_bijection(map_id, 5)
+    assert not rep.injective and not rep.image_complete and rep.weight_preserving
 
 
 @st.composite

@@ -2,6 +2,7 @@ import pytest
 
 from combi.poly import CapacityError, ExactPoly, Q, X, Y
 from combi.series import egf_coefficient
+from combi import objects
 from combi.objects import generate, stats
 from combi import families as F
 
@@ -167,6 +168,17 @@ def test_rlmin_closed_form_empty_word():
     assert F.rlmin_closed_form(0) == 1
 
 
+@pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+def test_sizes_that_are_not_ints_rejected(n):
+    # stat_distribution("permutation", 2.5, ...) used to give 1 + x, and
+    # a_poly(2.5) raised a TypeError from range()
+    for fn in (F.a_poly, F.b_poly, F.q_poly, F.p_poly, F.r_poly, F.c_poly,
+               F.n_poly, F.l_closed, F.q_seq, F.n_row, F.c_row, F.y_poly,
+               lambda n: F.stat_distribution("permutation", n, (("asc", "x"),))):
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            fn(n)
+
+
 def test_triangle_row_range():
     tri = F.n_triangle(3)
     assert tri.row(1) == (0, 1)
@@ -230,10 +242,10 @@ def test_split_distributions():
 def test_joint_table_memoised_and_read_only():
     table = F._joint_table("matching", 3)
     assert F._joint_table("matching", 3) is table
-    assert dict(table) == {(("el", 3), ("ol", 0)): 1, (("el", 2), ("ol", 1)): 10,
-                           (("el", 1), ("ol", 2)): 4}
+    assert objects.INT_STAT_NAMES["matching"] == ("el", "ol")
+    assert dict(table) == {(3, 0): 1, (2, 1): 10, (1, 2): 4}
     with pytest.raises(TypeError):
-        table[(("el", 3), ("ol", 0))] = 2
+        table[(3, 0)] = 2
 
 
 @pytest.mark.parametrize("fn", [F.a_poly, F.q_poly, F.p_poly, F.b_poly,

@@ -12,10 +12,8 @@ from combi.objects import (CycleStirling, DecoratedPermutation,
                            SignedPermutation, StirlingWord, class_count,
                            count_paired_excedance_involutions,
                            double_factorial, encode, generate, parse,
-                           reduce_word, stats_cycle_stirling,
-                           stats_decorated, stats_inversion, stats_matching,
-                           stats, stats_permutation, stats_signed,
-                           stats_stirling, validate)
+                           reduce_word, stats, validate)
+from combi.objects import CLASS_NAMES, INT_STAT_NAMES, class_functions
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +61,18 @@ def test_class_count_rejects_bad_sizes(cls, n, s, message):
     if cls == "invseq":  # generate shares the check and its message
         with pytest.raises(ValueError, match=message):
             generate(cls, n, s)
+
+
+@pytest.mark.parametrize("n", [2.5, True, 2.0, "2"],
+                         ids=["float", "bool", "integral-float", "str"])
+def test_sizes_that_are_not_ints_rejected(n):
+    # a float used to act as its floor and True as 1
+    for cls in CLASS_NAMES:
+        s = (1,) * 2 if cls == "invseq" else None
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            generate(cls, n, s)
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            class_count(cls, n, s)
 
 
 def test_class_count_of_empty_objects():
@@ -210,30 +220,47 @@ def test_validate_rejects_bad_matching():
 # statistics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("cls", CLASS_NAMES)
+def test_stats_is_the_int_schema_plus_the_set_valued_extras(cls):
+    ints = class_functions(cls)[1]
+    names = INT_STAT_NAMES[cls]
+    extras = {"signed": ("bar_set", "nbar_set", "blocks"),
+              "decorated": ("hat_value_set",)}.get(cls, ())
+    for n in range(6):
+        for obj in generate(cls, n, tuple(range(1, n + 1))
+                            if cls == "invseq" else None):
+            values = ints(obj)
+            assert type(values) is tuple
+            assert all(type(v) is int for v in values)
+            st_ = stats(obj)
+            assert list(st_) == [*names, *extras]
+            assert dict(zip(names, values)) == {k: st_[k] for k in names}
+
+
 def test_stats_matching():
-    assert stats_matching(parse("matching", "(1,2)(3,4)")) == {"el": 2, "ol": 0}
-    assert stats_matching(parse("matching", "(1,3)(2,4)")) == {"el": 1, "ol": 1}
-    assert stats_matching(parse("matching", "(1,4)(2,3)")) == {"el": 1, "ol": 1}
+    assert stats(parse("matching", "(1,2)(3,4)")) == {"el": 2, "ol": 0}
+    assert stats(parse("matching", "(1,3)(2,4)")) == {"el": 1, "ol": 1}
+    assert stats(parse("matching", "(1,4)(2,3)")) == {"el": 1, "ol": 1}
     dist = stat_distribution("matching", 2, (("el", "x"),))
     assert dist == 2 * X + X ** 2
 
 
 def test_stats_stirling_examples():
-    assert stats_stirling(StirlingWord((4, 4, 2, 2, 3, 3, 1, 1)))["desi"] == 3
-    assert stats_stirling(StirlingWord((1, 1, 3, 3, 2, 2)))["desi"] == 1
-    st_ = stats_stirling(StirlingWord((2, 2, 1, 1, 3, 3)))
+    assert stats(StirlingWord((4, 4, 2, 2, 3, 3, 1, 1)))["desi"] == 3
+    assert stats(StirlingWord((1, 1, 3, 3, 2, 2)))["desi"] == 1
+    st_ = stats(StirlingWord((2, 2, 1, 1, 3, 3)))
     assert st_["ap"] == 2
     assert st_["desi"] == 2
-    assert stats_stirling(StirlingWord((1, 1, 2, 2)))["descents"] == 1
-    assert stats_stirling(StirlingWord((2, 2, 1, 1)))["descents"] == 2
+    assert stats(StirlingWord((1, 1, 2, 2)))["descents"] == 1
+    assert stats(StirlingWord((2, 2, 1, 1)))["descents"] == 2
 
 
 def test_stats_cycle_stirling_examples():
-    st_ = stats_cycle_stirling(parse("stirling2", "(1 2 2 1)(3 3)"))
+    st_ = stats(parse("stirling2", "(1 2 2 1)(3 3)"))
     assert st_ == {"cplat": 2, "casc": 1, "cap": 1, "cyc": 2, "fix": 1}
-    st2 = stats_cycle_stirling(parse("stirling2", "(1 1)(2 2)"))
+    st2 = stats(parse("stirling2", "(1 1)(2 2)"))
     assert st2["cap"] == 0 and st2["cyc"] == 2 and st2["fix"] == 2
-    assert stats_cycle_stirling(parse("stirling2", "(1 1 3 3)(2 2)"))["fix"] == 1
+    assert stats(parse("stirling2", "(1 1 3 3)(2 2)"))["fix"] == 1
     dist = stat_distribution("stirling2", 2, (("cap", "x"), ("cyc", "q")))
     from combi.poly import Q
     assert dist == Q ** 2 + 2 * Q * X
@@ -241,7 +268,7 @@ def test_stats_cycle_stirling_examples():
 
 def test_stats_signed_worked_example():
     pi = parse("signed", "-3 -1 4 2 -6 7 -5")
-    st_ = stats_signed(pi)
+    st_ = stats(pi)
     assert st_["blocks"] == ((-3, -1), (4, 2), (-6, 7, -5))
     assert st_["bar_set"] == {-6, -5, -3, -1, 7}
     assert st_["bar"] == 5
@@ -252,7 +279,7 @@ def test_stats_signed_worked_example():
 
 def test_stats_signed_identity():
     pi = SignedPermutation(tuple(range(1, 6)))
-    st_ = stats_signed(pi)
+    st_ = stats(pi)
     assert st_["des_B"] == 0 and st_["rlmin"] == 5 and st_["bar"] == 0
     dist = stat_distribution("signed", 2, (("rlmin", "x"),))
     assert dist == 4 * X ** 2 + 4 * X
@@ -260,17 +287,17 @@ def test_stats_signed_identity():
 
 def test_stats_decorated():
     w = parse("decorated", "5hc 3h 1h 4 2")
-    st_ = stats_decorated(w)
+    st_ = stats(w)
     assert st_["hat_value_set"] == {1, 3, 5}
     assert st_["hat"] == 3
     plain = DecoratedPermutation(tuple((v, False, False) for v in range(1, 6)))
-    assert stats_decorated(plain)["asc"] == 5
+    assert stats(plain)["asc"] == 5
     dist = stat_distribution("decorated", 2, (("asc", "x"),))
     assert dist == 4 * X + 4 * X ** 2
 
 
 def test_stats_permutation():
-    st_ = stats_permutation(Permutation((3, 2, 1)))
+    st_ = stats(Permutation((3, 2, 1)))
     assert st_["des_A"] == 2 and st_["exc"] == 1 and st_["anti_exc"] == 1
     dist = stat_distribution("permutation", 3, (("des_A", "x"),))
     assert dist == 1 + 4 * X + X ** 2
@@ -280,9 +307,9 @@ def test_stats_permutation():
 
 
 def test_stats_inversion():
-    assert stats_inversion(InversionSequence((1,), (2,)))["asc"] == 1
-    assert stats_inversion(InversionSequence((0,), (2,)))["asc"] == 0
-    assert stats_inversion(InversionSequence((0, 2), (1, 3)))["asc"] == 1
+    assert stats(InversionSequence((1,), (2,)))["asc"] == 1
+    assert stats(InversionSequence((0,), (2,)))["asc"] == 0
+    assert stats(InversionSequence((0, 2), (1, 3)))["asc"] == 1
     from combi.families import invseq_distribution
     assert invseq_distribution((2,)) == 1 + X
     assert invseq_distribution((1, 3, 5)) == 1 + 10 * X + 4 * X ** 2

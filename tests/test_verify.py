@@ -208,16 +208,16 @@ def test_registered_family_route_caught(monkeypatch, check_id, attr):
 # once in the process must still reach its verdict
 # ---------------------------------------------------------------------------
 
-_STATS_STIRLING = objects.stats_stirling
+_INT_STATS_STIRLING = objects.int_stats_stirling
 _STIRLING2_CHILDREN = objects._stirling2_children
 _DECORATED_CHILDREN = objects._decorated_children
 _WALK = objects.walk
 _SERIES_SQRT = families.series_sqrt
 
 
-def _mutant_stats_stirling(sw):
-    st = _STATS_STIRLING(sw)
-    return {**st, "descents": st["descents"] + 1}
+def _mutant_int_stats_stirling(sw):
+    descents, ap, desi = _INT_STATS_STIRLING(sw)
+    return descents + 1, ap, desi
 
 
 def _mutant_stirling2_children(cycles, m):
@@ -248,7 +248,7 @@ def _mutant_series_sqrt(s):
 
 
 @pytest.mark.parametrize("check_id, module, attr, mutant", [
-    ("C-descents", objects, "stats_stirling", _mutant_stats_stirling),
+    ("C-descents", objects, "int_stats_stirling", _mutant_int_stats_stirling),
     ("Q-recurrence-enum", objects, "_stirling2_children",
      _mutant_stirling2_children),
     ("phi-bijection", objects, "_decorated_children",
@@ -455,3 +455,159 @@ def test_rebound_run_check_runs_in_process(monkeypatch, forks):
     assert not forks
     assert len(calls) == len(reports) == 254
     assert calls == [(cid, n) for cid, ns in verify.plan() for n in ns]
+
+
+# ---------------------------------------------------------------------------
+# certificate subtrees shared between the two processes: one token per
+# subtree, drained by this process at once and by the child after its table
+# checks; the reports must be those of a serial run
+# ---------------------------------------------------------------------------
+
+_SHARED_IDS = ("phi-bijection", "psi-bijection", "M-ol-enum")
+
+
+def test_full_plan_same_on_one_and_two_cpus(monkeypatch, forks):
+    _cpus(monkeypatch, 1)
+    serial = verify.run_all()
+    assert not forks
+    _cpus(monkeypatch, 2)
+    shared = verify.run_all()
+    assert len(forks) == 1
+    assert _strip(shared) == _strip(serial)
+    assert all(r.status == "pass" for r in shared)
+    _no_children_left()
+
+
+def _moved_index(insert):
+    def moved(state, m, *rest):
+        s1, s2, iset = insert(state, m, *rest)
+        if m == 3 and iset >> 3 & 1:
+            iset ^= 1 << 3 | 1
+        return s1, s2, iset
+    return moved
+
+
+def _always_straight(split):
+    def always_straight(blocks, use_marked, p, lo, straight):
+        return split(blocks, use_marked, p, lo, True)
+    return always_straight
+
+
+def _appending(_insort):
+    return lambda blocks, block: blocks.append(block)
+
+
+def _first_weighs_wrong(weighs):
+    # every leaf that ends in 1 is a counterexample, so each subtree has
+    # its own first one and the sum must keep the first in walk order
+    def wrong(word, state):
+        last = word[-1] if word else None
+        return weighs(word, state) and last not in (1, (1, False, False))
+    return wrong
+
+
+@pytest.mark.parametrize("attrs, mutate", [
+    (("_insert",), _moved_index),
+    (("_split_block",), _always_straight),
+    (("insort",), _appending),
+    (("_phi_weighs", "_psi_weighs"), _first_weighs_wrong),
+], ids=["moved-index", "always-straight", "appending-insort", "weights"])
+def test_mutant_certificates_same_on_one_and_two_cpus(monkeypatch, forks,
+                                                      attrs, mutate):
+    from combi import bijections
+    for attr in attrs:
+        monkeypatch.setattr(bijections, attr, mutate(getattr(bijections, attr)))
+    _cpus(monkeypatch, 1)
+    serial = verify.run_all(5, _SHARED_IDS)
+    _cpus(monkeypatch, 2)
+    shared = verify.run_all(5, _SHARED_IDS)
+    assert len(forks) == 1
+    assert _strip(shared) == _strip(serial)
+    failed = {(r.id, r.n) for r in shared if r.status == "fail"}
+    assert {("phi-bijection", 5), ("psi-bijection", 5)} <= failed
+    _no_children_left()
+
+
+def test_rule_mutant_reaches_the_subtrees_the_child_drains(monkeypatch, forks):
+    # This process holds its first subtree below the split until the child
+    # has run the mutant inside a subtree, so the child must take one.
+    from combi import bijections
+    import select
+
+    parent = os.getpid()
+    read, write = os.pipe()
+    insert = bijections._insert
+    tally = bijections.subtree_tally
+    signalled, waited = [], []
+
+    def moved(state, m, *rest):
+        s1, s2, iset = insert(state, m, *rest)
+        if m > bijections.SPLIT_LEVEL and os.getpid() != parent and not signalled:
+            signalled.append(os.write(write, b"x"))
+        if m == 4 and iset >> 4 & 1:
+            iset ^= 1 << 4 | 1
+        return s1, s2, iset
+
+    def holding(map_id, n, root):
+        if os.getpid() == parent and n > bijections.SPLIT_LEVEL and not waited:
+            waited.append(select.select([read], [], [], 60)[0])
+        return tally(map_id, n, root)
+
+    monkeypatch.setattr(bijections, "_insert", moved)
+    _cpus(monkeypatch, 1)
+    serial = verify.run_all(5, _SHARED_IDS)
+    monkeypatch.setattr(bijections, "subtree_tally", holding)
+    _cpus(monkeypatch, 2)
+    try:
+        shared = verify.run_all(5, _SHARED_IDS)
+    finally:
+        os.close(write)
+    try:
+        assert waited == [[read]] and os.read(read, 2) == b"x"
+    finally:
+        os.close(read)
+    assert len(forks) == 1
+    assert _strip(shared) == _strip(serial)
+    failed = {(r.id, r.n) for r in shared if r.status == "fail"}
+    assert failed == {("phi-bijection", 4), ("phi-bijection", 5),
+                      ("psi-bijection", 4), ("psi-bijection", 5)}
+    _no_children_left()
+
+
+@pytest.mark.parametrize("weighs_wrong", [False, True])
+def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
+                                                            weighs_wrong):
+    # the tallies arrive in any order; the report takes the first
+    # counterexample in walk order, and the time of every subtree
+    from combi import bijections
+    if weighs_wrong:
+        monkeypatch.setattr(bijections, "_psi_weighs",
+                            _first_weighs_wrong(bijections._psi_weighs))
+    roots = bijections.certificate_roots("psi", 4)
+    assert len(roots) == 48
+    tallies = [(i, bijections.subtree_tally("psi", 4, root), 1000.0)
+               for i, root in reversed(list(enumerate(roots)))]
+    rep = verify._certified_report("psi-bijection", 4, tallies)
+    assert rep.status == ("fail" if weighs_wrong else "pass")
+    assert 48_000.0 <= rep.runtime_ms < 48_100.0
+    assert _strip([rep]) == _strip([verify.run_check("psi-bijection", 4)])
+
+
+def test_capacity_skip_carries_its_reason(monkeypatch, capsys):
+    from combi.cli import main
+    from combi.poly import CapacityError
+
+    def capped(n):
+        raise CapacityError(f"a_poly capped below n={n}")
+
+    monkeypatch.setattr(families, "a_poly", capped)
+    rep = verify.run_check("A-via-invseq", 2)
+    assert rep.status == "skipped-capacity"
+    assert rep.detail == "a_poly capped below n=2"
+    assert verify.run_check("A-via-invseq", 99).detail is None  # no n there
+    assert verify.run_check("ap-equals-el", 2).detail is None
+    assert main(["verify", "--id", "A-via-invseq", "--max-n", "1",
+                 "--format", "json"]) == 0
+    import json
+    assert [r["detail"] for r in json.loads(capsys.readouterr().out)] == [
+        "a_poly capped below n=0", "a_poly capped below n=1"]

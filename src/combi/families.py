@@ -23,8 +23,9 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_reverse,
-                   poly_sum)
+from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_dot,
+                   poly_reverse, poly_sum)
+from . import series
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
@@ -158,8 +159,8 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
         a_polys = [a_poly(j) for j in range(n)]
         ps = [ONE]
         for m in range(n):
-            ps.append(poly_sum([Q * Y * ps[m]] + [
-                (Q * X * math.comb(m, k) * 2 ** (m - k)) * ps[k] * a_polys[m - k]
+            ps.append(poly_dot([(1, Q * Y, ps[m])] + [
+                (math.comb(m, k) * 2 ** (m - k), Q * X * ps[k], a_polys[m - k])
                 for k in range(m)]))
         return ps[n]
     if route == "series":
@@ -246,13 +247,15 @@ def _memo(key: tuple, build):
 
 def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     """All the package's EGFs at the requested truncation order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    require_size(order, name="order")
     if order > max_order():
         raise CapacityError(
             f"order {order} exceeds cap {max_order()} (raise COMBI_MAX_ORDER)")
+    # the series operations, the convolution step they share, its kernel
+    # and the product, looked up now: a replaced one misses
     key = ("series", order, series_exp, series_sqrt, series_ratio,
-           series_pow_symbolic, series_inverse)
+           series_pow_symbolic, series_inverse, series._binomial_step,
+           series.poly_dot, TruncatedSeries.__mul__)
     return _memo(key, lambda: _build_series_families(order))
 
 

@@ -202,13 +202,13 @@ def class_functions(class_name: str):
     return globals()[tree], globals()[ints]
 
 
-def require_size(n, least: int = 0) -> None:
+def require_size(n, least: int = 0, name: str = "n") -> None:
     """Reject a size that is not an int (a bool or a float is not one) or
-    is below `least`."""
+    is below `least`; `name` names it in the message."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
+        raise ValueError(f"{name} must be an int, got {n!r}")
     if n < least:
-        raise ValueError(f"n must be >= {least}")
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_size(class_name: str, n: int, s):

@@ -16,11 +16,12 @@ a product key k1 + k2 - ZERO_KEY holds e1 + e2 + BIAS, which lies in
 one int addition (the packed-monomial layout of Monagan and Pearce, ISSAC
 2009).  A field is in range iff its bits 14 and 15 differ, so the one test
 (k ^ k >> 1) & _TOP == _TOP checks a whole key.  Every operation that moves
-exponents (`*`, `**`, `diff`, `divexact`, `poly_reverse` and the
-constructor) guards its result keys: an exponent outside [-LIMIT, LIMIT)
-raises CapacityError and never carries silently.  The field test only sees
-a field that went at most 2^15 out of range, so `poly_reverse`, whose
-shift comes from an unbounded n, bounds each new exponent before packing.
+exponents (`poly_dot`, the sum of products behind `*`, and `**`, `diff`,
+`divexact`, `poly_reverse` and the constructor) guards its result keys: an
+exponent outside [-LIMIT, LIMIT) raises CapacityError and never carries
+silently.  The field test only sees a field that went at most 2^15 out of
+range, so `poly_reverse`, whose shift comes from an unbounded n, bounds
+each new exponent before packing.
 
 The public interface speaks 7-tuples: the constructor takes a dict of
 {exponent tuple: coefficient} (anything but a tuple of seven ints as a key
@@ -236,19 +237,7 @@ class ExactPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # the outer loop runs over the factor with fewer terms
-        small, big = self._terms, other._terms
-        if len(small) > len(big):
-            small, big = big, small
-        big_items = tuple(big.items())
-        t: dict[int, Coeff] = {}
-        get = t.get
-        for k1, c1 in small.items():
-            shift = k1 - ZERO_KEY
-            for k2, c2 in big_items:
-                key = shift + k2
-                t[key] = get(key, 0) + c1 * c2
-        return _poly(_checked(t))
+        return poly_dot(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -362,6 +351,27 @@ def poly_sum(polys) -> ExactPoly:
         for key, coeff in p._terms.items():
             t[key] = get(key, 0) + coeff
     return _poly(t)
+
+
+def poly_dot(terms) -> ExactPoly:
+    """The sum of w*p*r over the triples (w, p, r) of terms, w a scalar:
+    every product adds into one term map, with no map per product.  This is
+    the one multiplication kernel; `p * r` is poly_dot(((1, p, r),))."""
+    t: dict[int, Coeff] = {}
+    get = t.get
+    for w, p, r in terms:
+        # the outer loop runs over the factor with fewer terms
+        small, big = p._terms, r._terms
+        if len(small) > len(big):
+            small, big = big, small
+        big_items = tuple(big.items())
+        for k1, c1 in small.items():
+            shift = k1 - ZERO_KEY
+            c1 *= w
+            for k2, c2 in big_items:
+                key = shift + k2
+                t[key] = get(key, 0) + c1 * c2
+    return _poly(_checked(t))
 
 
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:

@@ -1,14 +1,24 @@
-"""Truncated formal power series in z with ExactPoly coefficients.
+"""Truncated exponential generating functions in z with ExactPoly entries.
 
-A series of order N stores the ordinary coefficients of z^0..z^N; all the
-exponential generating functions of the package live here.  Multiplication
-truncates consistently (the coefficient of z^n in a product only reads
-coefficients <= n of the factors), so every operation is exact.
+A series of order N stores the EGF-normalised coefficients n![z^n] of
+z^0..z^N: every generating function of the package is exponential, and its
+n-th entry is then the polynomial the paper names (N_n, A_n, P_n, ...).
+Multiplication truncates consistently (entry n of a product only reads
+entries <= n of the factors), so every operation is exact.
 
-The product, exp, log and ratio share one Cauchy step, `_convolve`, which
-sums the coefficient of z^m of a product in one `poly_sum`.  exp, log and
-ratio are the classical recurrences from F' = f'·F etc. (Knuth, TAOCP
-vol. 2, §4.7), entirely over rational arithmetic.
+In this normalisation the Cauchy product is the binomial convolution
+h_n = sum_k C(n,k) f_k g_{n-k} (Flajolet and Sedgewick, Analytic
+Combinatorics, 2009, II.2), and differentiation is a shift, F'_n = F_{n+1}.
+The product, exp, log and ratio share that one step, `_binomial_step`, and
+exp, log and ratio are the classical recurrences from F' = f'·F, f·L' = f'
+and d·R = f (Knuth, TAOCP vol. 2, §4.7) with no division by n.  So the
+product, exp and log of series with integer entries have integer entries;
+only a ratio (which divides by the constant term) or a square root (which
+halves a logarithm) can leave a fraction.
+
+The public surface still speaks ordinary coefficients: the constructor
+takes the coefficients of z^0..z^N, and `coeffs` and `render()` give them
+back.  Those convert at the boundary; `egf_coefficient` reads an entry.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import math
 import os
 from fractions import Fraction
 
-from .poly import ExactPoly, divexact, poly_sum
+from .poly import ExactPoly, divexact, poly_dot
 
 DEFAULT_ORDER = 10
 _DEFAULT_MAX_ORDER = 16
@@ -38,10 +48,12 @@ def max_order() -> int:
     return cap
 
 
-def _convolve(a, b, m: int, start: int = 0) -> ExactPoly:
-    """sum a[k] b[m-k] over k = start..m, skipping zero factors."""
-    return poly_sum(a[k] * b[m - k] for k in range(start, m + 1)
-                    if not (a[k].is_zero or b[m - k].is_zero))
+def _binomial_step(a, b, m: int, start: int = 0) -> ExactPoly:
+    """sum C(m,k) a[k] b[m-k] over k = start..m, skipping zero factors:
+    at start 0, entry m of the product of the EGFs a and b."""
+    return poly_dot([(math.comb(m, k), a[k], b[m - k])
+                     for k in range(start, m + 1)
+                     if not (a[k].is_zero or b[m - k].is_zero)])
 
 
 def _as_poly(c) -> ExactPoly:
@@ -50,8 +62,18 @@ def _as_poly(c) -> ExactPoly:
     return ExactPoly.const(c)
 
 
+def _series(egf) -> "TruncatedSeries":
+    """The series whose entries n![z^n] are egf."""
+    s = object.__new__(TruncatedSeries)
+    s._egf = tuple(egf)
+    s.order = len(s._egf) - 1
+    return s
+
+
 class TruncatedSeries:
-    __slots__ = ("order", "coeffs")
+    """Holds _egf[n] = n![z^n]; the constructor takes ordinary coefficients."""
+
+    __slots__ = ("order", "_egf")
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [_as_poly(c) for c in coeffs]
@@ -59,8 +81,14 @@ class TruncatedSeries:
             if len(coeffs) > order + 1:
                 raise ValueError("more coefficients than order allows")
             coeffs += [ExactPoly.zero()] * (order + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs)
-        self.order = len(self.coeffs) - 1
+        self._egf = tuple(c * math.factorial(n) for n, c in enumerate(coeffs))
+        self.order = len(self._egf) - 1
+
+    @property
+    def coeffs(self) -> tuple[ExactPoly, ...]:
+        """The ordinary coefficients of z^0..z^order."""
+        return tuple(e * Fraction(1, math.factorial(n))
+                     for n, e in enumerate(self._egf))
 
     @classmethod
     def const(cls, c, order: int) -> "TruncatedSeries":
@@ -74,10 +102,10 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self._egf == other._egf
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._egf)
 
     def _check_same_order(self, other):
         if self.order != other.order:
@@ -87,12 +115,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.const(other, self.order)
         self._check_same_order(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _series(a + b for a, b in zip(self._egf, other._egf))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs])
+        return _series(-a for a in self._egf)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -105,24 +133,27 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _as_poly(other)
-            return TruncatedSeries([c * other for c in self.coeffs])
+            return _series(c * other for c in self._egf)
         self._check_same_order(other)
-        return TruncatedSeries([_convolve(self.coeffs, other.coeffs, m)
-                                for m in range(self.order + 1)])
+        return _series(_binomial_step(self._egf, other._egf, m)
+                       for m in range(self.order + 1))
 
     __rmul__ = __mul__
 
     def scale_argument(self, c) -> "TruncatedSeries":
         """Substitute z -> c*z for an exact scalar c."""
-        return TruncatedSeries([self.coeffs[i] * (Fraction(c) ** i)
-                                for i in range(self.order + 1)])
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+        return _series(e * c ** i for i, e in enumerate(self._egf))
 
     def subs_num(self, name: str, value) -> "TruncatedSeries":
-        return TruncatedSeries([c.subs_num(name, value) for c in self.coeffs])
+        return _series(c.subs_num(name, value) for c in self._egf)
 
     def render(self, limit: int | None = None) -> str:
         upto = self.order if limit is None else min(limit, self.order)
-        return " ; ".join(f"z^{i}: {self.coeffs[i].render()}" for i in range(upto + 1))
+        coeffs = self.coeffs
+        return " ; ".join(f"z^{i}: {coeffs[i].render()}" for i in range(upto + 1))
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {self.render(3)} ...)"
@@ -130,48 +161,46 @@ class TruncatedSeries:
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant coefficient."""
-    if not s.coeffs[0].is_zero:
+    if not s._egf[0].is_zero:
         raise ValueError("series_exp requires a zero constant term")
-    # m F_m = sum_k k s_k F_{m-k}, from F' = s' F
-    ks = [c * k for k, c in enumerate(s.coeffs)]
+    # F' = s' F: F_m = sum_k C(m-1,k-1) s_k F_{m-k}, k = 1..m
+    ds = s._egf[1:]
     out = [ExactPoly.one()]
     for m in range(1, s.order + 1):
-        out.append(_convolve(ks, out, m, 1) * Fraction(1, m))
-    return TruncatedSeries(out)
+        out.append(_binomial_step(ds, out, m - 1))
+    return _series(out)
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
     """log of a series with constant coefficient 1."""
-    if s.coeffs[0] != ExactPoly.one():
+    if s._egf[0] != ExactPoly.one():
         raise ValueError("series_log requires constant term 1")
-    # kl[k] = k [z^k] log s; s' = s (log s)' gives kl[m] = m s_m minus the
-    # sum of s_j kl[m-j] over j = 1..m (the j = m term is s_m kl[0] = 0)
-    kl = [ExactPoly.zero()]
+    # s L' = s': L_m = s_m - sum_k C(m-1,k-1) L_k s_{m-k}, k = 1..m-1,
+    # read off the shifted dl[j] = L_{j+1}
+    dl = []
     for m in range(1, s.order + 1):
-        kl.append(s.coeffs[m] * m - _convolve(s.coeffs, kl, m, 1))
-    return TruncatedSeries([c * Fraction(1, k) if k else c
-                            for k, c in enumerate(kl)])
+        dl.append(s._egf[m] - _binomial_step(s._egf, dl, m - 1, 1))
+    return _series([ExactPoly.zero()] + dl)
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
     """Square root (constant term must be 1); result squared reproduces s."""
-    if s.coeffs[0] != ExactPoly.one():
+    if s._egf[0] != ExactPoly.one():
         raise ValueError("series_sqrt requires constant term 1")
-    half = TruncatedSeries([c * Fraction(1, 2) for c in series_log(s).coeffs])
-    return series_exp(half)
+    half = Fraction(1, 2)
+    return series_exp(_series(c * half for c in series_log(s)._egf))
 
 
 def series_pow_symbolic(s: TruncatedSeries, exponent_var: str) -> TruncatedSeries:
     """s raised to a fresh symbolic exponent: exp(exponent_var * log s)."""
-    if s.coeffs[0] != ExactPoly.one():
+    if s._egf[0] != ExactPoly.one():
         raise ValueError("symbolic power requires constant term 1")
-    for c in s.coeffs:
+    for c in s._egf:
         if exponent_var in c.variables():
             raise ValueError(f"exponent variable {exponent_var} already occurs "
                              "in the series coefficients")
     v = ExactPoly.var(exponent_var)
-    scaled = TruncatedSeries([c * v for c in series_log(s).coeffs])
-    return series_exp(scaled)
+    return series_exp(_series(c * v for c in series_log(s)._egf))
 
 
 def series_ratio(num, den: TruncatedSeries) -> TruncatedSeries:
@@ -182,19 +211,20 @@ def series_ratio(num, den: TruncatedSeries) -> TruncatedSeries:
     coefficient, which must be a monomial or univariate polynomial.
     """
     if isinstance(num, TruncatedSeries):
-        num_coeffs = num.coeffs
+        num_egf = num._egf
         if num.order != den.order:
             raise ValueError("series orders differ")
     else:
-        num_coeffs = (_as_poly(num),) + (ExactPoly.zero(),) * den.order
-    d0 = den.coeffs[0]
+        num_egf = (_as_poly(num),) + (ExactPoly.zero(),) * den.order
+    d0 = den._egf[0]
     if d0.is_zero:
         raise ZeroDivisionError("denominator has zero constant coefficient")
-    out = [divexact(num_coeffs[0], d0)]
+    # den R = num: R_m = (num_m - sum_k C(m,k) den_k R_{m-k}) / den_0, k = 1..m
+    out = [divexact(num_egf[0], d0)]
     for m in range(1, den.order + 1):
-        out.append(divexact(num_coeffs[m] - _convolve(den.coeffs, out, m, 1),
+        out.append(divexact(num_egf[m] - _binomial_step(den._egf, out, m, 1),
                             d0))
-    return TruncatedSeries(out)
+    return _series(out)
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -202,7 +232,7 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def egf_coefficient(s: TruncatedSeries, n: int) -> ExactPoly:
-    """n! times the ordinary coefficient of z^n."""
+    """n! times the ordinary coefficient of z^n: entry n of the series."""
     if not 0 <= n <= s.order:
         raise ValueError(f"coefficient index {n} outside [0, {s.order}]")
-    return s.coeffs[n] * math.factorial(n)
+    return s._egf[n]

@@ -210,6 +210,25 @@ def test_series_families():
     assert s["S"] * s["S"] == s["d"].scale_argument(2)
 
 
+def test_series_families_entries_are_integer_polynomials(monkeypatch):
+    # every n![z^n] of the order-16 build is an integer polynomial: the
+    # EGF-normalised steps keep the build's sums and products on ints
+    monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
+    for name, s in F.series_families(16).items():
+        for n in range(17):
+            entry = egf_coefficient(s, n)
+            assert isinstance(entry, ExactPoly)
+            assert all(type(c) is int for _, c in entry.items()), (name, n)
+
+
+@pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
+def test_series_order_that_is_not_an_int_rejected(order):
+    # True used to hit the memoised order-1 families, 2.5 a raw TypeError
+    F.series_families(1)
+    with pytest.raises(ValueError, match="^order must be an int, got "):
+        F.series_families(order)
+
+
 def test_series_capacity():
     with pytest.raises(CapacityError):
         F.series_families(99)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,78 @@ def test_series_operations_match_sympy(order, data):
     assert series_sqrt(u) == from_ring(rs.rs_nth_root(r_u, 2, z, prec))
     assert series_ratio(a, d) == from_ring(
         rs.rs_mul(r_a, rs.rs_series_inversion(r_d, z, prec), z, prec))
+
+
+# ---------------------------------------------------------------------------
+# naive oracle: the ordinary coefficients of z^0..z^N as Fractions, with
+# the textbook Cauchy-product recurrences and a division by m at every step
+# ---------------------------------------------------------------------------
+
+def _ref_mul(a, b):
+    return [sum((a[k] * b[m - k] for k in range(m + 1)), Fraction(0))
+            for m in range(len(a))]
+
+
+def _ref_exp(s):
+    # m F_m = sum_k k s_k F_{m-k}, from F' = s' F
+    f = [Fraction(1)]
+    for m in range(1, len(s)):
+        f.append(sum((k * s[k] * f[m - k] for k in range(1, m + 1)),
+                     Fraction(0)) / m)
+    return f
+
+
+def _ref_log(s):
+    # m L_m = m s_m - sum_k k L_k s_{m-k}, from s L' = s'
+    log = [Fraction(0)]
+    for m in range(1, len(s)):
+        log.append(s[m] - sum((k * log[k] * s[m - k] for k in range(1, m)),
+                              Fraction(0)) / m)
+    return log
+
+
+def _ref_ratio(a, d):
+    r = []
+    for m in range(len(a)):
+        r.append((a[m] - sum((d[k] * r[m - k] for k in range(1, m + 1)),
+                             Fraction(0))) / d[0])
+    return r
+
+
+def _ref_sqrt(s):
+    # g^2 = s with g_0 = 1: 2 g_m = s_m - sum_k g_k g_{m-k}, k = 1..m-1
+    g = [Fraction(1)]
+    for m in range(1, len(s)):
+        g.append((s[m] - sum((g[k] * g[m - k] for k in range(1, m)),
+                             Fraction(0))) / 2)
+    return g
+
+
+_FRACTION = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _as_series(ordinary):
+    return TruncatedSeries(ordinary, len(ordinary) - 1)
+
+
+def _check(series, ordinary):
+    assert series.coeffs == tuple(map(ExactPoly.const, ordinary))
+    for n, c in enumerate(ordinary):
+        assert egf_coefficient(series, n) == c * math.factorial(n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 8), st.data())
+def test_series_operations_match_naive_cauchy_reference(order, data):
+    def draw(first):
+        return [Fraction(first)] + data.draw(
+            st.lists(_FRACTION, min_size=order, max_size=order))
+
+    a, b = draw(data.draw(_FRACTION)), draw(data.draw(_FRACTION))
+    e, u = draw(0), draw(1)
+    d = draw(data.draw(_FRACTION.filter(bool)))
+    _check(_as_series(a) * _as_series(b), _ref_mul(a, b))
+    _check(series_exp(_as_series(e)), _ref_exp(e))
+    _check(series_log(_as_series(u)), _ref_log(u))
+    _check(series_ratio(_as_series(a), _as_series(d)), _ref_ratio(a, d))
+    _check(series_sqrt(_as_series(u)), _ref_sqrt(u))

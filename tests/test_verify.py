@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from combi import families, objects, verify
+from combi import families, objects, series, verify
 from combi.poly import ExactPoly, X
 
 EXPECTED_IDS = [
@@ -266,6 +266,41 @@ def test_mutant_after_warm_up_caught(monkeypatch, check_id, module, attr,
     assert verify.run_check(check_id, 3).status == "pass"
     monkeypatch.setattr(module, attr, mutant)
     assert verify.run_check(check_id, 3).status == "fail"
+
+
+_POLY_DOT = series.poly_dot
+_SERIES_MUL = series.TruncatedSeries.__mul__
+
+
+def _mutant_binomial_step(a, b, m, start=0):
+    """The plain Cauchy step: the binomial weights of the EGF entries
+    dropped."""
+    return _POLY_DOT([(1, a[k], b[m - k]) for k in range(start, m + 1)])
+
+
+def _mutant_poly_dot(terms):
+    """Every weight read as 1."""
+    return _POLY_DOT([(1, p, r) for _, p, r in terms])
+
+
+def _mutant_series_mul(self, other):
+    """Doubles every product."""
+    return _SERIES_MUL(_SERIES_MUL(self, other), 2)
+
+
+@pytest.mark.parametrize("module, attr, mutant", [
+    (series, "_binomial_step", _mutant_binomial_step),
+    (series, "poly_dot", _mutant_poly_dot),
+    (series.TruncatedSeries, "__mul__", _mutant_series_mul),
+], ids=["_binomial_step", "poly_dot", "__mul__"])
+def test_series_kernel_mutant_after_warm_up_caught(monkeypatch, module, attr,
+                                                   mutant):
+    # the EGFs are memoised per order, and the public series functions
+    # call the kernel by name, so the memo key must hold the kernel too
+    families.series_families(12)
+    assert verify.run_check("qn-egf", 4).status == "pass"
+    monkeypatch.setattr(module, attr, mutant)
+    assert verify.run_check("qn-egf", 4).status == "fail"
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,25 @@ are taken at face value from their defining relations:
     C(n,k)   = k C(n-1,k) + (2n-k) C(n-1,k-1)          C(1,1) = 1
     <n,k>    = (k+1)<n-1,k> + (n-k)<n-1,k-1>           <0,0> = 1
     A_{n+1}  = (1+nx) A_n + x(1-x) A_n'
+        A_n: (1, 1, {x: 1}), (x, n, {x: -1})
     B_{n+1}  = (1+(2n+1)x) B_n + 2x(1-x) B_n'           B_0 = 1
+        B_n: (1, 1, {x: 2}), (x, 2n+1, {x: -2})
     Q_{n+1}  = (q+2nx) Q_n + 2x(1-x) dQ_n/dx
+        Q_n: (q, 1, {}), (1, 0, {x: 2}), (x, 2n, {x: -2})
     P_{n+1}  = (2nx+qy) P_n + 2x(1-x) dP_n/dx + 2x(1-y) dP_n/dy
+        P_n: (x, 2n, {x: -2, y: -2}), (1, 0, {x: 2}), (qy, 1, {}),
+             (x/y, 0, {y: 2})
     R_{n+1}  = 2nx R_n + 2x(1-x) dR_n/dx + 2nxq R_{n-1}
+        R_n: (1, 0, {x: 2}), (x, 2n, {x: -2});  R_{n-1}: (xq, 2n, {})
     q_{n+1}  = 2n (q_n + q_{n-1})
+
+The line under each polynomial recurrence is its step as operator data
+for `poly.poly_apply`, the one kernel all five run through: a group
+(shift, constant, weights) sends the term c*m to
+(constant + sum_v weights[v] * e_v(m)) * c*m*shift.  So x(1-x) d/dx is
+the groups (1, 0, {x: 1}) and (x, 0, {x: -1}), and the terms of a
+recurrence that share a shift share one group.  `grammar.derive` and the
+convolution and series routes do not use the kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +37,8 @@ from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_dot,
-                   poly_reverse, poly_sum)
+from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_apply,
+                   poly_dot, poly_reverse, poly_sum)
 from . import series
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
@@ -128,7 +142,8 @@ def a_poly(n: int) -> ExactPoly:
     require_size(n)
     p = ONE
     for m in range(n):
-        p = (1 + m * X) * p + X * (1 - X) * p.diff("x")
+        step = (({}, 1, {"x": 1}), ({"x": 1}, m, {"x": -1}))
+        p = poly_apply(((step, p),))
     return p
 
 
@@ -136,7 +151,9 @@ def q_poly(n: int, with_q: bool = True) -> ExactPoly:
     require_size(n)
     p = ONE
     for m in range(n):
-        p = (Q + 2 * m * X) * p + 2 * X * (1 - X) * p.diff("x")
+        step = (({"q": 1}, 1, {}), ({}, 0, {"x": 2}),
+                ({"x": 1}, 2 * m, {"x": -2}))
+        p = poly_apply(((step, p),))
     return p if with_q else p.subs_num("q", 1)
 
 
@@ -152,8 +169,9 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
     if route == "recurrence":
         p = ONE
         for m in range(n):
-            p = ((2 * m * X + Q * Y) * p + 2 * X * (1 - X) * p.diff("x")
-                 + 2 * X * (1 - Y) * p.diff("y"))
+            step = (({"x": 1}, 2 * m, {"x": -2, "y": -2}), ({}, 0, {"x": 2}),
+                    ({"q": 1, "y": 1}, 1, {}), ({"x": 1, "y": -1}, 0, {"y": 2}))
+            p = poly_apply(((step, p),))
         return p
     if route == "convolution":
         a_polys = [a_poly(j) for j in range(n)]
@@ -183,8 +201,9 @@ def r_poly(n: int, with_q: bool = True) -> ExactPoly:
     else:
         prev, cur = ExactPoly.zero(), 2 * Q * X
         for m in range(2, n):
-            prev, cur = cur, (2 * m * X * cur + 2 * X * (1 - X) * cur.diff("x")
-                              + 2 * m * X * Q * prev)
+            step = (({}, 0, {"x": 2}), ({"x": 1}, 2 * m, {"x": -2}))
+            back = (({"x": 1, "q": 1}, 2 * m, {}),)
+            prev, cur = cur, poly_apply(((step, cur), (back, prev)))
         p = cur
     return p if with_q else p.subs_num("q", 1)
 
@@ -347,7 +366,8 @@ def b_poly(n: int, route: str = "recurrence") -> ExactPoly:
     if route == "recurrence":
         p = ONE
         for m in range(n):
-            p = (1 + (2 * m + 1) * X) * p + 2 * X * (1 - X) * p.diff("x")
+            step = (({}, 1, {"x": 2}), ({"x": 1}, 2 * m + 1, {"x": -2}))
+            p = poly_apply(((step, p),))
         return p
     if route == "invseq":
         if n > 8:

@@ -16,12 +16,13 @@ a product key k1 + k2 - ZERO_KEY holds e1 + e2 + BIAS, which lies in
 one int addition (the packed-monomial layout of Monagan and Pearce, ISSAC
 2009).  A field is in range iff its bits 14 and 15 differ, so the one test
 (k ^ k >> 1) & _TOP == _TOP checks a whole key.  Every operation that moves
-exponents (`poly_dot`, the sum of products behind `*`, and `**`, `diff`,
-`divexact`, `poly_reverse` and the constructor) guards its result keys: an
-exponent outside [-LIMIT, LIMIT) raises CapacityError and never carries
-silently.  The field test only sees a field that went at most 2^15 out of
-range, so `poly_reverse`, whose shift comes from an unbounded n, bounds
-each new exponent before packing.
+exponents (`poly_dot`, the sum of products behind `*`; `poly_apply`, the
+linear-operator kernel that takes each recurrence step in one pass; `**`,
+`diff`, `divexact`, `poly_reverse` and the constructor) guards its result
+keys: an exponent outside [-LIMIT, LIMIT) raises CapacityError and never
+carries silently.  The field test only sees a field that went at most 2^15
+out of range, so `poly_reverse`, whose shift comes from an unbounded n,
+bounds each new exponent before packing.
 
 The public interface speaks 7-tuples: the constructor takes a dict of
 {exponent tuple: coefficient} (anything but a tuple of seven ints as a key
@@ -81,6 +82,14 @@ def _pack(exp) -> int:
             raise _out_of_range(exp)
         key |= (e + BIAS) << s
     return key
+
+
+def _monomial_key(exps: dict[str, int]) -> int:
+    """The packed key of the monomial prod v^exps[v]."""
+    e = [0] * NVARS
+    for name, k in exps.items():
+        e[VAR_INDEX[name]] = k
+    return _pack(tuple(e))
 
 
 def _unpack(key: int) -> tuple[int, ...]:
@@ -147,10 +156,7 @@ class ExactPoly:
 
     @classmethod
     def monomial(cls, coeff: Coeff, exps: dict[str, int]) -> "ExactPoly":
-        e = [0] * NVARS
-        for name, k in exps.items():
-            e[VAR_INDEX[name]] = k
-        return _poly({_pack(tuple(e)): coeff})
+        return _poly({_monomial_key(exps): coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -374,6 +380,49 @@ def poly_dot(terms) -> ExactPoly:
     return _poly(_checked(t))
 
 
+def poly_apply(terms) -> ExactPoly:
+    """The sum of op(p) over the pairs (op, p) of terms, every image term
+    added into one term map.  This is the one linear-operator kernel; the
+    A, B, Q, P and R recurrences are each one operator (see `families`).
+
+    An operator is a tuple of groups (shift, constant, weights): shift maps
+    letters to exponents, weights maps letters to scalars.  A group sends
+    the term c*m, m a monomial with exponents e_v, to
+
+        (constant + sum_v weights[v] * e_v) * c * m * shift,
+
+    so a scalar times a monomial is (monomial, scalar, {}) and a monomial
+    times d/dv is (monomial / v, 0, {v: 1}).  Groups that share a shift
+    add their constants and weights: x*(1 - x) d/dx is the two groups
+    ({}, 0, {"x": 1}) and ({"x": 1}, 0, {"x": -1})."""
+    t: dict[int, Coeff] = {}
+    get = t.get
+    for op, p in terms:
+        items = p._terms.items()
+        for shift, const, weights in op:
+            delta = _monomial_key(shift) - ZERO_KEY
+            fields = [(_SHIFT[VAR_INDEX[v]], w) for v, w in weights.items() if w]
+            # a field holds e_v + BIAS, so the bias comes off the constant
+            const -= BIAS * sum(w for _, w in fields)
+            if len(fields) <= 1:
+                # the common case: one multiply-add per term
+                s, w = fields[0] if fields else (0, 0)
+                for key, c in items:
+                    f = const + w * (key >> s & _MASK)
+                    if f:
+                        k = key + delta
+                        t[k] = get(k, 0) + f * c
+            else:
+                for key, c in items:
+                    f = const
+                    for s, w in fields:
+                        f += w * (key >> s & _MASK)
+                    if f:
+                        k = key + delta
+                        t[k] = get(k, 0) + f * c
+    return _poly(_checked(t))
+
+
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
     """x^n * p(1/x) for a univariate p with exponent support inside [0, n]."""
     if n < 0:
@@ -434,8 +483,10 @@ def divexact(p: ExactPoly, d: ExactPoly) -> ExactPoly:
         head = {key: c for key, c in rem.items()
                 if (key >> s) & _MASK == top + BIAS}
         for key, c in head.items():
-            qc = _norm_coeff(Fraction(c, 1) / lead if not isinstance(c, Fraction)
-                             else c / lead)
+            if type(c) is int and type(lead) is int and c % lead == 0:
+                qc = c // lead  # an int quotient stays an int
+            else:
+                qc = _norm_coeff(Fraction(c) / lead)
             qkey = key - (ddeg << s)
             quo[qkey] = quo.get(qkey, 0) + qc
             for k, dc in enumerate(dcoeffs):

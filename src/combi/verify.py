@@ -338,7 +338,9 @@ CHECKS: tuple[IdentityCheck, ...] = (
         (Route("recurrence", "y-coefficients of P_n",
                lambda n: _coefficients(families.p_poly(n), "y", n)),
          Route("closed-form", "C(n,k) q^k R_{n-k} by k",
-               lambda n: tuple(families.r_nk_poly(n, k) for k in range(n + 1))))),
+               lambda n: tuple(families.r_nk_poly(n, k) for k in range(n + 1))),
+         Route("series", "y-coefficients of the P egf", lambda n: _coefficients(
+             egf_coefficient(families.series_families(8)["P"], n), "y", n)))),
     IdentityCheck(
         "qn-egf", "fixed-point-free counts match e^(-z)/sqrt(1-2z)", range(0, 13),
         (Route("recurrence", "recurrence",

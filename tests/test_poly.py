@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combi import families
 from combi.poly import (LIMIT, NVARS, VARS, ZERO_EXP, CapacityError,
-                        ExactPoly, X, Y, Q, divexact, poly_reverse, poly_sum)
+                        ExactPoly, X, Y, Q, divexact, poly_apply, poly_reverse,
+                        poly_sum)
 
 
 def rand_poly(rng, nvars=3, max_terms=4, lo=0):
@@ -124,6 +126,19 @@ def test_divexact():
         divexact(X, ExactPoly.zero())
 
 
+def test_divexact_quotient_types():
+    # a lead that divides every quotient coefficient keeps ints ints
+    q = divexact(6 * X ** 2 - 6, 2 * X - 2)
+    assert q == 3 * X + 3
+    assert all(type(c) is int for _, c in q.items())
+    # a lead that does not divides into a Fraction
+    q = divexact(3 * X + 3, 2 * X + 2)
+    assert q.const_value() == Fraction(3, 2)
+    assert type(q.const_value()) is Fraction
+    with pytest.raises(ValueError):
+        divexact(3 * X + 4, 2 * X + 2)
+
+
 def test_render_canonical():
     assert (1 + 4 * X + X ** 2).render() == "1 + 4*x + x^2"
     assert (4 * X + 10 * X ** 2 + X ** 3).render() == "4*x + 10*x^2 + x^3"
@@ -209,6 +224,81 @@ def test_univariate_division_matches_sympy(a, name, low, lead):
 
 def _typed_terms(p):
     return {e: (c, type(c)) for e, c in p.items()}
+
+
+# ---------------------------------------------------------------------------
+# the linear-operator kernel against the expression it abbreviates
+# ---------------------------------------------------------------------------
+
+_LETTERS = st.sampled_from(_NAMES)
+_GROUP = st.tuples(st.dictionaries(_LETTERS, st.integers(-2, 2), max_size=3),
+                   _COEFF, st.dictionaries(_LETTERS, _COEFF, max_size=3))
+_OPERATOR = st.lists(_GROUP, max_size=4).map(tuple)
+
+
+def _explicit(op, p):
+    """op(p) from products and diff: each group is shift * (constant * p +
+    sum_v weight_v * v * dp/dv)."""
+    return poly_sum(ExactPoly.monomial(1, shift) * (const * p + poly_sum(
+        w * ExactPoly.var(v) * p.diff(v) for v, w in weights.items()))
+        for shift, const, weights in op)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(_OPERATOR, _POLY), max_size=3))
+def test_poly_apply_is_the_explicit_expression(terms):
+    expected = poly_sum(_explicit(op, p) for op, p in terms)
+    # the same terms, each coefficient stored as the same type
+    assert _typed_terms(poly_apply(terms)) == _typed_terms(expected)
+
+
+def test_poly_apply_example():
+    # A_3 = (1 + 2x) A_2 + x(1 - x) A_2' with A_2 = 1 + x
+    step = (({}, 1, {"x": 1}), ({"x": 1}, 2, {"x": -1}))
+    assert poly_apply(((step, 1 + X),)) == 1 + 4 * X + X ** 2
+    assert poly_apply([]).is_zero
+    assert poly_apply(((step, ExactPoly.zero()),)).is_zero
+
+
+def test_poly_apply_keeps_ints():
+    p = families.p_poly(7)
+    step = (({"x": 1}, 12, {"x": -2, "y": -2}), ({}, 0, {"x": 2}),
+            ({"q": 1, "y": 1}, 1, {}), ({"x": 1, "y": -1}, 0, {"y": 2}))
+    assert all(type(c) is int for _, c in poly_apply(((step, p),)).items())
+    halve = (({}, Fraction(1, 2), {}),)
+    half = poly_apply(((halve, p),))
+    assert any(type(c) is Fraction for _, c in half.items())
+    assert all(type(c) is int for _, c in (2 * half).items())
+
+
+def test_poly_apply_exponent_guard():
+    raise_x = (({"x": 1}, 1, {}),)
+    assert poly_apply(((raise_x, X ** (LIMIT - 2)),)) == X ** (LIMIT - 1)
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        poly_apply(((raise_x, X ** (LIMIT - 1)),))
+    d_dx = (({"x": -1}, 0, {"x": 1}),)
+    bottom = ExactPoly.monomial(1, {"x": -LIMIT})
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        poly_apply(((d_dx, bottom),))
+    # a term the group sends to 0 leaves no key to guard
+    assert poly_apply(((d_dx, ExactPoly.monomial(1, {"y": -LIMIT})),)).is_zero
+    raise_d_too_far = (({"d": LIMIT}, 1, {}),)
+    with pytest.raises(CapacityError, match=str(LIMIT)):
+        poly_apply(((raise_d_too_far, ExactPoly.one()),))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_p_and_r_steps_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x, y, q = sympy.symbols("x y q")
+    p = _sympy(sympy, families.p_poly(n))
+    _agree(sympy, families.p_poly(n + 1),
+           (2 * n * x + q * y) * p + 2 * x * (1 - x) * sympy.diff(p, x)
+           + 2 * x * (1 - y) * sympy.diff(p, y))
+    r, r_prev = (_sympy(sympy, families.r_poly(k)) for k in (n, n - 1))
+    _agree(sympy, families.r_poly(n + 1),
+           2 * n * x * r + 2 * x * (1 - x) * sympy.diff(r, x)
+           + 2 * n * x * q * r_prev)
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import sys
 import threading
 
 import pytest
@@ -201,6 +202,56 @@ def test_registered_family_route_caught(monkeypatch, check_id, attr):
     original = getattr(families, attr)
     monkeypatch.setattr(families, attr, lambda n: original(n) + X ** (n + 1))
     assert verify.run_check(check_id, 3).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the recurrence kernel: a check that computes a side with poly.poly_apply
+# keeps a side that does not, so a wrong kernel cannot agree with itself
+# ---------------------------------------------------------------------------
+
+# property checks, each comparing one r_poly with its own transform
+KERNEL_ONLY = {"R-palindromic", "R-real-rooted"}
+
+
+class _KernelCalled(Exception):
+    pass
+
+
+def _kernel_free(fn, ns):
+    """True when fn returns at every n in ns, False when it calls the
+    kernel at one of them."""
+    try:
+        for n in ns:
+            fn(n)
+    except _KernelCalled:
+        return False
+    return True
+
+
+def test_kernel_checks_keep_a_route_without_the_kernel(monkeypatch):
+    def raising(terms):
+        raise _KernelCalled
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "combi" and hasattr(module, "poly_apply"):
+            monkeypatch.setattr(module, "poly_apply", raising)
+    monkeypatch.setattr(families, "_MEMO", {})
+    monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
+    kernel_checks = set()
+    for check in verify.CHECKS:
+        # A_0, R_0, R_1 and R_2 take no step, so the smallest n alone may
+        # miss the kernel
+        free = [_kernel_free(route.fn, check.ns[:4]) for route in check.routes]
+        if all(free):
+            continue
+        kernel_checks.add(check.id)
+        if check.id in KERNEL_ONLY:
+            assert not any(free), check.id
+        else:
+            assert any(free), f"{check.id}: every route calls the kernel"
+    assert KERNEL_ONLY <= kernel_checks
+    assert {"A-via-invseq", "B-via-invseq", "Q-gf", "P-three-routes",
+            "R-binomial-shift", "qn-egf"} <= kernel_checks
 
 
 # ---------------------------------------------------------------------------

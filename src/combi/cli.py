@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success (or all checks pass), 1 verification failure (also
-a table-check process lost by `verify --all`), 2 usage error (including
-capacity misuse).  Results go to stdout, diagnostics to stderr.
+a lost table-check process, or a stdout closed early), 2 usage error
+(including capacity misuse).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -278,7 +279,13 @@ def main(argv=None) -> int:
                 "enumerate": _cmd_enumerate, "bijection": _cmd_bijection,
                 "series": _cmd_series, "grammar": _cmd_grammar}
     try:
-        return dispatch[args.command](args)
+        code = dispatch[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader (`| head`) left before the end
+        # quiet the flush at exit, which would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,18 +28,23 @@ for `poly.poly_apply`, the one kernel all five run through: a group
 the groups (1, 0, {x: 1}) and (x, 0, {x: -1}), and the terms of a
 recurrence that share a shift share one group.  `grammar.derive` and the
 convolution and series routes do not use the kernel.
+
+The EGFs and the statistic tables are memoised by their arguments, and
+only while a `memoised()` block is open: `verify.run_check` and
+`verify.run_all` each run in one, so a run builds each once, and a
+function replaced between two runs is the one the next run calls.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_apply,
                    poly_dot, poly_reverse, poly_sum)
-from . import series
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
@@ -253,15 +258,25 @@ def q_seq(n_max: int) -> list[int]:
 # exponential generating functions
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[tuple, object] = {}
+_MEMO: dict[tuple, object] | None = None  # a dict inside memoised()
+
+
+@contextmanager
+def memoised():
+    """The memo of one run (module docstring); inner blocks share it."""
+    global _MEMO
+    outer, _MEMO = _MEMO, {} if _MEMO is None else _MEMO
+    try:
+        yield
+    finally:
+        _MEMO = outer
 
 
 def _memo(key: tuple, build):
-    """build(), memoised per process under key.  A key holds every function
-    its build calls by name, so one replaced after a first call misses."""
-    if key not in _MEMO:
-        _MEMO[key] = build()
-    return _MEMO[key]
+    """build(), memoised under key inside a memoised() block."""
+    if _MEMO is None:
+        return build()
+    return _MEMO[key] if key in _MEMO else _MEMO.setdefault(key, build())
 
 
 def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
@@ -270,12 +285,7 @@ def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     if order > max_order():
         raise CapacityError(
             f"order {order} exceeds cap {max_order()} (raise COMBI_MAX_ORDER)")
-    # the series operations, the convolution step they share, its kernel
-    # and the product, looked up now: a replaced one misses
-    key = ("series", order, series_exp, series_sqrt, series_ratio,
-           series_pow_symbolic, series_inverse, series._binomial_step,
-           series.poly_dot, TruncatedSeries.__mul__)
-    return _memo(key, lambda: _build_series_families(order))
+    return _memo(("series", order), lambda: _build_series_families(order))
 
 
 def _build_series_families(order: int) -> dict[str, TruncatedSeries]:
@@ -328,15 +338,13 @@ def _joint_table(class_name, n, s=None) -> MappingProxyType:
 
     A key is the tuple the class's integer statistic function returns, its
     values named by `objects.INT_STAT_NAMES[class_name]`, so the table
-    builds no dict per object.  The table is memoised, keyed also on every
-    function the walk calls: walker, tree and statistic function.  The
-    size is checked first, since True would hit the memo of n = 1."""
+    builds no dict per object.  The table is memoised inside a run (see
+    the module docstring).  The size is checked first, since True would
+    hit the memo of n = 1."""
     require_size(n)
     s = None if s is None else tuple(s)
-    tree, ints = class_functions(class_name)
-    key = (class_name, n, s, generate, objects.walk, tree, ints)
-    return _memo(key, lambda: MappingProxyType(Counter(
-        map(ints, generate(class_name, n, s)))))
+    return _memo((class_name, n, s), lambda: MappingProxyType(Counter(
+        map(class_functions(class_name)[1], generate(class_name, n, s)))))
 
 
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:

@@ -9,13 +9,12 @@ report names the first route and the first route that disagrees, each
 with its value in canonical text.
 
 `run_all(max_n, ids)` runs the checks in `ids` (all by default) at their
-default n up to `max_n`, the bijection certificates beside the other
-checks on a second process where it can.  Each certificate is a sum of
-tallies over the subtrees at one level of its domain tree
-(`bijections.SPLIT_LEVEL`).  Before the fork, one fixed-width token per
-subtree goes into a pipe.  This process drains the pipe at once, and the
-child drains it once its table checks are done, so the two processes end
-together.  This process then sums each certificate's tallies in subtree
+default n up to `max_n`.  Each bijection certificate is a sum of tallies
+over the subtrees at one level of its domain tree
+(`bijections.SPLIT_LEVEL`), and before anything runs one fixed-width
+token per subtree goes into a pipe.  Each process that runs the plan (one,
+or two where it can fork) drains the pipe after its other units, so two
+end together.  This process sums each certificate's tallies in subtree
 order and compares the result with the other routes as `run_check` does.
 
 Routes look their functions up in `families`, `grammar`, `objects` and
@@ -28,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import time
 from collections import Counter
 from collections.abc import Callable
@@ -417,7 +417,8 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     check = _check(check_id)
     if n < check.min_n or n > check.max_n:
         return VerifyReport(check_id, n, "skipped-capacity")
-    return _compare(check, n, [route.fn for route in check.routes])
+    with families.memoised():
+        return _compare(check, n, [route.fn for route in check.routes])
 
 
 def _compare(check: IdentityCheck, n: int, fns, ms: float = 0.0) -> VerifyReport:
@@ -450,7 +451,7 @@ def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
 
 
 # ---------------------------------------------------------------------------
-# running the plan on two processes
+# running the plan on one process or two
 # ---------------------------------------------------------------------------
 
 _RUN_CHECK_CODE = run_check.__code__
@@ -473,33 +474,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _shards(units):
-    """Split (position, check id, n) units into the bijection certificates
-    and the rest.  A certificate walks its own construction tree and reads
-    no statistic table; every other check stays in one shard, so the
-    (class, n) tables its checks share are each built once."""
-    shards = ([u for u in units if u[1] in _CERTIFIED],
-              [u for u in units if u[1] not in _CERTIFIED])
-    return [shard for shard in shards if shard] or [units]
-
-
 def _share(units):
-    """Split the certificate units into those run whole and those whose
-    subtrees either process may tally.  Returns the units run whole, the
-    (position, check id, n, subtree roots) of each shared unit, and the
-    read end of a pipe that holds one token per subtree in plan order (None
-    if no unit is shared).  The tokens are written before any process
-    reads them, so they must fit in the pipe: a unit whose tokens would not
-    fit is run whole, and so is one whose roots cannot be had.  Then
-    run_check meets the same capacity skip, failed local check above the
-    roots (its image walk) or exception, in plan order."""
+    """Split the units into those run whole and the certificates whose
+    subtrees any process may tally, as (position, check id, n, roots).
+    Returns both and the read end of a pipe that holds one token per
+    subtree in plan order, written before any process reads it.  A
+    certificate whose tokens would not fit in the pipe is run whole, and so
+    is one whose roots cannot be had: then run_check meets the same capacity
+    skip, failed local check above the roots (its image walk) or exception,
+    in plan order."""
     import select
 
     whole, shared, data = [], [], bytearray()
     for pos, check_id, n in units:
-        try:
+        try:  # a KeyError for a unit that is not a certificate
             roots = bijections.certificate_roots(_CERTIFIED[check_id], n)
-        except Exception:  # run_check raises or reports it in its turn
+        except Exception:  # else run_check raises or reports it in its turn
             roots = None
         if roots is None or len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
             whole.append((pos, check_id, n))
@@ -507,8 +497,6 @@ def _share(units):
         for i in range(len(roots)):
             data += _TOKEN.pack(len(shared), i)
         shared.append((pos, check_id, n, roots))
-    if not shared:
-        return units, [], None
     read, write = os.pipe()
     try:
         os.write(write, data)  # at most PIPE_BUF bytes: written whole
@@ -517,7 +505,7 @@ def _share(units):
     return whole, shared, read
 
 
-def _run_units(units, shared=(), tokens=None):
+def _run_units(units, shared, tokens):
     """Run the units in order up to the first that raises.  Then take
     tokens from the pipe `tokens` until it is empty and tally the subtrees
     they name, up to the first that raises or that belongs to a unit after
@@ -609,60 +597,57 @@ def run_all(max_n: int | None = None,
     """Run `plan(max_n, ids)`, by default every check at every default n,
     and return the reports in plan order; `verify --all` and `--id` both do.
 
-    With two or more CPUs and `os.fork`, a forked child runs the checks
-    that share statistic tables while this process runs the bijection
-    certificates, which check each node of their walks locally and keep no
-    images, so neither process holds much memory.  Both processes tally
-    certificate subtrees, as the module docstring says.  A rebound
-    `run_check` or `bijections.verify_bijection` (a tracer, a test stub)
-    keeps its counters in this process, so then everything (or every
-    certificate) runs here, as on one CPU or with other threads running.
-    When units raise, the exception of the earliest in plan order is
+    Every certificate goes into the token pipe unless `run_check` (a
+    tracer) or `bijections.verify_bijection` is rebound: its counters stay
+    in this process, which then runs every unit (or certificate) whole.  A
+    forked child runs the checks that are not certificates and then drains
+    the pipe when a subtree is in it, two or more CPUs are free and no
+    other thread runs; otherwise this process runs every unit in plan order
+    and then drains the pipe.  The earliest exception in plan order is
     raised."""
-    import threading
-
-    pairs = [(check_id, n) for check_id, ns in plan(max_n, ids) for n in ns]
-    units = [(pos, *pair) for pos, pair in enumerate(pairs)]
-    shards = [units]
-    # A forked child holds only the calling thread, and locks other
-    # threads held stay locked in it.
-    if (_cpu_count() > 1 and hasattr(os, "fork")
-            and threading.active_count() == 1
-            and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE):
-        shards = _shards(units)
-    here, *elsewhere = shards
-    shared, tokens = [], None
-    if (elsewhere and getattr(bijections.verify_bijection, "__code__", None)
-            is _VERIFY_BIJECTION_CODE):
-        here, shared, tokens = _share(here)
-    children = [_fork_units(shard, shared, tokens) for shard in elsewhere]
-    try:
-        results = [_run_units(here, shared, tokens)]
-    except BaseException:  # an interrupt: stop the child too
-        import signal
-
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        if tokens is not None:
-            os.close(tokens)
-    results += [_join(*child) for child in children]
-    reports = [pair for done, _, _ in results for pair in done]
-    errors = [error for _, _, error in results if error is not None]
-    by_unit = [[] for _ in shared]
-    for _, tallies, _ in results:
-        for j, i, tally, ms in tallies:
-            by_unit[j].append((i, tally, ms))
-    for (pos, check_id, n, roots), tallies in zip(shared, by_unit):
-        if len(tallies) < len(roots):
-            continue  # a process stopped at an error no later in the plan
+    with families.memoised():
+        units = [(pos, *pair) for pos, pair in enumerate(
+            (check_id, n) for check_id, ns in plan(max_n, ids) for n in ns)]
+        whole, shared, tokens = units, [], None
+        if (hasattr(os, "fork")  # the pipe protocol is POSIX, as fork is
+                and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE
+                and getattr(bijections.verify_bijection, "__code__", None)
+                is _VERIFY_BIJECTION_CODE):
+            whole, shared, tokens = _share(units)
+        child = None
+        # A forked child holds only the calling thread, and locks other
+        # threads held stay locked in it.
+        if shared and _cpu_count() > 1 and threading.active_count() == 1:
+            child = _fork_units([u for u in whole if u[1] not in _CERTIFIED],
+                                shared, tokens)
+            whole = [u for u in whole if u[1] in _CERTIFIED]
         try:
-            reports.append((pos, _certified_report(check_id, n, tallies)))
-        except Exception as exc:
-            errors.append(((pos, 0), exc))
+            results = [_run_units(whole, shared, tokens)]
+        except BaseException:  # an interrupt: stop the child too
+            if child is not None:
+                import signal
+
+                pid, read = child
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        finally:
+            if tokens is not None:
+                os.close(tokens)
+        if child is not None:
+            results.append(_join(*child))
+        reports = [pair for done, _, _ in results for pair in done]
+        errors = [error for _, _, error in results if error is not None]
+        tallies = [tally for _, part, _ in results for tally in part]
+        for j, (pos, check_id, n, roots) in enumerate(shared):
+            mine = [(i, tally, ms) for k, i, tally, ms in tallies if k == j]
+            if len(mine) < len(roots):
+                continue  # a process stopped at an error no later in the plan
+            try:
+                reports.append((pos, _certified_report(check_id, n, mine)))
+            except Exception as exc:
+                errors.append(((pos, 0), exc))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return [rep for _, rep in sorted(reports)]

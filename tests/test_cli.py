@@ -322,6 +322,28 @@ def test_fresh_interpreter(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--class", "permutation", "--n", "7"],
+    ["series", "--id", "P", "--order", "16"],
+], ids=["enumerate", "series"])
+def test_closed_stdout_exits_quietly(argv):
+    # as `combi ... | head -1` once head has gone: the read end is closed
+    # before the command writes, so every write meets a broken pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "combi.cli", *argv],
+                              cwd=ROOT, env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def _readme_commands():
     """The literal `combi ...` lines of the README's CLI block."""
     text = (ROOT / "README.md").read_text()

@@ -259,8 +259,11 @@ def test_split_distributions():
 
 
 def test_joint_table_memoised_and_read_only():
-    table = F._joint_table("matching", 3)
-    assert F._joint_table("matching", 3) is table
+    with F.memoised():
+        table = F._joint_table("matching", 3)
+        with F.memoised():  # an inner block shares the outer memo
+            assert F._joint_table("matching", 3) is table
+    assert F._joint_table("matching", 3) is not table  # the run has ended
     assert objects.INT_STAT_NAMES["matching"] == ("el", "ol")
     assert dict(table) == {(3, 0): 1, (2, 1): 10, (1, 2): 4}
     with pytest.raises(TypeError):

@@ -235,7 +235,6 @@ def test_kernel_checks_keep_a_route_without_the_kernel(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "combi" and hasattr(module, "poly_apply"):
             monkeypatch.setattr(module, "poly_apply", raising)
-    monkeypatch.setattr(families, "_MEMO", {})
     monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
     kernel_checks = set()
     for check in verify.CHECKS:
@@ -255,8 +254,8 @@ def test_kernel_checks_keep_a_route_without_the_kernel(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# enumeration tables are memoised: a mutant planted after a check has run
-# once in the process must still reach its verdict
+# enumeration tables and EGFs are memoised within a run: a mutant planted
+# after a check has run once in the process must still reach its verdict
 # ---------------------------------------------------------------------------
 
 _INT_STATS_STIRLING = objects.int_stats_stirling
@@ -264,6 +263,7 @@ _STIRLING2_CHILDREN = objects._stirling2_children
 _DECORATED_CHILDREN = objects._decorated_children
 _WALK = objects.walk
 _SERIES_SQRT = families.series_sqrt
+_SERIES_LOG = series.series_log
 
 
 def _mutant_int_stats_stirling(sw):
@@ -293,9 +293,14 @@ def _mutant_walk(children, n, root=()):
 
 
 def _mutant_series_sqrt(s):
-    """A fourth root in place of the square root; the EGFs are memoised
-    per order, so the memo key must hold this function."""
+    """A fourth root in place of the square root."""
     return _SERIES_SQRT(_SERIES_SQRT(s))
+
+
+def _mutant_series_log(s):
+    """The logarithm doubled; series_pow_symbolic calls it by name inside
+    the series module, so no key of the EGF memo could name it."""
+    return _SERIES_LOG(s) * 2
 
 
 @pytest.mark.parametrize("check_id, module, attr, mutant", [
@@ -309,9 +314,10 @@ def _mutant_series_sqrt(s):
     ("C-descents", objects, "walk", _mutant_walk),
     ("phi-bijection", objects, "walk", _mutant_walk),
     ("Q-gf", families, "series_sqrt", _mutant_series_sqrt),
+    ("Q-gf", series, "series_log", _mutant_series_log),
 ], ids=["C-descents", "Q-recurrence-enum", "phi-bijection",
         "eq-1-3-refined-k", "C-descents-walk", "phi-bijection-walk",
-        "Q-gf-series_sqrt"])
+        "Q-gf-series_sqrt", "Q-gf-series_log"])
 def test_mutant_after_warm_up_caught(monkeypatch, check_id, module, attr,
                                      mutant):
     assert verify.run_check(check_id, 3).status == "pass"
@@ -346,8 +352,7 @@ def _mutant_series_mul(self, other):
 ], ids=["_binomial_step", "poly_dot", "__mul__"])
 def test_series_kernel_mutant_after_warm_up_caught(monkeypatch, module, attr,
                                                    mutant):
-    # the EGFs are memoised per order, and the public series functions
-    # call the kernel by name, so the memo key must hold the kernel too
+    # the public series functions call the kernel by name
     families.series_families(12)
     assert verify.run_check("qn-egf", 4).status == "pass"
     monkeypatch.setattr(module, attr, mutant)
@@ -355,9 +360,9 @@ def test_series_kernel_mutant_after_warm_up_caught(monkeypatch, module, attr,
 
 
 # ---------------------------------------------------------------------------
-# run_all on two processes: a forked child runs the table checks while this
-# process runs the bijection certificates; each path is forced through the
-# CPU count
+# run_all on one process or two: a forked child runs the table checks while
+# this process runs the bijection certificates; each path is forced through
+# the CPU count
 # ---------------------------------------------------------------------------
 
 def _strip(reports):
@@ -385,15 +390,6 @@ def _cpus(monkeypatch, count):
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_shards_split_bijections_from_tables():
-    units = [(pos, cid, n) for pos, (cid, n) in enumerate(
-        (cid, n) for cid, ns in verify.plan() for n in ns)]
-    walks, tables = verify._shards(units)
-    assert {cid for _, cid, _ in walks} == {"phi-bijection", "psi-bijection"}
-    assert sorted(walks + tables) == units
-    assert verify._shards([]) == [[]]
 
 
 def test_empty_plan_runs_nothing(monkeypatch, forks):
@@ -467,13 +463,20 @@ def test_earliest_unit_error_is_raised(monkeypatch, table_attr, expected):
 
 
 def test_interrupt_stops_the_child(monkeypatch, forks):
+    # this process is interrupted at its first subtree; the child, which
+    # would tally subtrees and run the table checks, must be killed
     from combi import bijections
 
-    def interrupt(map_id, n):
-        raise KeyboardInterrupt
+    parent = os.getpid()
+    tally = bijections.subtree_tally
+
+    def interrupt(map_id, n, root):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return tally(map_id, n, root)
 
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(bijections, "verify_bijection", interrupt)
+    monkeypatch.setattr(bijections, "subtree_tally", interrupt)
     with pytest.raises(KeyboardInterrupt):
         verify.run_all()
     assert len(forks) == 1
@@ -560,6 +563,20 @@ def test_full_plan_same_on_one_and_two_cpus(monkeypatch, forks):
     shared = verify.run_all()
     assert len(forks) == 1
     assert _strip(shared) == _strip(serial)
+    assert all(r.status == "pass" for r in shared)
+    _no_children_left()
+
+
+def test_certificate_alone_uses_both_cpus(monkeypatch, forks):
+    # a plan of one certificate still forks: the child only drains the pipe
+    _cpus(monkeypatch, 1)
+    serial = verify.run_all(5, ("phi-bijection",))
+    assert not forks
+    _cpus(monkeypatch, 2)
+    shared = verify.run_all(5, ("phi-bijection",))
+    assert len(forks) == 1
+    assert _strip(shared) == _strip(serial) == _strip(
+        [verify.run_check("phi-bijection", n) for n in range(1, 6)])
     assert all(r.status == "pass" for r in shared)
     _no_children_left()
 

@@ -116,7 +116,7 @@ def _r_over_x(n):
     return divexact(families.r_poly(n, with_q=False), X)
 
 
-def _sturm_count(n):
+def _real_root_count(n):
     rep = sturm_real_roots(_r_over_x(n))
     return rep.distinct_real_roots, rep.is_squarefree
 
@@ -367,12 +367,13 @@ CHECKS: tuple[IdentityCheck, ...] = (
          Route("closed-form", "x^n R_n(1/x)", lambda n: poly_reverse(
              families.r_poly(n, with_q=False), n)))),
     IdentityCheck(
-        "R-real-rooted", "R_n/x has only simple real zeros (Sturm count)",
+        "R-real-rooted", "R_n/x has only simple real zeros (Descartes count "
+        "once a mod-q test proves it squarefree, else the Sturm chain)",
         range(2, 11),
         (Route("recurrence", "(degree of R_n/x, True)",
                lambda n: (_r_over_x(n).degree("x"), True)),
-         Route("sturm", "(Sturm distinct real roots, squarefree)",
-               _sturm_count))),
+         Route("sturm", "(distinct real roots, squarefree)",
+               _real_root_count))),
     IdentityCheck(
         "h-series-vs-enum", "signed cap sums over fixed-point-free objects "
         "match the secant-root series", range(1, 8),

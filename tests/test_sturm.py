@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combi import families, sturm
+from combi import families, sturm, verify
 from combi.poly import ExactPoly, X, Y, divexact
 from combi.sturm import SturmReport, sturm_real_roots
 
@@ -126,3 +127,102 @@ def test_chain_with_repeated_factors_matches_rational_chain(simple, repeated,
     chain = sturm._chain(coeffs)
     assert chain == _rational_chain(coeffs)
     assert all(type(c) is int for f in chain for c in f)
+
+
+# ---------------------------------------------------------------------------
+# the Descartes count on squarefree inputs against the Sturm chain
+# ---------------------------------------------------------------------------
+
+Q = sturm._Q
+
+
+def _chain_report(p):
+    """The report of the Sturm chain path, whatever the modular test says."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sturm, "_squarefree_mod_q", lambda f: False)
+        return sturm_real_roots(p)
+
+
+def _takes_fast_path(p):
+    return sturm._squarefree_mod_q(sturm._primitive(p.univariate_coeffs("x")))
+
+
+def _is_square(d):
+    return d >= 0 and math.isqrt(d) ** 2 == d
+
+
+_ROOT = st.one_of(st.sampled_from([0, 1, -1]),
+                  st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)))
+# x^2 + b x + c with no rational root, real roots or not
+_QUADRATIC = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
+    lambda bc: not _is_square(bc[0] ** 2 - 4 * bc[1]))
+
+
+@given(st.sets(_ROOT, max_size=6), st.sets(_QUADRATIC, max_size=2),
+       st.none() | _ROOT, st.none() | st.integers(-3, 3), st.booleans(),
+       st.sampled_from([1, -1, 3, Fraction(-2, 7)]))
+def test_descartes_count_equals_chain(roots, quadratics, close, big, big_neg,
+                                      scale):
+    roots = set(roots)
+    if close is not None:  # two roots 2^-20 apart
+        roots |= {close, close + Fraction(1, 2 ** 20)}
+    if big is not None:  # a root of size 2^40
+        roots.add((-1 if big_neg else 1) * (2 ** 40 + big))
+    p = ExactPoly.const(scale)
+    for r in roots:
+        p = p * (X - r)
+    for b, c in quadratics:
+        p = p * (X ** 2 + b * X + c)
+    rep = sturm_real_roots(p)
+    assert rep == _chain_report(p)
+    real = len(roots) + 2 * sum(b * b > 4 * c for b, c in quadratics)
+    assert rep == SturmReport(p.degree("x"), real, True)
+    assert p.degree("x") == 0 or _takes_fast_path(p)
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_r_over_x_counted_without_chain(n, monkeypatch):
+    def no_chain(coeffs):
+        raise AssertionError("Sturm chain on a certified squarefree input")
+
+    monkeypatch.setattr(sturm, "_chain", no_chain)
+    p = divexact(families.r_poly(n, with_q=False), X)
+    assert sturm_real_roots(p) == SturmReport(n - 2, n - 2, True)
+
+
+# the chain over all of n = 3..60 takes about 18 s on a 2-core Xeon with
+# Python 3.11, most of it above n = 40
+@pytest.mark.parametrize("n", [*range(3, 41), 50, 60])
+def test_r_over_x_chain_count(n):
+    p = divexact(families.r_poly(n, with_q=False), X)
+    assert _chain_report(p) == SturmReport(n - 2, n - 2, True)
+
+
+@pytest.mark.parametrize("p, want", [
+    (X ** 2, SturmReport(2, 1, False)),
+    (X ** 4 - X ** 2, SturmReport(4, 3, False)),
+    ((X - 1) ** 3 * (X + 1), SturmReport(4, 2, False)),
+    # squarefree, but its two roots meet mod q
+    ((X - 1) * (X - 1 - Q), SturmReport(2, 2, True)),
+    # squarefree, but q divides the leading coefficient
+    (Q * X ** 2 - 1, SturmReport(2, 2, True)),
+    (Fraction(1, 3) * (Q * X ** 3 + 2 * X), SturmReport(3, 1, True)),
+], ids=["x^2", "x^4-x^2", "(x-1)^3(x+1)", "roots-meet-mod-q",
+        "lead-divisible-by-q", "fraction-lead-divisible-by-q"])
+def test_fallback_to_chain(p, want, monkeypatch):
+    assert not _takes_fast_path(p)
+    assert _chain_report(p) == want
+
+    def no_descartes(f):
+        raise AssertionError("Descartes count on an uncertified input")
+
+    monkeypatch.setattr(sturm, "_positive_roots", no_descartes)
+    assert sturm_real_roots(p) == want
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_off_by_one_positive_count_caught(off, monkeypatch):
+    real = sturm._positive_roots
+    monkeypatch.setattr(sturm, "_positive_roots", lambda f: real(f) + off)
+    for n in range(3, 11):
+        assert verify.run_check("R-real-rooted", n).status == "fail"

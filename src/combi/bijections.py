@@ -55,7 +55,8 @@ the first counterexample is the whole walk's first.  A local check reads
 only a node and its children, so the induction above runs across the cut
 unchanged, and the subtrees may be tallied in any order, in any process:
 `verify.run_all` shares them between its two processes, and
-`verify_bijection` tallies them one after another.
+`verify_bijection` tallies them one after another.  `certificate_roots`
+first calls `objects.require_domain`, so n > 8 is refused before any walk.
 
 A failed local check only means that the rule and `peel` disagree.  The
 walk then runs again and keeps every image in a set, and the images decide:
@@ -75,11 +76,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import objects
-from .objects import (CapacityError, DecoratedPermutation, PerfectMatching,
+from .objects import (DecoratedPermutation, PerfectMatching,
                       SignedPermutation, double_factorial, signed_blocks,
                       validate, encode)
-
-_DOMAIN_CAP = 700_000  # largest 2^n * n! we are willing to enumerate
 
 
 @dataclass(frozen=True)
@@ -422,10 +421,7 @@ def certificate_roots(map_id: str, n: int):
     Every node above them is checked locally; None if one fails."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
-    objects.require_size(n)
-    domain_size = 2 ** n * math.factorial(n)
-    if domain_size > _DOMAIN_CAP:
-        raise CapacityError(f"domain has {domain_size} objects, cap is {_DOMAIN_CAP}")
+    objects.require_domain("decorated" if map_id == "phi" else "signed", n)
     children = _peeled(_domain_tree(map_id)[2])
     level = SPLIT_LEVEL if n > SPLIT_LEVEL else 0
     try:

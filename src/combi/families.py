@@ -29,10 +29,12 @@ the groups (1, 0, {x: 1}) and (x, 0, {x: -1}), and the terms of a
 recurrence that share a shift share one group.  `grammar.derive` and the
 convolution and series routes do not use the kernel.
 
-The EGFs and the statistic tables are memoised by their arguments, and
-only while a `memoised()` block is open: `verify.run_check` and
-`verify.run_all` each run in one, so a run builds each once, and a
-function replaced between two runs is the one the next run calls.
+Every exhaustive route builds one statistic table, refused past
+`objects.ENUM_CAP` objects before the walk.  The EGFs and the tables are
+memoised by their arguments, only while a `memoised()` block is open:
+`verify.run_check` and `verify.run_all` each run in one, so a run builds
+each once, and a function replaced between two runs is the one the next
+run calls.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
                      series_pow_symbolic, series_ratio, series_sqrt)
 from . import objects
-from .objects import class_functions, double_factorial, generate, require_size
+from .objects import class_functions, double_factorial, require_size
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,6 @@ def q_poly(n: int, with_q: bool = True) -> ExactPoly:
 
 
 _P_ROUTES = ("recurrence", "convolution", "series", "enumeration")
-P_ENUM_MAX = 7
 
 
 def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
@@ -190,8 +191,6 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
         if n > max_order():
             raise CapacityError(f"series route needs order {n} > {max_order()}")
         return egf_coefficient(series_families(max(n, DEFAULT_ORDER))["P"], n)
-    if n > P_ENUM_MAX:
-        raise CapacityError(f"enumeration route capped at n={P_ENUM_MAX}")
     return stat_distribution("stirling2", n, (("cap", "x"), ("fix", "y"),
                                               ("cyc", "q")))
 
@@ -334,24 +333,24 @@ def h_values(k_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _joint_table(class_name, n, s=None) -> MappingProxyType:
-    """How many objects of the class have each tuple of integer statistics.
-
-    A key is the tuple the class's integer statistic function returns, its
-    values named by `objects.INT_STAT_NAMES[class_name]`, so the table
-    builds no dict per object.  The table is memoised inside a run (see
-    the module docstring).  The size is checked first, since True would
-    hit the memo of n = 1."""
-    require_size(n)
+    """How many objects of the class have each tuple of integer statistics:
+    a key is what the class's integer statistic function returns, named by
+    `objects.INT_STAT_NAMES[class_name]`, so no dict is built per object.
+    Memoised inside a run (module docstring); `objects.require_domain`
+    checks the size and the cap first (True would hit the memo of n = 1)."""
     s = None if s is None else tuple(s)
-    return _memo((class_name, n, s), lambda: MappingProxyType(Counter(
-        map(class_functions(class_name)[1], generate(class_name, n, s)))))
+    objects.require_domain(class_name, n, s)
+    return _memo((class_name, n, s), lambda: MappingProxyType(Counter(map(
+        class_functions(class_name)[1], objects.generate(class_name, n, s)))))
 
 
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:
     """Sum over the class of prod(var^stat) for the given (stat, var) pairs;
     `where`, given the dict of an object's integer statistics, filters."""
+    names = objects.INT_STAT_NAMES.get(class_name)  # None: refused below
+    if names and not {name for name, _ in pairs} <= set(names):
+        raise ValueError(f"{class_name} statistics are {names}, not {pairs}")
     table = _joint_table(class_name, n, s)
-    names = objects.INT_STAT_NAMES[class_name]
     rows = ((dict(zip(names, key)), count) for key, count in table.items())
     return poly_sum(
         ExactPoly.monomial(count, {var: st[name] for name, var in pairs})
@@ -378,12 +377,8 @@ def b_poly(n: int, route: str = "recurrence") -> ExactPoly:
             p = poly_apply(((step, p),))
         return p
     if route == "invseq":
-        if n > 8:
-            raise CapacityError("inversion-sequence route capped at n=8")
         return invseq_distribution(tuple(2 * i for i in range(1, n + 1)))
     if route == "signed":
-        if n > 6:
-            raise CapacityError("signed-permutation route capped at n=6")
         return stat_distribution("signed", n, (("des_B", "x"),))
     raise ValueError(f"unknown route {route!r}")
 

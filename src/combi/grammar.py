@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .poly import VAR_INDEX, VARS, CapacityError, ExactPoly, divexact, poly_sum
 from . import families
+from .objects import require_size
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ def derive(g: Grammar, expr: ExactPoly, n: int = 1) -> ExactPoly:
     stray = expr.variables() - set(g.rules) - set(g.constants)
     if stray:
         raise ValueError(f"expression uses letters outside the grammar: {stray}")
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
+    require_size(n)
     rules = [(v, g.rules[v]) for v in VARS if v in g.rules]
     for _ in range(n):
         # D is the derivation sum_u D(u) d/du, by the Leibniz and power rules
@@ -120,10 +120,7 @@ def eulerian_encoding(n: int) -> ExactPoly:
 
 def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
     """D^n(a) and the exhaustive cycle-Stirling encoding it should equal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > 8:
-        raise CapacityError(f"cycle-Stirling enumeration capped at n=8, got {n}")
+    require_size(n, 1)
     dist = families.stat_distribution(
         "stirling2", n, (("cap", "x"), ("fix", "y"), ("cyc", "q")))
     return cycle_derivative_polynomial(n), from_xyq(dist, n)
@@ -131,9 +128,8 @@ def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
 
 def lemma2_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
     """D^n(b^2) and 2^n * sum_k <n,k> c^(2k+2) d^(2n-2k)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_size(n, 1)
     if n > 10:
-        raise CapacityError(f"lemma2 check capped at n=10, got {n}")
+        raise CapacityError(f"lemma2 derivatives stop at n=10, got {n}")
     return (derive(EULERIAN_GRAMMAR, ExactPoly.var("b") ** 2, n),
             eulerian_encoding(n))

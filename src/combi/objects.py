@@ -18,6 +18,9 @@ set-valued statistics of signed (`bar_set`, `nbar_set`, `blocks`) and
 decorated permutations (`hat_value_set`), so one function computes every
 integer statistic of a class.  The statistics are read off the finished
 object, never carried along the insertion tree.
+
+Exhaustive routes first call `require_domain`, which raises `CapacityError`
+past `ENUM_CAP` objects of the class at that size.  `generate` is uncapped.
 """
 
 from __future__ import annotations
@@ -223,8 +226,9 @@ def _check_size(class_name: str, n: int, s):
     if s is None:
         raise ValueError("inversion sequences need a bound sequence s")
     s = tuple(s)
-    if len(s) != n or any(si < 1 for si in s):
-        raise ValueError("bound sequence must have length n with entries >= 1")
+    if len(s) != n or not all(type(si) is int and si >= 1 for si in s):
+        raise ValueError("bound sequence must have length n with entries >= 1"
+                         f" that are ints, got {s!r}")
     return s
 
 
@@ -246,6 +250,19 @@ def class_count(class_name: str, n: int, s=None) -> int:
     if class_name in ("matching", "stirling", "stirling2"):
         return double_factorial(n)
     return math.prod(s)
+
+
+# The most objects an exhaustive route may walk: the 2^8 8! inversion
+# sequences of b_poly(8, "invseq"), the largest domain taken before.
+ENUM_CAP = 2 ** 8 * math.factorial(8)
+
+
+def require_domain(class_name: str, n: int, s=None) -> None:
+    """CapacityError if class_count(class_name, n, s) exceeds ENUM_CAP."""
+    count = class_count(class_name, n, s)
+    if count > ENUM_CAP:
+        raise CapacityError(f"{class_name} at n={n} has {count} objects, "
+                            f"over the enumeration cap ENUM_CAP={ENUM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +531,12 @@ def count_paired_excedance_involutions(n: int) -> int:
     """Fixed-point-free involutions of [4n] in which positions 2i-1 and 2i
     are always both excedances or both anti-excedances."""
     require_size(n)
-    if n > 2:
-        raise CapacityError(
-            f"exhaustive search covers (4n-1)!! involutions; capped at n=2, got n={n}")
+    require_domain("matching", 2 * n)
+    odd = sum(1 << i for i in range(1, 4 * n, 2))  # positions 1, 3, 5, ...
     count = 0
     for m in generate("matching", 2 * n):
-        exceeding = {a for a, _ in m.blocks}
-        if all(((2 * i - 1) in exceeding) == ((2 * i) in exceeding)
-               for i in range(1, 2 * n + 1)):
-            count += 1
+        opened = sum(1 << a for a, _ in m.blocks)  # the excedances
+        count += (opened & odd) << 1 == opened & ~odd
     return count
 
 

@@ -72,14 +72,6 @@ class IdentityCheck:
     def __post_init__(self):
         object.__setattr__(self, "ns", tuple(self.ns))
 
-    @property
-    def min_n(self) -> int:
-        return self.ns[0]
-
-    @property
-    def max_n(self) -> int:
-        return self.ns[-1]
-
 
 def _fmt(v) -> str:
     if isinstance(v, (ExactPoly, TruncatedSeries)):
@@ -123,6 +115,7 @@ def _real_root_count(n):
 
 def _fiber_histogram(n):
     """How many permutations of [n] carry each number of decorations."""
+    objects.require_domain("decorated", n)
     fibers = Counter(tuple(v for v, _, _ in w.entries)
                      for w in objects.generate("decorated", n))
     return dict(Counter(fibers.values()))
@@ -416,7 +409,7 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     """Evaluate every route of one identity at one n and compare each value
     with the first route's, exactly."""
     check = _check(check_id)
-    if n < check.min_n or n > check.max_n:
+    if not check.ns[0] <= n <= check.ns[-1]:
         return VerifyReport(check_id, n, "skipped-capacity")
     with families.memoised():
         return _compare(check, n, [route.fn for route in check.routes])
@@ -445,6 +438,8 @@ def _compare(check: IdentityCheck, n: int, fns, ms: float = 0.0) -> VerifyReport
 def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
     """(check id, ns) for each check in `ids`, by default every check in
     registry order: its default n values, those above `max_n` dropped."""
+    if max_n is not None:  # any int; a bool or a float is refused
+        objects.require_size(max_n, -math.inf, "max_n")
     checks = CHECKS if ids is None else tuple(map(_check, ids))
     return [(check.id, tuple(n for n in check.ns
                              if max_n is None or n <= max_n))

@@ -70,8 +70,8 @@ def test_p_poly_routes():
             assert rec == F.p_poly(n, "enumeration")
     with pytest.raises(ValueError):
         F.p_poly(2, "wrong")
-    with pytest.raises(CapacityError):
-        F.p_poly(F.P_ENUM_MAX + 1, "enumeration")
+    with pytest.raises(CapacityError):  # 17!! objects; n = 8 now runs
+        F.p_poly(9, "enumeration")
 
 
 def test_r_poly():
@@ -244,6 +244,14 @@ def test_cap_sign_sum():
         direct = sum((-1) ** st["cap"] for st in map(stats, generate("stirling2", n))
                      if st["fix"] == 0)
         assert F.cap_sign_sum(n) == direct
+
+
+def test_statistic_outside_the_schema_names_it():
+    # used to be a raw KeyError
+    with pytest.raises(ValueError, match=r"\('el', 'ol'\)"):
+        F.stat_distribution("matching", 3, (("nope", "x"),))
+    with pytest.raises(ValueError, match="unknown object class"):
+        F.stat_distribution("nope", 3, (("el", "x"),))
 
 
 def test_split_distributions():

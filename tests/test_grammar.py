@@ -100,6 +100,20 @@ def test_lemma2_small():
         lemma2_sides(11)
 
 
+@pytest.mark.parametrize("n", [True, 1.5, 2.0], ids=["bool", "float",
+                                                   "integral-float"])
+def test_orders_that_are_not_ints_rejected(n):
+    # derive ran one step for True; 1.5 and 2.0 raised raw TypeErrors
+    for fn in (lambda n: derive(CYCLE_GRAMMAR, A, n), lemma1_sides,
+               lemma2_sides):
+        with pytest.raises(ValueError, match="^n must be an int, got "):
+            fn(n)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        derive(CYCLE_GRAMMAR, A, -1)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        lemma1_sides(0)
+
+
 def test_substitution_matches_p_polynomials():
     for n in range(1, 6):
         assert fix_cycle_cap_polynomial(n) == families.p_poly(n)

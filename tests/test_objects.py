@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combi.poly import CapacityError, X
-from combi.families import stat_distribution
+from combi.families import h_values, stat_distribution
 from combi.objects import (CycleStirling, DecoratedPermutation,
                            InversionSequence, PerfectMatching, Permutation,
                            SignedPermutation, StirlingWord, class_count,
@@ -47,6 +47,11 @@ def test_invseq_generation():
                  id="invseq-short-s"),
     pytest.param("invseq", 2, (2, 0), "length n with entries >= 1",
                  id="invseq-zero-bound"),
+    # a float bound used to give a float count, and True to count as 1
+    pytest.param("invseq", 2, (1.5, 2), "that are ints",
+                 id="invseq-float-bound"),
+    pytest.param("invseq", 2, (True, 2), "that are ints",
+                 id="invseq-bool-bound"),
     pytest.param("matching", -1, None, "n must be >= 0", id="matching"),
     pytest.param("stirling", -2, None, "n must be >= 0", id="stirling"),
     pytest.param("stirling2", -1, None, "n must be >= 0", id="stirling2"),
@@ -329,8 +334,10 @@ def test_paired_excedance_involutions():
     assert count_paired_excedance_involutions(0) == 1
     assert count_paired_excedance_involutions(1) == 2
     assert count_paired_excedance_involutions(2) == 28
-    with pytest.raises(CapacityError):
-        count_paired_excedance_involutions(3)
+    # n = 3 was refused before the one enumeration cap; n = 5 walks 19!!
+    assert count_paired_excedance_involutions(3) == 1112 == h_values(3)[3]
+    with pytest.raises(CapacityError, match="ENUM_CAP"):
+        count_paired_excedance_involutions(5)
     with pytest.raises(ValueError, match=r"^n must be >= 0$"):
         count_paired_excedance_involutions(-1)
 

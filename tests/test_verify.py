@@ -73,6 +73,16 @@ def test_plan_override_semantics():
         verify.plan(ids=("nope",))
 
 
+@pytest.mark.parametrize("max_n", ["3", 2.5, True],
+                         ids=["str", "float", "bool"])
+def test_max_n_that_is_not_an_int_rejected(max_n):
+    # "3" used to raise a raw TypeError; 2.5 and True ran
+    with pytest.raises(ValueError, match="^max_n must be an int, got "):
+        verify.plan(max_n)
+    with pytest.raises(ValueError, match="^max_n must be an int, got "):
+        verify.run_all(max_n)
+
+
 def test_run_all_determinism():
     a = verify.run_all(3)
     b = verify.run_all(3)

@@ -187,11 +187,14 @@ def _replay(map_id: str, obj):
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
     phi = map_id == "phi"
+    kind, rule, size = ((DecoratedPermutation, _phi_rule, itemgetter(0)) if phi
+                        else (SignedPermutation, _psi_rule, abs))
+    if not isinstance(obj, kind):
+        raise ValueError(f"{map_id} maps a {kind.__name__}, not {obj!r}")
     if not validate(obj):
         raise ValueError(f"invalid {'decorated' if phi else 'signed'} "
                          f"permutation: {obj!r}")
-    rule, word, size = ((_phi_rule, obj.entries, itemgetter(0)) if phi
-                        else (_psi_rule, obj.word, abs))
+    (word,) = vars(obj).values()
     state = _EMPTY
     parent = ()
     for m in range(1, len(word) + 1):

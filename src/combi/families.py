@@ -214,6 +214,9 @@ def r_poly(n: int, with_q: bool = True) -> ExactPoly:
 
 def r_nk_poly(n: int, k: int) -> ExactPoly:
     """Distribution over objects with exactly k fixed points."""
+    require_size(n)
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= n:
+        raise ValueError(f"k must be an int in 0..{n}, got {k!r}")
     return math.comb(n, k) * Q ** k * r_poly(n - k)
 
 
@@ -334,14 +337,14 @@ def h_values(k_max: int) -> list[int]:
 
 def _joint_table(class_name, n, s=None) -> MappingProxyType:
     """How many objects of the class have each tuple of integer statistics:
-    a key is what the class's integer statistic function returns, named by
-    `objects.INT_STAT_NAMES[class_name]`, so no dict is built per object.
-    Memoised inside a run (module docstring); `objects.require_domain`
+    a key is what the class's integer statistic function returns on a leaf,
+    named by `objects.INT_STAT_NAMES[class_name]`, so no object or dict is
+    built per leaf.  Memoised inside a run (module docstring); `require_domain`
     checks the size and the cap first (True would hit the memo of n = 1)."""
     s = None if s is None else tuple(s)
     objects.require_domain(class_name, n, s)
     return _memo((class_name, n, s), lambda: MappingProxyType(Counter(map(
-        class_functions(class_name)[1], objects.generate(class_name, n, s)))))
+        class_functions(class_name)[1], *objects.leaves(class_name, n, s)))))
 
 
 def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:

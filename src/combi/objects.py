@@ -6,18 +6,19 @@ cycle-form Stirling permutations of the second kind, decorated
 permutations, and bounded inversion sequences.
 
 Each class but the inversion sequences is one insertion tree, walked depth
-first by `walk` holding one child list per level: generate streams its
-leaves, and the phi/psi certificates in `bijections` walk the decorated and
-signed trees.
+first by `walk` holding one child list per level.  `leaves` streams the
+bare word, block, cycle or entry tuple of each object (for inversion
+sequences, e with its bounds s), `generate` wraps each in its class, and
+the phi/psi certificates in `bijections` walk the decorated and signed trees.
 
 Each class has an integer statistic schema: a fixed tuple of names
-(`INT_STAT_NAMES`) and one function that returns the values in that order
-as a tuple of ints.  The statistic tables in `families` count those tuples
-directly.  `stats` zips the names with the same tuple and adds the
-set-valued statistics of signed (`bar_set`, `nbar_set`, `blocks`) and
-decorated permutations (`hat_value_set`), so one function computes every
-integer statistic of a class.  The statistics are read off the finished
-object, never carried along the insertion tree.
+(`INT_STAT_NAMES`) and one function that takes a leaf and returns the
+values in that order as a tuple of ints.  The statistic tables in
+`families` count those tuples over `leaves`, building no object.  `stats`
+hands an object's fields to the same function, zips the names with its
+tuple and adds the set-valued statistics of signed (`bar_set`, `nbar_set`,
+`blocks`) and decorated permutations (`hat_value_set`).  The statistics
+are read off the finished leaf, never carried along the insertion tree.
 
 Exhaustive routes first call `require_domain`, which raises `CapacityError`
 past `ENUM_CAP` objects of the class at that size.  `generate` is uncapped.
@@ -83,11 +84,11 @@ class InversionSequence:
     s: tuple[int, ...]
 
 
-# class name -> (object type, children function (for inversion sequences, a
-# generator of s), integer statistic function, the names of its values in
-# order, set-valued statistic function or None).  The functions are named,
-# not held, so that generate, stats, the tables and the bijection
-# certificates call whatever this module binds when they run.
+# class name -> (object type, children function (for inversion sequences,
+# the leaves of s), integer statistic function of a leaf, the names of its
+# values in order, set-valued one or None).  The functions are named, not
+# held, so that leaves, stats, the tables and the bijection certificates
+# call whatever this module binds when they run.
 _CLASSES = {
     "permutation": (Permutation, "_permutation_children", "int_stats_permutation",
                     ("des_A", "asc", "exc", "anti_exc", "rlmin"), None),
@@ -150,17 +151,20 @@ def _signed_children(word, m):
 
 def _matching_children(blocks, m):
     """The block (j, 2m) for j = 1, ..., 2m - 1, the points >= j moved up by
-    one.  The p blocks that start before j stay in front."""
+    one.  The blocks that start before j stay in front; as j passes a point
+    it starts one of them or gives one back its old top."""
     top = 2 * m
     up = tuple([(a + 1, b + 1) for a, b in blocks])
-    out = []
-    p = 0
-    for j in range(1, top):
-        if p < len(blocks) and blocks[p][0] < j:
-            p += 1
-        head = tuple([blk if blk[1] < j else (blk[0], blk[1] + 1)
-                      for blk in blocks[:p]])
-        out.append(head + ((j, top),) + up[p:])
+    ends = {b: i for i, (_, b) in enumerate(blocks)}
+    head = []
+    out = [((1, top),) + up]
+    for j in range(2, top):
+        i = ends.get(j - 1)
+        if i is None:
+            head.append((j - 1, blocks[len(head)][1] + 1))
+        else:
+            head[i] = blocks[i]
+        out.append((*head, (j, top), *up[len(head):]))
     return out
 
 
@@ -192,8 +196,7 @@ def _decorated_children(word, m):
 
 def _invseq_product(s):
     # the shape comes from the bounds s, not from an insertion
-    for e in itertools.product(*(range(si) for si in s)):
-        yield InversionSequence(e, tuple(s))
+    return itertools.product(*(range(si) for si in s))
 
 
 def class_functions(class_name: str):
@@ -232,13 +235,20 @@ def _check_size(class_name: str, n: int, s):
     return s
 
 
-def generate(class_name: str, n: int, s=None):
-    """Stream every object of the class exactly once, deterministically."""
+def leaves(class_name: str, n: int, s=None):
+    """Every leaf of the class at size n once, deterministically, as the
+    argument columns of map(f, *leaves(...)) for the object type or a
+    statistic function: the leaves, and for inversion sequences s repeated."""
     tree = class_functions(class_name)[0]
     s = _check_size(class_name, n, s)
     if class_name == "invseq":
-        return tree(s)
-    return map(_CLASSES[class_name][0], walk(tree, n))
+        return tree(s), itertools.repeat(s)
+    return (walk(tree, n),)
+
+
+def generate(class_name: str, n: int, s=None):
+    """Stream every object of the class exactly once, deterministically."""
+    return map(_CLASSES[class_name][0], *leaves(class_name, n, s))
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
@@ -363,9 +373,8 @@ def validate(obj) -> bool:
 # statistics
 # ---------------------------------------------------------------------------
 
-def int_stats_permutation(p: Permutation) -> tuple[int, ...]:
+def int_stats_permutation(w) -> tuple[int, ...]:
     """des_A, asc, exc, anti_exc, rlmin."""
-    w = p.word
     w1 = w[1:]
     places = range(1, len(w) + 1)
     rlmin = 0
@@ -397,10 +406,9 @@ def signed_blocks(word) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def int_stats_signed(sp: SignedPermutation) -> tuple[int, ...]:
+def int_stats_signed(w) -> tuple[int, ...]:
     """des_B (a virtual 0 in front), rlmin (the number of blocks), bar (the
     entries in blocks that end negatively)."""
-    w = sp.word
     rlmin = bar = 0
     low = len(w) + 1
     negative = False
@@ -416,21 +424,21 @@ def int_stats_signed(sp: SignedPermutation) -> tuple[int, ...]:
     return sum(map(gt, (0,) + w, w)), rlmin, bar
 
 
-def set_stats_signed(sp: SignedPermutation) -> dict:
-    blocks = signed_blocks(sp.word)
+def set_stats_signed(w) -> dict:
+    blocks = signed_blocks(w)
     bar_set = {v for blk in blocks if blk[-1] < 0 for v in blk}
     return {"bar_set": bar_set,
-            "nbar_set": {v for v in sp.word if v not in bar_set},
+            "nbar_set": {v for v in w if v not in bar_set},
             "blocks": blocks}
 
 
-def int_stats_matching(m: PerfectMatching) -> tuple[int, ...]:
+def int_stats_matching(blocks) -> tuple[int, ...]:
     """el (blocks with an even top), ol (with an odd top)."""
-    ol = sum([b & 1 for _, b in m.blocks])
-    return len(m.blocks) - ol, ol
+    ol = sum([b & 1 for _, b in blocks])
+    return len(blocks) - ol, ol
 
 
-def int_stats_stirling(sw: StirlingWord) -> tuple[int, ...]:
+def int_stats_stirling(w) -> tuple[int, ...]:
     """descents (a virtual 0 at the end), ap (plateaus v v after a smaller
     entry, or at the front), desi, in one pass over adjacent pairs.
 
@@ -440,7 +448,6 @@ def int_stats_stirling(sw: StirlingWord) -> tuple[int, ...]:
     insertion slot keeps it, which is exactly the descent-interval growth
     rule.  The first copy of m is then the least entry so far, so the
     second copy is an entry equal to the least entry before it."""
-    w = sw.word
     if not w:
         return 0, 0, 0
     descents = ap = desi = 0
@@ -463,11 +470,11 @@ def int_stats_stirling(sw: StirlingWord) -> tuple[int, ...]:
     return descents + 1, ap, desi
 
 
-def int_stats_stirling2(cs: CycleStirling) -> tuple[int, ...]:
+def int_stats_stirling2(cycles) -> tuple[int, ...]:
     """cplat (plateaus inside a cycle), casc (ascents inside a cycle), cap
     (plateaus after an ascent inside a cycle), cyc, fix (cycles (m m))."""
     cplat = casc = cap = fix = 0
-    for c in cs.cycles:
+    for c in cycles:
         if len(c) == 2:
             fix += 1
             cplat += 1
@@ -483,26 +490,25 @@ def int_stats_stirling2(cs: CycleStirling) -> tuple[int, ...]:
                 up = a < b
                 casc += up
             a = b
-    return cplat, casc, cap, len(cs.cycles), fix
+    return cplat, casc, cap, len(cycles), fix
 
 
-def int_stats_decorated(dp: DecoratedPermutation) -> tuple[int, ...]:
+def int_stats_decorated(entries) -> tuple[int, ...]:
     """asc (a virtual 0 in front), hat."""
     asc = hat = prev = 0
-    for v, h, _ in dp.entries:
+    for v, h, _ in entries:
         asc += prev < v
         hat += h
         prev = v
     return asc, hat
 
 
-def set_stats_decorated(dp: DecoratedPermutation) -> dict:
-    return {"hat_value_set": {v for v, h, _ in dp.entries if h}}
+def set_stats_decorated(entries) -> dict:
+    return {"hat_value_set": {v for v, h, _ in entries if h}}
 
 
-def int_stats_invseq(iv: InversionSequence) -> tuple[int, ...]:
+def int_stats_invseq(e, s) -> tuple[int, ...]:
     """asc: e_1 > 0, and each i with e_i / s_i < e_(i+1) / s_(i+1)."""
-    e, s = iv.e, iv.s
     if not e:
         return (0,)
     return (int(e[0] > 0) + sum(map(lt, map(mul, e, s[1:]), map(mul, e[1:], s))),)
@@ -515,9 +521,9 @@ def stats(obj) -> dict:
     if entry is None:
         raise TypeError(f"not a combinatorial object: {obj!r}")
     ints, names, sets = entry
-    out = dict(zip(names, globals()[ints](obj)))
+    out = dict(zip(names, globals()[ints](*vars(obj).values())))
     if sets is not None:
-        out.update(globals()[sets](obj))
+        out.update(globals()[sets](*vars(obj).values()))
     return out
 
 
@@ -534,8 +540,8 @@ def count_paired_excedance_involutions(n: int) -> int:
     require_domain("matching", 2 * n)
     odd = sum(1 << i for i in range(1, 4 * n, 2))  # positions 1, 3, 5, ...
     count = 0
-    for m in generate("matching", 2 * n):
-        opened = sum(1 << a for a, _ in m.blocks)  # the excedances
+    for blocks in leaves("matching", 2 * n)[0]:
+        opened = sum(1 << a for a, _ in blocks)  # the excedances
         count += (opened & odd) << 1 == opened & ~odd
     return count
 

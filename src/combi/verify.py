@@ -116,8 +116,8 @@ def _real_root_count(n):
 def _fiber_histogram(n):
     """How many permutations of [n] carry each number of decorations."""
     objects.require_domain("decorated", n)
-    fibers = Counter(tuple(v for v, _, _ in w.entries)
-                     for w in objects.generate("decorated", n))
+    fibers = Counter(tuple(v for v, _, _ in entries)
+                     for entries in objects.leaves("decorated", n)[0])
     return dict(Counter(fibers.values()))
 
 
@@ -409,6 +409,7 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     """Evaluate every route of one identity at one n and compare each value
     with the first route's, exactly."""
     check = _check(check_id)
+    objects.require_size(n)
     if not check.ns[0] <= n <= check.ns[-1]:
         return VerifyReport(check_id, n, "skipped-capacity")
     with families.memoised():
@@ -440,6 +441,8 @@ def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
     registry order: its default n values, those above `max_n` dropped."""
     if max_n is not None:  # any int; a bool or a float is refused
         objects.require_size(max_n, -math.inf, "max_n")
+    if isinstance(ids, str):
+        raise ValueError(f"ids must be a tuple such as ({ids!r},), not a str")
     checks = CHECKS if ids is None else tuple(map(_check, ids))
     return [(check.id, tuple(n for n in check.ns
                              if max_n is None or n <= max_n))

@@ -114,6 +114,23 @@ def test_maps_reject_invalid_input():
         next(bijections.map_steps("psi", SignedPermutation((1, 1))))
 
 
+@pytest.mark.parametrize("call,obj,kind", [
+    (phi_map, objects.Permutation((2, 1)), "DecoratedPermutation"),
+    (phi_map, SignedPermutation((2, -1)), "DecoratedPermutation"),
+    (psi_map, DecoratedPermutation(((1, False, False),)), "SignedPermutation"),
+    (psi_map, objects.Permutation((2, 1)), "SignedPermutation"),
+    (lambda obj: next(bijections.map_steps("phi", obj)),
+     objects.Permutation((1, 2)), "DecoratedPermutation"),
+    (lambda obj: next(bijections.map_steps("psi", obj)),
+     objects.StirlingWord((1, 1)), "SignedPermutation"),
+], ids=["phi-permutation", "phi-signed", "psi-decorated", "psi-permutation",
+        "steps-phi", "steps-psi"])
+def test_maps_reject_objects_of_another_class(call, obj, kind):
+    # a raw AttributeError before, or for psi on a Permutation an image
+    with pytest.raises(ValueError, match=f"maps a {kind}, not "):
+        call(obj)
+
+
 def test_triple_shapes():
     for w in generate("decorated", 4):
         t = phi_map(w)

@@ -95,6 +95,20 @@ def test_r_nk_matches_p_coefficients():
             assert p.coefficient_of("y", k) == F.r_nk_poly(n, k)
 
 
+@pytest.mark.parametrize("n,k,message", [
+    (2, 5, r"^k must be an int in 0\.\.2, got 5$"),
+    (2, -1, r"^k must be an int in 0\.\.2, got -1$"),
+    (2, True, r"^k must be an int in 0\.\.2, got True$"),
+    (2, 1.0, r"^k must be an int in 0\.\.2, got 1\.0$"),
+    (-1, 0, r"^n must be >= 0$"),
+    ("2", 0, r"^n must be an int, got '2'$"),
+], ids=["k-above-n", "k-negative", "k-bool", "k-float", "n-negative", "n-str"])
+def test_r_nk_rejects_bad_sizes(n, k, message):
+    # (2, 5) used to say "n must be >= 0", (2, -1) that k is negative
+    with pytest.raises(ValueError, match=message):
+        F.r_nk_poly(n, k)
+
+
 def test_l_poly():
     assert F.l_closed(0) == 1
     assert F.l_closed(3) == Q * (Q + 2) * (Q + 4)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from combi import families, objects, verify
 from combi.poly import CapacityError, X
 from combi.families import h_values, stat_distribution
 from combi.objects import (CycleStirling, DecoratedPermutation,
                            InversionSequence, PerfectMatching, Permutation,
                            SignedPermutation, StirlingWord, class_count,
                            count_paired_excedance_involutions,
-                           double_factorial, encode, generate, parse,
+                           double_factorial, encode, generate, leaves, parse,
                            reduce_word, stats, validate)
 from combi.objects import CLASS_NAMES, INT_STAT_NAMES, class_functions
 
@@ -232,14 +233,83 @@ def test_stats_is_the_int_schema_plus_the_set_valued_extras(cls):
     extras = {"signed": ("bar_set", "nbar_set", "blocks"),
               "decorated": ("hat_value_set",)}.get(cls, ())
     for n in range(6):
-        for obj in generate(cls, n, tuple(range(1, n + 1))
-                            if cls == "invseq" else None):
-            values = ints(obj)
+        s = tuple(range(1, n + 1)) if cls == "invseq" else None
+        for obj, leaf in zip(generate(cls, n, s), zip(*leaves(cls, n, s)),
+                             strict=True):
+            assert tuple(vars(obj).values()) == leaf
+            values = ints(*leaf)
             assert type(values) is tuple
             assert all(type(v) is int for v in values)
             st_ = stats(obj)
             assert list(st_) == [*names, *extras]
             assert dict(zip(names, values)) == {k: st_[k] for k in names}
+
+
+_TABLE_CASES = [(cls, n, None) for cls in CLASS_NAMES if cls != "invseq"
+                for n in range(6)] + [
+    ("invseq", n, s) for n in range(6)
+    for s in (tuple(range(1, n + 1)), tuple(range(1, 2 * n, 2)))]
+
+
+@pytest.mark.parametrize("cls,n,s", _TABLE_CASES, ids=[
+    f"{cls}-{n}" + ("" if s is None else "-s" + "".join(map(str, s)))
+    for cls, n, s in _TABLE_CASES])
+def test_table_counts_the_stat_function_over_generated_objects(cls, n, s):
+    ints = class_functions(cls)[1]
+    want = Counter(ints(*vars(obj).values()) for obj in generate(cls, n, s))
+    assert families._joint_table(cls, n, s) == want
+    assert sum(want.values()) == class_count(cls, n, s)
+
+
+_OBJECT_TYPES = (Permutation, SignedPermutation, PerfectMatching,
+                 StirlingWord, CycleStirling, DecoratedPermutation,
+                 InversionSequence)
+
+
+def test_tables_build_no_object(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a table built a {type(self).__name__}")
+
+    for kind in _OBJECT_TYPES:
+        monkeypatch.setattr(kind, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a Permutation"):
+        next(generate("permutation", 2))
+    for cls in CLASS_NAMES:
+        s = (1, 2, 3, 4) if cls == "invseq" else None
+        assert sum(families._joint_table(cls, 4, s).values()) == class_count(
+            cls, 4, s)
+    assert stat_distribution("stirling2", 3, (("cap", "x"),)).subs_num(
+        "x", 1).const_value() == 15
+    assert verify._fiber_histogram(3) == {8: 6}
+    assert count_paired_excedance_involutions(1) == 2
+
+
+def _matching_children_rebuilt(blocks, m):
+    """Every child's head rebuilt from the parent's blocks: the reference
+    for the incremental head of `objects._matching_children`."""
+    top = 2 * m
+    up = tuple([(a + 1, b + 1) for a, b in blocks])
+    out = []
+    p = 0
+    for j in range(1, top):
+        if p < len(blocks) and blocks[p][0] < j:
+            p += 1
+        head = tuple([blk if blk[1] < j else (blk[0], blk[1] + 1)
+                      for blk in blocks[:p]])
+        out.append(head + ((j, top),) + up[p:])
+    return out
+
+
+def test_matching_children_match_the_rebuilt_heads():
+    nodes = [()]
+    for m in range(1, 7):
+        children = []
+        for node in nodes:
+            kids = objects._matching_children(node, m)
+            assert kids == _matching_children_rebuilt(node, m), (node, m)
+            children += kids
+        nodes = children
+    assert len(nodes) == double_factorial(6)
 
 
 def test_stats_matching():

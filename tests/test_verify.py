@@ -57,6 +57,22 @@ def test_run_check_capacity_skip():
     assert rep2.status == "skipped-capacity"
 
 
+@pytest.mark.parametrize("n", ["3", 3.0, True, -1],
+                         ids=["str", "float", "bool", "negative"])
+def test_run_check_rejects_a_size_that_is_not_one(n):
+    # "3" used to raise a raw TypeError, 3.0 a ValueError inside a route
+    with pytest.raises(ValueError, match="^n must be "):
+        verify.run_check("eq-1-3", n)
+
+
+def test_ids_given_as_a_str_rejected():
+    # "eq-1-3" used to be read as the ids 'e', 'q', ...
+    for call in (verify.plan, verify.run_all):
+        with pytest.raises(ValueError, match=r"^ids must be a tuple such as "
+                                             r"\('eq-1-3',\), not a str$"):
+            call(3, "eq-1-3")
+
+
 def test_plan_override_semantics():
     default = verify.plan()
     assert default == verify.plan(None, None)

@@ -6,7 +6,8 @@ from .poly import CapacityError, ExactPoly, divexact, poly_reverse
 from .series import (TruncatedSeries, egf_coefficient, series_exp,
                      series_inverse, series_log, series_pow_symbolic,
                      series_ratio, series_sqrt)
-from .sturm import SturmReport, sturm_real_roots
+from .sturm import (SturmReport, chain_real_roots, descartes_real_roots,
+                    sturm_real_roots)
 from .objects import (CycleStirling, DecoratedPermutation, InversionSequence,
                       PerfectMatching, Permutation, SignedPermutation,
                       StirlingWord, encode, generate, parse, reduce_word,

@@ -5,80 +5,77 @@ triple (first, second, index_set) with first a matching of [2k], second a
 matching of [2n-2k]; psi_map does the same for signed permutations with
 k = bar (the number of entries lying in blocks that end negatively).
 
+A state holds each matching as a partner tuple P (P[0] = 0, P[p] the point
+matched with p; a block is marked iff its top is even) and the index set
+as an int bitmask (bit v set iff v is recorded).  They become standard-form
+blocks and a frozenset only in the results.
+
 One insertion rule serves both maps and the certificate.  `_slots` lists,
 once per word, the slot before each entry: the matching the entry belongs
-to, whether the split block is marked, and p.  `_insert` puts m in one
-slot: at the end it appends a fresh block to a matching, before an entry it
-splits the p-th marked or unmarked block of the slot's matching, straight
-or crossed.  `_phi_rule` and `_psi_rule` hold only what differs: which
-entries belong to the first matching (the hatted ones; the ones in blocks
-that end negatively, where the marking flips), and how a child word shows
-the slot of m and the straight or crossed split.  Each map replays the
-object's construction history through `_replay`, re-inserting the values
-in increasing order; `map_steps` yields the image of every prefix on the
-way.
+to, whether the split block is marked, and p.  `_insert` gives m's slot's
+matching of j blocks the points 2j + 1 and 2j + 2: at the end as a new
+block, before an entry by splitting the p-th marked or unmarked block
+(found in the lists of block starts `_starts` makes once per state),
+straight or crossed.  `_phi_rule` and `_psi_rule` hold only what differs:
+which entries belong to the first matching (the hatted ones; the ones in
+blocks that end negatively, where the marking flips), and how a child word
+shows the slot of m and the straight or crossed split.  Each map replays
+the object's construction history through `_replay`; `map_steps` yields
+the image of every prefix on the way.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
 verify_bijection walks the domain's insertion tree in `objects`, the one
 `generate` walks (a generating tree: J. West, Discrete Math. 146 (1995);
-Banderier et al., Discrete Math. 246 (2002)).  The same rule gives each
-child its image state, and the walk keeps no image.  Instead each node is
-checked locally, inside the children function the walk calls:
-  - `peel(child, m)`, which reads the child's state and never the rule,
-    must give back the node's state, and
-  - no two children may share a peel key.
-This proves injectivity by induction on the level.  Say the states of level
-m - 1 are distinct.  Two nodes of level m with the same state peel to the
-same state, so they have the same parent; their keys are then equal, so
-they are the same child.  The peel is strict: in the matching that took m,
-with j blocks, the tops must be 2j - 1 and 2j, and the block starts must
-increase.  Also, bit m of the index mask is set iff the first matching
-gained a block.  So, by induction from the empty root, every state of level
-m is a pair of perfect matchings of [2k] and [2m-2k] in standard form, with
-k the number of recorded indices.  That is the codomain, and the count
-below needs it.  At every leaf the walk checks
-  - the weight: asc (phi) or des_B (psi) of the leaf word against the
-    even-larger (el) and odd-larger (ol) block counts of its matchings,
-  - the index set: the hatted values (phi), or the magnitudes in the blocks
-    that end negatively (psi).
-The weight and the index set are computed from the leaf word and the leaf
-matchings, never from the rule.  Afterwards the images with k recorded
-indices are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
+Banderier et al., Discrete Math. 246 (2002)), and keeps no image.  Each
+edge into a child of size m is checked in O(1) from the child's word and
+state, never from the rule:
+  - `peel(child, m)` must give back the node's state, under a key no
+    sibling shares.  The peel is strict: in the matching that took m, with
+    j blocks, the points 2j - 1 and 2j are a block or link back to two
+    points below them.  By induction on the level, the states of a level
+    are distinct pairs of fixed-point-free involutions.
+  - the weight: asc (phi) or des_B (psi) of the word must gain what
+    el(first) + el(second) (phi) or el(first) + ol(second) (psi) gains.
+    At the end m adds an ascent (phi), -m a descent (psi); before an entry
+    m adds an ascent iff its neighbours make a descent (phi), a descent iff
+    they make an ascent (psi), with a virtual 0 in front.  An append adds
+    an even top; a split trades the merged top for 2j - 1 and 2j.
+  - the index set: bit m, which names the matching that took m, must be
+    the hat of m (phi), or tell whether m lies in a block that ends
+    negatively (psi): -m at the end, else the entry after m, whose block m
+    joins (inserting the largest magnitude moves no other block), is.
+The empty root weighs right, so every leaf does, and its image is a pair of
+perfect matchings of [2k] and [2n-2k].  Each node of size n - 1 counts its
+children by k, and the images are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 
 The walk is cut at level SPLIT_LEVEL.  `certificate_roots` walks the
-levels above the cut, checking each node locally, and returns the nodes at
-the cut in walk order.  `subtree_tally` walks the subtree below one of them
-and returns a `Tally`: its images counted by k, whether every leaf weighs
-right, its first leaf in walk order that does not, and whether a node
-failed its local check.  `certificate` sums the tallies in walk order, so
-the first counterexample is the whole walk's first.  A local check reads
-only a node and its children, so the induction above runs across the cut
-unchanged, and the subtrees may be tallied in any order, in any process:
-`verify.run_all` shares them between its two processes, and
-`verify_bijection` tallies them one after another.  `certificate_roots`
-first calls `objects.require_domain`, so n > 8 is refused before any walk.
+levels above the cut, checking each edge, and returns the nodes at the cut
+in walk order.  `subtree_tally` walks the subtree below one of them and
+returns a `Tally`: its images by k, and whether an edge failed.  A check
+reads only a node and its children, so the induction runs across the cut,
+and the subtrees may be tallied in any order, in any process:
+`verify.run_all` shares them between its two processes.
+`certificate_roots` first calls `objects.require_domain`, so n > 8 is
+refused before any walk.
 
-A failed local check only means that the rule and `peel` disagree.  The
-walk then runs again and keeps every image in a set, and the images decide:
-a repeated image, or one outside the codomain, is a counterexample.  So a
-report never depends on which of the two walks produced it.
-
-Inside the maps and the walk, an index set is an int bitmask (bit v set iff
-v is recorded); it becomes a frozenset only in the results.
+A failed edge only means that the rule and the checks disagree.  The walk
+then runs again, keeps every image in a set and weighs every leaf whole
+(`_phi_weighs`, `_psi_weighs`): a repeated image, one outside the codomain
+or a leaf that weighs wrong is a counterexample, the first in walk order.
+So a report never depends on which of the two walks produced it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
 from . import objects
 from .objects import (DecoratedPermutation, PerfectMatching,
-                      SignedPermutation, double_factorial, signed_blocks,
-                      validate, encode)
+                      SignedPermutation, double_factorial,
+                      int_stats_matching, signed_blocks, validate, encode)
 
 
 @dataclass(frozen=True)
@@ -108,12 +105,18 @@ def encode_triple(t: MatchingTriple) -> str:
     return (f"[{encode(t.first)}] [{encode(t.second)}] {{{iset}}}")
 
 
+def _blocks(partners) -> tuple[tuple[int, int], ...]:
+    """The standard-form blocks of a partner tuple: each point below its
+    partner starts a block, in increasing order."""
+    return tuple([(a, b) for a, b in enumerate(partners) if a < b])
+
+
 def _triple(state, n: int) -> MatchingTriple:
     """The triple of a state; its index bitmask becomes a frozenset."""
     s1, s2, mask = state
     iset = frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-    return MatchingTriple(PerfectMatching(s1), PerfectMatching(s2),
-                          iset, n, len(iset))
+    return MatchingTriple(PerfectMatching(_blocks(s1)),
+                          PerfectMatching(_blocks(s2)), iset, n, len(iset))
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +124,18 @@ def _triple(state, n: int) -> MatchingTriple:
 # ---------------------------------------------------------------------------
 
 # the state of the empty word: no blocks, nothing recorded
-_EMPTY = ((), (), 0)
+_EMPTY = ((0,), (0,), 0)
 
 
-def _split_block(blocks, use_marked: bool, p: int, lo: int, straight: bool):
-    """Replace the p-th marked (even-larger) or unmarked block (a, b), in
-    standard-form order, by (a, lo),(b, lo+1) when straight else
-    (a, lo+1),(b, lo); returns the re-standardized block tuple."""
-    count = 0
-    for j, (a, b) in enumerate(blocks):
-        if (b % 2 == 0) == use_marked:
-            count += 1
-            if count == p:
-                top_a, top_b = (lo, lo + 1) if straight else (lo + 1, lo)
-                out = list(blocks)
-                # a stays, so block j keeps its place; no block starts at b
-                out[j] = (a, top_a)
-                insort(out, (b, top_b))
-                return tuple(out)
-    raise ValueError(f"no {p}-th {'marked' if use_marked else 'unmarked'} block")
+def _starts(state):
+    """The block starts of a state in increasing order, in four lists by
+    2 * in_first + marked."""
+    out = [[], [], [], []]
+    for kind, partners in ((0, state[1]), (2, state[0])):
+        for a, b in enumerate(partners):
+            if a < b:
+                out[kind + (not b & 1)].append(a)
+    return out
 
 
 def _slots(values, first, flip: bool):
@@ -160,24 +156,32 @@ def _slots(values, first, flip: bool):
     return out
 
 
-def _insert(state, m: int, slots, index: int, first: bool, straight: bool):
-    """Insert m at `index` of a word with these slots.  At the end, append a
-    fresh top block to the first matching if `first`, else to the second;
-    before an entry, split the p-th marked or unmarked block of that slot's
-    matching, straight or crossed.  An insertion into the first matching
-    records m."""
-    s1, s2, iset = state
+def _insert(state, m: int, slots, index: int, first: bool, straight: bool,
+            starts):
+    """Insert m at `index` of a word with these slots, `starts` being the
+    state's.  A matching with j blocks takes the points 2j+1 and 2j+2.  At
+    the end, they make a new block of the first matching if `first`, else
+    of the second; before an entry, they split the p-th marked or unmarked
+    block (a, b) of the slot's matching into (a, 2j+1),(b, 2j+2) if
+    straight, else (b, 2j+1),(a, 2j+2).  The first matching records m."""
+    s1, s2, mask = state
     if index < len(slots):
         first, marked, p = slots[index]
-    blocks = s1 if first else s2
-    lo = 2 * len(blocks) + 1
-    if index < len(slots):
-        blocks = _split_block(blocks, marked, p, lo, straight)
+    partners = s1 if first else s2
+    lo = len(partners)
+    if index == len(slots):
+        partners += (lo + 1, lo)
+    elif len(starts[2 * first + marked]) < p:
+        raise ValueError(f"no {p}-th {'un' * (not marked)}marked block")
     else:
-        blocks += ((lo, lo + 1),)
+        a = starts[2 * first + marked][p - 1]
+        a, b = (a, partners[a]) if straight else (partners[a], a)
+        out = list(partners)
+        out[a], out[b] = lo, lo + 1
+        partners = (*out, a, b)
     if first:
-        return blocks, s2, iset | 1 << m
-    return s1, blocks, iset
+        return partners, s2, mask | 1 << m
+    return s1, partners, mask
 
 
 def _replay(map_id: str, obj):
@@ -200,7 +204,8 @@ def _replay(map_id: str, obj):
     for m in range(1, len(word) + 1):
         child = tuple(e for e in word if size(e) <= m)
         slots, ((_, i, first, straight),) = rule(parent, m, (child,))
-        state = _insert(state, m, slots, i, first, straight)
+        starts = _starts(state) if i < len(slots) else None
+        state = _insert(state, m, slots, i, first, straight, starts)
         yield child, state
         parent = child
 
@@ -234,8 +239,7 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
 
 def _phi_weighs(word, state) -> bool:
     """asc(word) = el(first) + el(second), and the index set is the set of
-    hatted values.  el counts the blocks with an even top, so asc plus the
-    odd tops must make up the blocks."""
+    hatted values."""
     s1, s2, iset = state
     asc = prev = hats = 0
     for v, h, _ in word:
@@ -243,11 +247,8 @@ def _phi_weighs(word, state) -> bool:
         if h:
             hats |= 1 << v
         prev = v
-    for _, b in s1:
-        asc += b & 1
-    for _, b in s2:
-        asc += b & 1
-    return asc == len(s1) + len(s2) and hats == iset
+    el = [int_stats_matching(_blocks(t))[0] for t in (s1, s2)]
+    return asc == sum(el) and hats == iset
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +300,8 @@ def _psi_weighs(word, state) -> bool:
             negative = v < 0
         if negative:
             bars |= 1 << a
-    # el(t1) is len(t1) less the odd tops of t1, ol(t2) the odd tops of t2
-    for _, b in t1:
-        des += b & 1
-    for _, b in t2:
-        des -= b & 1
-    return des == len(t1) and bars == iset
+    return (des == int_stats_matching(_blocks(t1))[0]
+            + int_stats_matching(_blocks(t2))[1] and bars == iset)
 
 
 # ---------------------------------------------------------------------------
@@ -327,69 +324,87 @@ def _domain_tree(map_id: str):
     def children(node, m):
         word, state = node
         slots, reads = rule(word, m, tree(word, m))
-        return [(child, _insert(state, m, slots, i, first, straight))
+        starts = _starts(state)
+        return [(child, _insert(state, m, slots, i, first, straight, starts))
                 for child, i, first, straight in reads]
     return kind, weighs, children
 
 
 def peel(state, m: int):
-    """Undo the insertion of m from the state alone: the parent state, and a
-    key that tells the state apart from its siblings'.  Bit m of the index
-    mask names the matching that took m (the key's low bit); with j blocks,
-    it holds the points 2j - 1 and 2j.  A last block (2j - 1, 2j) was
-    appended: drop it (key 0, above the low bit).  Otherwise the blocks
-    topped by 2j - 1 and 2j, at indices x and y, were split from one block:
-    the earlier keeps its place and takes the later's start as its top, and
-    the later goes (key x * j + y + 1).  Raises ValueError unless both tops
-    are there and the later block's start lies between its neighbours'."""
+    """Undo the insertion of m from the state alone: the parent state, a
+    key that tells it from its siblings (low bit: bit m of the mask, which
+    names the matching that took m), and the even tops that matching
+    gained.  With j blocks, its points 2j - 1 and 2j are the appended block
+    (key 0 above the low bit), or link back to the points a and c of the
+    block they split (the key encodes a, c); else ValueError."""
     s1, s2, mask = state
     first = mask >> m & 1
-    blocks = s1 if first else s2
-    if not blocks:
-        raise ValueError(f"no block took {m}")
-    j = len(blocks)
-    top = 2 * j
-    if blocks[-1] == (top - 1, top):
-        blocks = blocks[:-1]
+    partners = s1 if first else s2
+    top = len(partners) - 1
+    if top < 2 or top & 1:
+        raise ValueError(f"no block took {m}: {partners}")
+    a, c = partners[top - 1:]
+    if a == top and c == top - 1:
+        partners = partners[:-2]
         key = first
+        gained = 1
+    elif (0 < a < top - 1 and 0 < c < top - 1
+          and partners[a] == top - 1 and partners[c] == top):
+        out = list(partners[:-2])
+        out[a], out[c] = c, a
+        partners = tuple(out)
+        key = 2 * (a * top + c) + first
+        gained = (a if a > c else c) & 1
     else:
-        tops = [b for _, b in blocks]
-        x = tops.index(top - 1)
-        y = tops.index(top)
-        i, k = (x, y) if x < y else (y, x)
-        out = list(blocks)
-        b = out.pop(k)[0]
-        if not out[k - 1][0] < b < (out[k][0] if k < j - 1 else top):
-            raise ValueError(f"block starts out of order: {blocks}")
-        out[i] = (out[i][0], b)
-        blocks = tuple(out)
-        key = 2 * (x * j + y + 1) + first
+        raise ValueError(f"points {top - 1}, {top} are no block: {partners}")
     if first:
-        return (blocks, s2, mask ^ 1 << m), key
-    return (s1, blocks, mask), key
+        return (partners, s2, mask ^ 1 << m), key, gained
+    return (s1, partners, mask), key, gained
 
 
 class _Unpeeled(Exception):
-    """A node whose children do not peel to it, or not to distinct keys."""
+    """A node whose children fail a local check."""
 
 
-def _peeled(children):
-    """children, checking at each node that every child peels back to the
-    node and that no two children share a key."""
+def _checked(map_id: str, children):
+    """children, and how many recorded m, checking every edge from a node
+    as the module docstring says: peel, key, weight and index bit.  The
+    domain trees list two children per slot, so child c must hold m at
+    index c // 2."""
+    phi = map_id == "phi"
+
     def checked(node, m):
         kids = children(node, m)
         keys = set()
-        for _, kid in kids:
+        recorded = 0
+        for c, (word, state) in enumerate(kids):
             try:
-                parent, key = peel(kid, m)
-            except ValueError:
+                parent, key, gained = peel(state, m)
+                i = c >> 1
+                mask = state[2]
+                bit = mask >> m & 1
+                if phi:  # m at the end, or inside a descent, adds an ascent
+                    v, hat, _ = word[i]
+                    ok = hat == bit and (
+                        i + 1 == m or 0 < i and word[i - 1][0] > word[i + 1][0]
+                    ) == gained
+                else:  # -m at the end, or m inside an ascent, adds a descent
+                    v = abs(word[i])
+                    if i + 1 == m:
+                        grew = negative = word[i] < 0
+                    else:
+                        negative = mask >> abs(word[i + 1]) & 1
+                        grew = (word[i - 1] if i else 0) < word[i + 1]
+                    ok = negative == bit and grew == (gained if bit else 1 - gained)
+            except (ValueError, IndexError):
                 raise _Unpeeled from None
-            if parent != node[1]:
+            if not ok or v != m or parent != node[1]:
                 raise _Unpeeled
             keys.add(key)
+            recorded += bit
         if len(keys) != len(kids):
             raise _Unpeeled
-        return kids
+        return kids, recorded
     return checked
 
 
@@ -400,18 +415,16 @@ def _peeled(children):
 SPLIT_LEVEL = 3
 
 
-# What one subtree adds to a certificate: its images counted by k, whether
-# every leaf weighs right, the first leaf in walk order that does not, and
-# whether a node failed its local check.  A named tuple: it crosses the fork
-# pickled, and a dataclass would add a millisecond to every import.
-Tally = namedtuple("Tally", "per_k weight_ok counterexample unpeeled")
+# What one subtree adds to a certificate: its images counted by k, and
+# whether an edge in it failed its local check.  A named tuple: it crosses
+# the fork pickled, and a dataclass would add a millisecond to every import.
+Tally = namedtuple("Tally", "per_k failed")
 
 
 def verify_bijection(map_id: str, n: int) -> BijectionReport:
-    """Walk the map's whole domain: check injectivity at every node, weight
-    and index set on every leaf, then the image count for each k.  If a
-    node fails its local check, walk again keeping every image, so that
-    the verdict and the counterexample come from the images themselves."""
+    """Walk the map's whole domain, checking every edge locally, then count
+    the images by k.  If an edge fails, walk again keeping every image, so
+    that the verdict and the counterexample come from the images."""
     roots = certificate_roots(map_id, n)
     tallies = (None if roots is None
                else [subtree_tally(map_id, n, root) for root in roots])
@@ -421,59 +434,57 @@ def verify_bijection(map_id: str, n: int) -> BijectionReport:
 def certificate_roots(map_id: str, n: int):
     """The (word, state) roots of the certificate's subtrees in walk order:
     the nodes of level SPLIT_LEVEL, or the root alone when n <= SPLIT_LEVEL.
-    Every node above them is checked locally; None if one fails."""
+    Every edge above them is checked locally; None if one fails."""
     if map_id not in ("phi", "psi"):
         raise ValueError(f"unknown map {map_id!r}")
     objects.require_domain("decorated" if map_id == "phi" else "signed", n)
-    children = _peeled(_domain_tree(map_id)[2])
+    checked = _checked(map_id, _domain_tree(map_id)[2])
     level = SPLIT_LEVEL if n > SPLIT_LEVEL else 0
     try:
-        return list(objects.walk(children, level, ((), _EMPTY)))
+        return list(objects.walk(lambda node, m: checked(node, m)[0], level,
+                                 ((), _EMPTY)))
     except _Unpeeled:
         return None
 
 
 def subtree_tally(map_id: str, n: int, root) -> Tally:
-    """Walk the domain tree below `root` down to size n, checking each node
-    locally, and weigh every leaf from its word and its matchings."""
-    kind, weighs, children = _domain_tree(map_id)
-    checked = _peeled(children)
+    """Walk the domain tree below `root` down to size n - 1, checking every
+    edge locally, and count the children of each node of size n - 1 by k:
+    the node's k, plus one for each child that recorded n."""
+    checked = _checked(map_id, _domain_tree(map_id)[2])
     level = len(root[0])
+    if n == level:  # the empty word, a leaf of its own
+        return Tally(Counter({root[1][2].bit_count(): 1}), False)
     per_k = Counter()
-    weight_ok = True
-    counterexample = None
     try:
-        for word, state in objects.walk(
-                lambda node, m: checked(node, level + m), n - level, root):
-            if weight_ok and not weighs(word, state):
-                weight_ok = False
-                counterexample = (encode(kind(word)), _encode_state(state))
-            per_k[state[2].bit_count()] += 1
+        for node in objects.walk(lambda node, m: checked(node, level + m)[0],
+                                 n - 1 - level, root):
+            kids, recorded = checked(node, n)
+            k = node[1][2].bit_count()
+            per_k[k] += len(kids) - recorded
+            per_k[k + 1] += recorded
     except _Unpeeled:
-        return Tally(Counter(), False, None, True)
-    return Tally(per_k, weight_ok, counterexample, False)
+        return Tally(Counter(), True)
+    return Tally(per_k, False)
 
 
 def certificate(map_id: str, n: int, tallies) -> BijectionReport:
-    """The report of the subtrees' tallies, in walk order.  If a node above
-    them (`tallies` None) or in one of them failed its local check, the
-    report comes from a walk that keeps every image instead."""
-    if tallies is None or any(t.unpeeled for t in tallies):
+    """The report of the subtrees' tallies.  If an edge above them
+    (`tallies` None) or in one of them failed its local check, the report
+    comes from a walk that keeps every image instead."""
+    if tallies is None or any(t.failed for t in tallies):
         return _image_walk(map_id, n)
     per_k = Counter()
     for t in tallies:
         per_k.update(t.per_k)
-    counterexample = next((t.counterexample for t in tallies
-                           if t.counterexample is not None), None)
-    return _report(n, per_k, True, True, all(t.weight_ok for t in tallies),
-                   counterexample)
+    return _report(n, per_k, True, True, True, None)
 
 
 def _image_walk(map_id: str, n: int) -> BijectionReport:
     """One walk of the domain that keeps every image in a set: a repeat is
     a counterexample, and so is an image that is not a pair of perfect
-    matchings in standard form with one block of the first per recorded
-    index."""
+    matchings with one block of the first per recorded index.  Every leaf
+    is weighed from its word and its matchings."""
     kind, weighs, children = _domain_tree(map_id)
     images = set()
     per_k = Counter()
@@ -514,9 +525,12 @@ def _report(n, per_k, injective, in_codomain, weight_ok,
 
 
 def _in_codomain(state) -> bool:
+    """Both partner tuples are fixed-point-free involutions of [2j] (and 0
+    in front), the first with a block per recorded index."""
     s1, s2, mask = state
-    return (validate(PerfectMatching(s1)) and validate(PerfectMatching(s2))
-            and mask.bit_count() == len(s1))
+    return mask.bit_count() == len(s1) // 2 and all(
+        len(t) & 1 and sorted(t) == list(range(len(t)))
+        and all(t[q] == p != q for p, q in enumerate(t) if p) for t in (s1, s2))
 
 
 def _encode_state(state) -> str:

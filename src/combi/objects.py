@@ -279,61 +279,63 @@ def require_domain(class_name: str, n: int, s=None) -> None:
 # validation
 # ---------------------------------------------------------------------------
 
+def _ints(values) -> bool:
+    """Every value is an int: a bool or a float equal to one is not."""
+    return all([type(v) is int for v in values])
+
+
 def _stirling_property(word) -> bool:
-    """Each distinct value occurs exactly twice and everything strictly
-    between its two occurrences is larger."""
-    first = {}
-    second = {}
-    for i, v in enumerate(word):
-        if v not in first:
-            first[v] = i
-        elif v not in second:
-            second[v] = i
+    """Everything strictly between the two copies of a value is larger, for
+    a word of positive values each occurring at most twice.  A stack holds
+    the values whose second copy is still to come: a first copy must top
+    it, and a second copy must be its top."""
+    stack = [0]
+    for v in word:
+        if v == stack[-1]:
+            stack.pop()
+        elif v > stack[-1]:
+            stack.append(v)
         else:
             return False
-    if len(second) != len(first):
-        return False
-    for v in first:
-        for i in range(first[v] + 1, second[v]):
-            if word[i] <= v:
-                return False
-    return True
+    return len(stack) == 1
 
 
 def _validate_decorated(entries) -> bool:
-    values = [v for v, _, _ in entries]
-    if sorted(values) != list(range(1, len(values) + 1)):
+    """Values 1..n, each an int with bool hat and circle flags.  Inserted by
+    increasing value, an entry with a smaller one to its right copies the
+    hat of the nearest such (it went in right before it); one with none
+    went in at the end and is uncircled.  Scanning from the right, a stack
+    holds (value, hat) of the entries smaller than every entry between
+    them and the scan."""
+    if sorted(v for v, _, _ in entries) != list(range(1, len(entries) + 1)):
         return False
-    work = list(entries)
-    while len(work) > 1:
-        m_val = max(v for v, _, _ in work)
-        i = next(j for j, (v, _, _) in enumerate(work) if v == m_val)
-        if i == len(work) - 1:
-            if work[i][2]:
-                return False
-        else:
-            if work[i][1] != work[i + 1][1]:
-                return False
-        work.pop(i)
-    if not work:
-        return True  # the empty word, as for signed permutations
-    v, _, circ = work[0]
-    return v == 1 and not circ
+    stack = []
+    for v, hat, circle in reversed(entries):
+        if type(v) is not int or type(hat) is not bool or type(circle) is not bool:
+            return False
+        while stack and stack[-1][0] > v:
+            stack.pop()
+        if (stack[-1][1] != hat) if stack else circle:
+            return False
+        stack.append((v, hat))
+    return True
 
 
 def validate(obj) -> bool:
-    """True iff all structural invariants of the object's class hold."""
+    """True iff all structural invariants of the object's class hold.  Every
+    entry must be an int, and a decorated entry's flags bools."""
     if isinstance(obj, Permutation):
-        return sorted(obj.word) == list(range(1, len(obj.word) + 1))
+        word = obj.word
+        return _ints(word) and sorted(word) == list(range(1, len(word) + 1))
 
     if isinstance(obj, SignedPermutation):
-        if any(not isinstance(v, int) or v == 0 for v in obj.word):
-            return False
-        return sorted(abs(v) for v in obj.word) == list(range(1, len(obj.word) + 1))
+        word = obj.word
+        return (_ints(word) and 0 not in word and sorted(map(abs, word))
+                == list(range(1, len(word) + 1)))
 
     if isinstance(obj, PerfectMatching):
         pts = [p for blk in obj.blocks for p in blk]
-        if sorted(pts) != list(range(1, 2 * len(obj.blocks) + 1)):
+        if not _ints(pts) or sorted(pts) != list(range(1, 2 * len(obj.blocks) + 1)):
             return False
         firsts = [a for a, _ in obj.blocks]
         return all(a < b for a, b in obj.blocks) and firsts == sorted(firsts)
@@ -341,7 +343,8 @@ def validate(obj) -> bool:
     if isinstance(obj, StirlingWord):
         word = obj.word
         n = len(word) // 2
-        if sorted(word) != [v for v in range(1, n + 1) for _ in (0, 1)]:
+        pairs = [v for v in range(1, n + 1) for _ in (0, 1)]
+        if not _ints(word) or sorted(word) != pairs:
             return False
         return _stirling_property(word)
 
@@ -351,7 +354,8 @@ def validate(obj) -> bool:
             return False
         allv = [v for c in cycles for v in c]
         n = len(allv) // 2
-        if sorted(allv) != [v for v in range(1, n + 1) for _ in (0, 1)]:
+        pairs = [v for v in range(1, n + 1) for _ in (0, 1)]
+        if not _ints(allv) or sorted(allv) != pairs:
             return False
         mins = [c[0] for c in cycles]
         if mins != sorted(set(mins)) or any(c[0] != min(c) for c in cycles):
@@ -362,7 +366,7 @@ def validate(obj) -> bool:
         return _validate_decorated(obj.entries)
 
     if isinstance(obj, InversionSequence):
-        if len(obj.e) != len(obj.s):
+        if len(obj.e) != len(obj.s) or not (_ints(obj.e) and _ints(obj.s)):
             return False
         return all(0 <= e < s for e, s in zip(obj.e, obj.s))
 

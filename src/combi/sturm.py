@@ -28,6 +28,9 @@ coefficients small.  Remainders are taken by pseudo-division with a
 positive scale factor, so they stay in the integers: each one is a positive
 multiple of the rational remainder, and after stripping the content the
 chain is the one rational division gives (Collins, J. ACM 14, 1967).
+
+`descartes_real_roots` and `chain_real_roots` are the two counters, each on
+its own; `sturm_real_roots` dispatches between them.
 """
 
 from __future__ import annotations
@@ -173,27 +176,56 @@ def _positive_roots(f: list[int]) -> int:
     return count
 
 
-def sturm_real_roots(p: ExactPoly) -> SturmReport:
-    """Count distinct real roots of a nonzero univariate polynomial in x."""
+def _coefficients(p: ExactPoly) -> list[int]:
+    """The primitive integer coefficient list of a nonzero univariate
+    polynomial in x, lowest degree first."""
     coeffs = _trim(list(p.univariate_coeffs("x")))
     if not coeffs:
         raise ValueError("zero polynomial has no Sturm chain")
-    degree = len(coeffs) - 1
-    if degree == 0:
+    return _primitive(coeffs)
+
+
+def _descartes_count(f: list[int]) -> SturmReport:
+    degree = len(f) - 1
+    at_zero = f[0] == 0
+    if at_zero:
+        f = f[1:]
+    mirror = [-c if k % 2 else c for k, c in enumerate(f)]
+    return SturmReport(degree, at_zero + _positive_roots(f)
+                       + _positive_roots(mirror), True)
+
+
+def _chain_count(f: list[int]) -> SturmReport:
+    if len(f) == 1:
         return SturmReport(0, 0, True)
-
-    f = _primitive(coeffs)
-    if _squarefree_mod_q(f):
-        at_zero = f[0] == 0
-        if at_zero:
-            f = f[1:]
-        mirror = [-c if k % 2 else c for k, c in enumerate(f)]
-        return SturmReport(degree, at_zero + _positive_roots(f)
-                           + _positive_roots(mirror), True)
-
     chain = _chain(f)
     at_pos = [1 if g[-1] > 0 else -1 for g in chain]
     at_neg = [s if (len(g) - 1) % 2 == 0 else -s for g, s in zip(chain, at_pos)]
     distinct = _variations(at_neg) - _variations(at_pos)
-    squarefree = len(chain[-1]) == 1
-    return SturmReport(degree, distinct, squarefree)
+    return SturmReport(len(f) - 1, distinct, len(chain[-1]) == 1)
+
+
+def descartes_real_roots(p: ExactPoly) -> SturmReport:
+    """The distinct real roots of p by Descartes' rule with continued
+    fractions.  Raises ValueError unless the modular test proves p
+    squarefree."""
+    f = _coefficients(p)
+    if len(f) > 1 and not _squarefree_mod_q(f):
+        raise ValueError("the Descartes count needs an input proven squarefree")
+    return _descartes_count(f)
+
+
+def chain_real_roots(p: ExactPoly) -> SturmReport:
+    """The distinct real roots of p by its Sturm chain, which also tells
+    whether p is squarefree."""
+    return _chain_count(_coefficients(p))
+
+
+def sturm_real_roots(p: ExactPoly) -> SturmReport:
+    """The distinct real roots of a nonzero univariate polynomial in x: the
+    Descartes count when the modular test proves it squarefree, else the
+    chain count."""
+    f = _coefficients(p)
+    if len(f) > 1 and _squarefree_mod_q(f):
+        return _descartes_count(f)
+    return _chain_count(f)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .poly import (ONE, X, CapacityError, ExactPoly, divexact, poly_reverse,
                    poly_sum)
 from .series import TruncatedSeries, egf_coefficient
-from .sturm import sturm_real_roots
+from .sturm import chain_real_roots, sturm_real_roots
 from . import bijections, families, grammar, objects
 
 
@@ -110,6 +110,11 @@ def _r_over_x(n):
 
 def _real_root_count(n):
     rep = sturm_real_roots(_r_over_x(n))
+    return rep.distinct_real_roots, rep.is_squarefree
+
+
+def _chain_root_count(n):
+    rep = chain_real_roots(_r_over_x(n))
     return rep.distinct_real_roots, rep.is_squarefree
 
 
@@ -361,12 +366,15 @@ CHECKS: tuple[IdentityCheck, ...] = (
              families.r_poly(n, with_q=False), n)))),
     IdentityCheck(
         "R-real-rooted", "R_n/x has only simple real zeros (Descartes count "
-        "once a mod-q test proves it squarefree, else the Sturm chain)",
+        "once a mod-q test proves it squarefree, else the Sturm chain; and "
+        "the Sturm chain alone)",
         range(2, 11),
         (Route("recurrence", "(degree of R_n/x, True)",
                lambda n: (_r_over_x(n).degree("x"), True)),
          Route("sturm", "(distinct real roots, squarefree)",
-               _real_root_count))),
+               _real_root_count),
+         Route("chain", "(Sturm chain root count, squarefree)",
+               _chain_root_count))),
     IdentityCheck(
         "h-series-vs-enum", "signed cap sums over fixed-point-free objects "
         "match the secant-root series", range(1, 8),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -210,15 +211,30 @@ def test_peel_replay_matches_stepwise_construction():
     # building it one insertion at a time
     root = ((), bijections._EMPTY)
     for word, state in walk(bijections._domain_tree("phi")[2], 4, root):
-        t = phi_map(DecoratedPermutation(word))
-        assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
+        assert phi_map(DecoratedPermutation(word)) == bijections._triple(state, 4)
     for word, state in walk(bijections._domain_tree("psi")[2], 4, root):
-        t = psi_map(SignedPermutation(word))
-        assert (t.first.blocks, t.second.blocks, _mask(t.index_set)) == state
+        assert psi_map(SignedPermutation(word)) == bijections._triple(state, 4)
 
 
-def _mask(values) -> int:
-    return sum(1 << v for v in values)
+def _partners(blocks):
+    """The partner tuple of standard-form blocks."""
+    out = [0] * (2 * len(blocks) + 1)
+    for a, b in blocks:
+        out[a], out[b] = b, a
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_partner_tuples_round_trip(n):
+    # every matching of [2n] in standard form <-> its partner tuple, a
+    # fixed-point-free involution with 0 in front
+    seen = set()
+    for blocks in objects.leaves("matching", n)[0]:
+        partners = _partners(blocks)
+        assert bijections._blocks(partners) == blocks
+        assert bijections._in_codomain(((0,), partners, 0))
+        seen.add(partners)
+    assert len(seen) == objects.double_factorial(n)
 
 
 def test_capacity_guard():
@@ -257,65 +273,97 @@ def test_moved_index_caught(monkeypatch, map_id, counterexample):
     assert rep.counterexample == counterexample
 
 
+def _taker(state, child) -> int:
+    """Which matching of the state took the new points: 0 or 1."""
+    return 0 if len(child[0]) > len(state[0]) else 1
+
+
+def _with(child, f, partners):
+    """The child with matching f replaced."""
+    return (tuple(partners), child[1], child[2]) if f == 0 else (
+        child[0], tuple(partners), child[2])
+
+
 @pytest.mark.parametrize("map_id,repeated", [("phi", "4c 3 2 1"),
                                              ("psi", "-4 3 2 1")],
                          ids=["phi", "psi"])
 def test_split_block_mutants_caught(monkeypatch, map_id, repeated):
-    split = bijections._split_block
+    insert = bijections._insert
 
-    def always_straight(blocks, use_marked, p, lo, straight):
-        return split(blocks, use_marked, p, lo, True)
+    def always_straight(state, m, slots, index, first, straight, starts):
+        return insert(state, m, slots, index, first, True, starts)
 
-    def swapped(blocks, use_marked, p, lo, straight):
-        try:
-            return split(blocks, not use_marked, p, lo, straight)
-        except ValueError:  # no p-th block of the other kind
-            return split(blocks, use_marked, p, lo, straight)
+    def swapped(state, m, slots, index, first, straight, starts):
+        if index < len(slots):
+            f, marked, p = slots[index]
+            if len(starts[2 * f + (not marked)]) >= p:  # else no such block
+                slots = [*slots[:index], (f, not marked, p), *slots[index + 1:]]
+        return insert(state, m, slots, index, first, straight, starts)
 
-    monkeypatch.setattr(bijections, "_split_block", always_straight)
+    monkeypatch.setattr(bijections, "_insert", always_straight)
     rep = verify_bijection(map_id, 4)
     assert not rep.injective and not rep.image_complete
     assert rep.weight_preserving
     assert rep.counterexample == (repeated, "[] [(1,3)(2,5)(4,7)(6,8)] {}")
 
-    monkeypatch.setattr(bijections, "_split_block", swapped)
+    monkeypatch.setattr(bijections, "_insert", swapped)
     rep = verify_bijection(map_id, 4)
     assert rep.injective and rep.image_complete
     assert not rep.weight_preserving
     assert rep.counterexample == ("4 3 2 1", "[] [(1,7)(2,4)(3,6)(5,8)] {}")
 
 
-# The certificate checks each node locally: every child peels back to it.
-# Mutants that leave a state insertion cannot make are caught, and the
-# verdict is taken from a second walk that keeps every image.
+# The certificate checks each edge locally: every child peels back to its
+# node.  Mutants that leave a state insertion cannot make are caught, and
+# the verdict is taken from a second walk that keeps every image.
 
 @pytest.mark.parametrize("map_id", ["phi", "psi"])
-def test_unsorted_split_caught(monkeypatch, map_id):
-    # the new block goes at the end, not in order of its start: the images
-    # stay distinct and the weights hold, but they are not in standard form
-    monkeypatch.setattr(bijections, "insort",
-                        lambda blocks, block: blocks.append(block))
+def test_one_link_append_caught(monkeypatch, map_id):
+    # an appended block that links its lower point up but leaves the upper
+    # one on itself: the images stay distinct and the weights hold, and
+    # read as blocks they even look right, but they are no involutions
+    insert = bijections._insert
+
+    def one_link(state, m, *rest):
+        child = insert(state, m, *rest)
+        f = _taker(state, child)
+        partners = list(child[f])
+        if partners[-2] == len(partners) - 1:  # appended
+            partners[-1] = len(partners) - 1
+        return _with(child, f, partners)
+
+    monkeypatch.setattr(bijections, "_insert", one_link)
     rep = verify_bijection(map_id, 4)
     assert rep.injective and rep.weight_preserving
     assert not rep.image_complete
-    assert rep.counterexample == ("3 4 2 1", "[] [(1,7)(2,5)(4,6)(3,8)] {}")
+    # (7,8) links one way: as blocks the image looks like a matching
+    assert rep.counterexample == ("3 2 1 4", "[] [(1,3)(2,5)(4,6)(7,8)] {}")
 
 
 @pytest.mark.parametrize("map_id", ["phi", "psi"])
 def test_wrong_top_pair_caught(monkeypatch, map_id):
-    # a split into j blocks that tops the two new ones with 2j + 1 and
-    # 2j + 2, not 2j - 1 and 2j, keeps the parity of every top, so only
-    # the matchings' point sets show it
-    split = bijections._split_block
+    # a split of a matching with j blocks that gives the two new blocks the
+    # tops 2j + 3 and 2j + 4, leaving 2j + 1 and 2j + 2 on themselves,
+    # keeps the parity of every top, so only the matchings' point sets
+    # show it
+    insert = bijections._insert
 
-    def high(blocks, use_marked, p, lo, straight):
-        return split(blocks, use_marked, p, lo + 2, straight)
+    def high(state, m, *rest):
+        child = insert(state, m, *rest)
+        f = _taker(state, child)
+        partners = list(child[f])
+        lo = len(state[f])
+        a, b = partners[lo:]
+        if a < lo:  # a split
+            partners[a], partners[b] = lo + 2, lo + 3
+            partners[lo:] = [lo, lo + 1, a, b]
+        return _with(child, f, partners)
 
-    monkeypatch.setattr(bijections, "_split_block", high)
+    monkeypatch.setattr(bijections, "_insert", high)
     rep = verify_bijection(map_id, 4)
     assert rep.injective and rep.weight_preserving
     assert not rep.image_complete
-    assert rep.counterexample == ("4 3 2 1", "[] [(1,5)(2,7)(6,9)(8,10)] {}")
+    assert rep.counterexample == ("4 3 2 1", "[] [(1,5)(2,9)(6,13)(10,14)] {}")
 
 
 @pytest.mark.parametrize("map_id,word", [("phi", "2h 1h 3"),
@@ -330,12 +378,62 @@ def test_forgetful_insertion_caught(monkeypatch, map_id, word):
     def forgetful(state, m, *rest):
         s1, s2, iset = insert(state, m, *rest)
         if iset == state[2]:  # m went into the second matching
-            s1 = tuple((2 * i + 1, 2 * i + 2) for i in range(len(s1)))
+            s1 = (0, *(p + 1 if p % 2 else p - 1 for p in range(1, len(s1))))
         return s1, s2, iset
 
     monkeypatch.setattr(bijections, "_insert", forgetful)
     assert verify_bijection(map_id, 3) == bijections.BijectionReport(
         3, False, False, False, (word, "[(1,2)(3,4)] [(1,2)] {1,2}"))
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_edge_checks_see_the_children_reordered(map_id):
+    # the 2m children of a node are all the states that peel back to it,
+    # so children that swap states pass peel and the keys; the weight and
+    # index checks of the edges must see every swap that moves the weight
+    # gained or the bit recorded, and only those
+    children = bijections._domain_tree(map_id)[2]
+
+    def gain(kid):
+        return bijections.peel(kid[1], 4)[2], kid[1][2] >> 4 & 1
+
+    def swapping(c, d):
+        def swapped(node, m):
+            kids = children(node, m)
+            (wc, sc), (wd, sd) = kids[c], kids[d]
+            kids[c], kids[d] = (wc, sd), (wd, sc)
+            return kids
+        return bijections._checked(map_id, swapped)
+
+    seen = set()
+    for node in bijections.certificate_roots(map_id, 4):
+        kids = children(node, 4)
+        for c, d in itertools.combinations(range(len(kids)), 2):
+            moved = gain(kids[c]) != gain(kids[d])
+            seen.add(moved)
+            if moved:
+                with pytest.raises(bijections._Unpeeled):
+                    swapping(c, d)(node, 4)
+            else:  # the same gain and bit: passes, as another bijection would
+                swapping(c, d)(node, 4)
+    assert seen == {False, True}
+
+
+def test_edge_checks_find_m_where_the_tree_lays_it():
+    # children 0 and 2 of the word 1 trade words: each word still fits the
+    # other's state at the index the check reads, but m is not there
+    children = bijections._domain_tree("phi")[2]
+    node = children(((), bijections._EMPTY), 1)[0]
+
+    def traded(node, m):
+        kids = children(node, m)
+        (w0, s0), (w2, s2) = kids[0], kids[2]
+        kids[0], kids[2] = (w2, s0), (w0, s2)
+        return kids
+
+    assert bijections._checked("phi", children)(node, 2)[1] == 1
+    with pytest.raises(bijections._Unpeeled):
+        bijections._checked("phi", traded)(node, 2)
 
 
 @pytest.mark.parametrize("map_id", ["phi", "psi"])
@@ -346,8 +444,9 @@ def test_collision_above_the_cut_caught(monkeypatch, map_id):
     # the subtrees' tallies would not see the collision.
     insert = bijections._insert
 
-    def straight_at_2(state, m, slots, index, first, straight):
-        return insert(state, m, slots, index, first, straight or m == 2)
+    def straight_at_2(state, m, slots, index, first, straight, starts):
+        return insert(state, m, slots, index, first, straight or m == 2,
+                      starts)
 
     monkeypatch.setattr(bijections, "_insert", straight_at_2)
     assert 2 <= bijections.SPLIT_LEVEL < 5
@@ -389,27 +488,42 @@ def test_peel_inverts_each_insertion(case):
             psi_map(SignedPermutation(word))
     assert [m for _, m, _ in steps] == list(range(1, len(word) + 1))
     for state, m, child in steps:
-        parent, key = bijections.peel(child, m)
+        parent, key, gained = bijections.peel(child, m)
         assert parent == state
         assert key & 1 == child[2] >> m & 1
+        el = [sum(not b & 1 for _, b in bijections._blocks(t)) for t in child[:2]]
+        was = [sum(not b & 1 for _, b in bijections._blocks(t)) for t in state[:2]]
+        assert sum(el) - sum(was) == gained
 
 
 def test_peel_of_each_child():
     # the three ways 2 enters the second matching (1,2), and one way into
-    # the first: each peels back to the parent, under its own key
-    parent = ((), ((1, 2),), 0)
-    assert bijections.peel(((), ((1, 3), (2, 4)), 0), 2) == (parent, 4)
-    assert bijections.peel(((), ((1, 4), (2, 3)), 0), 2) == (parent, 6)
-    assert bijections.peel(((), ((1, 2), (3, 4)), 0), 2) == (parent, 0)
-    assert bijections.peel((((1, 2),), ((1, 2),), 0b100), 2) == (parent, 1)
+    # the first: each peels back to the parent, under its own key, with
+    # the even tops gained
+    parent = ((0,), (0, 2, 1), 0)
+    # (1,3)(2,4): the points 3, 4 link to 1, 2; the merged top 2 is even
+    assert bijections.peel(((0,), (0, 3, 4, 1, 2), 0), 2) == (parent, 12, 0)
+    # (1,4)(2,3): crossed, so (a, c) = (2, 1)
+    assert bijections.peel(((0,), (0, 4, 3, 2, 1), 0), 2) == (parent, 18, 0)
+    # (1,2)(3,4): appended, one even top gained
+    assert bijections.peel(((0,), (0, 2, 1, 4, 3), 0), 2) == (parent, 0, 1)
+    assert bijections.peel(((0, 2, 1), (0, 2, 1), 0b100), 2) == (parent, 1, 1)
+    # (1,4)(2,5)(3,6) from (1,4)(2,3), its block (2,3) split: the merged
+    # top 3 is odd, so an even top was gained
+    assert bijections.peel(((0,), (0, 4, 5, 6, 1, 2, 3), 0), 3) == (
+        ((0,), (0, 4, 3, 2, 1), 0), 2 * (2 * 6 + 3), 1)
 
 
 @pytest.mark.parametrize("state", [
-    ((), (), 0),                     # no block took 2
-    ((), ((1, 2), (3, 5)), 0),       # no top 4
-    ((), ((2, 4), (1, 3)), 0),       # block starts out of order
-    ((), ((1, 4), (3, 2)), 0),       # no top 3
-], ids=["empty", "missing-top", "unsorted", "reversed-block"])
+    ((0,), (0,), 0),                 # no block took 2
+    ((0,), (0, 2, 1, 4), 0),         # the top 4 is missing
+    ((0,), (0, 3, 4, 2, 1), 0),      # 3 -> 2 but 2 -> 4: no involution
+    ((0,), (0, 2, 1, 3, 4), 0),      # 3 and 4 are fixed points
+    ((0,), (0, 3, 4, 1, 1), 0),      # a = c = 1
+    ((0,), (0, 2, 1, 4, 4), 0),      # the appended block links one way
+    ((0,), (0, 4, 3, -3, 1), 0),     # 3 -> -3, read as 2 from the end
+], ids=["empty", "missing-top", "non-involution", "fixed-point", "a-equals-c",
+        "one-way", "negative"])
 def test_peel_is_strict(state):
     with pytest.raises(ValueError):
         bijections.peel(state, 2)

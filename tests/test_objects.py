@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combi import families, objects, verify
+from combi import bijections, families, objects, verify
 from combi.poly import CapacityError, X
 from combi.families import h_values, stat_distribution
 from combi.objects import (CycleStirling, DecoratedPermutation,
@@ -214,6 +215,114 @@ def test_decorated_peeling_rules():
     assert validate(DecoratedPermutation(((2, False, True), (1, False, False))))
     # value 1 can never carry a circle
     assert not validate(DecoratedPermutation(((1, False, True),)))
+
+
+@pytest.mark.parametrize("obj", [
+    Permutation((True,)), Permutation((1.0,)), Permutation((2, 1.0)),
+    SignedPermutation((True,)), SignedPermutation((-1.0,)),
+    StirlingWord((1.0, 1.0)), StirlingWord((True, 1)),
+    PerfectMatching(((1, 2.0),)), PerfectMatching(((True, 2),)),
+    InversionSequence((False,), (1,)), InversionSequence((0,), (1.0,)),
+    CycleStirling(((True, True),)), CycleStirling(((1, 1.0),)),
+    DecoratedPermutation(((1.0, False, False),)),
+    DecoratedPermutation(((True, False, False),)),
+    DecoratedPermutation(((1, 0, 0),)), DecoratedPermutation(((1, 1, False),)),
+    DecoratedPermutation(((2, False, True), (1, False, 0))),
+], ids=repr)
+def test_entries_that_are_not_ints_are_invalid(obj):
+    # each equals a valid object, but its encoding (True, 1.0, (1,2.0),
+    # ...) does not parse, and the maps must not take it
+    assert not validate(obj)
+    if isinstance(obj, DecoratedPermutation):
+        with pytest.raises(ValueError, match="^invalid decorated"):
+            bijections.phi_map(obj)
+
+
+@pytest.mark.parametrize("cls", CLASS_NAMES)
+def test_every_small_object_parses_back(cls):
+    for n in range(5):
+        s = tuple(range(1, n + 1)) if cls == "invseq" else None
+        for obj in generate(cls, n, s):
+            assert parse(cls, encode(obj)) == obj
+
+
+def _old_stirling_property(word) -> bool:
+    """The validator's rule before its one-pass stack: each value twice,
+    everything between its copies larger, found by scanning."""
+    first, second = {}, {}
+    for i, v in enumerate(word):
+        if v not in first:
+            first[v] = i
+        elif v not in second:
+            second[v] = i
+        else:
+            return False
+    return len(second) == len(first) and all(
+        word[i] > v for v in first for i in range(first[v] + 1, second[v]))
+
+
+def _old_validate_decorated(entries) -> bool:
+    """The validator's rule before its one pass: pop the largest entry,
+    which must copy the hat of the entry after it, or be uncircled at the
+    end."""
+    if sorted(v for v, _, _ in entries) != list(range(1, len(entries) + 1)):
+        return False
+    work = list(entries)
+    while work:
+        i = work.index(max(work))
+        if i == len(work) - 1 and work[i][2]:
+            return False
+        if i < len(work) - 1 and work[i][1] != work[i + 1][1]:
+            return False
+        work.pop(i)
+    return True
+
+
+def _perturbed(rng, seq):
+    """seq with two entries swapped, one entry doubled or one dropped."""
+    seq = list(seq)
+    i, j = rng.randrange(len(seq)), rng.randrange(len(seq))
+    how = rng.randrange(3)
+    if how == 0:
+        seq[i], seq[j] = seq[j], seq[i]
+    elif how == 1:
+        seq[j] = seq[i]
+    else:
+        del seq[i]
+    return tuple(seq)
+
+
+def _probes(rng, obj):
+    """obj, and copies of it with one perturbation."""
+    yield obj
+    if isinstance(obj, StirlingWord):
+        yield StirlingWord(_perturbed(rng, obj.word))
+    elif isinstance(obj, CycleStirling):
+        c = rng.randrange(len(obj.cycles))
+        cycles = list(obj.cycles)
+        cycles[c] = _perturbed(rng, cycles[c]) or (1,)
+        yield CycleStirling(tuple(cycles))
+    else:
+        entries = obj.entries
+        yield DecoratedPermutation(_perturbed(rng, entries))
+        i = rng.randrange(len(entries))
+        v, hat, circle = entries[i]
+        flipped = rng.choice(((v, not hat, circle), (v, hat, not circle)))
+        yield DecoratedPermutation(entries[:i] + (flipped,) + entries[i + 1:])
+
+
+def test_one_pass_validators_agree_with_the_old_ones():
+    rng = random.Random(5)
+    probes = [probe for cls in ("stirling", "stirling2", "decorated")
+              for n in range(1, 6) for obj in generate(cls, n)
+              for probe in _probes(rng, obj)]
+    new = [validate(probe) for probe in probes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objects, "_stirling_property", _old_stirling_property)
+        mp.setattr(objects, "_validate_decorated", _old_validate_decorated)
+        old = [validate(probe) for probe in probes]
+    assert new == old
+    assert 0.2 < sum(new) / len(new) < 0.8  # both kinds are probed
 
 
 def test_validate_rejects_bad_matching():

@@ -226,3 +226,30 @@ def test_off_by_one_positive_count_caught(off, monkeypatch):
     monkeypatch.setattr(sturm, "_positive_roots", lambda f: real(f) + off)
     for n in range(3, 11):
         assert verify.run_check("R-real-rooted", n).status == "fail"
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_off_by_one_chain_count_caught(off, monkeypatch):
+    # x f (off 1) or -x f (off -1) put in front of the chain: the pair
+    # with f keeps its sign at one end and changes it at the other, so
+    # the count moves by exactly `off`
+    real = sturm._chain
+    monkeypatch.setattr(sturm, "_chain", lambda f: [
+        [0] + [off * c for c in real(f)[0]], *real(f)])
+    for n in range(3, 11):
+        p = divexact(families.r_poly(n, with_q=False), X)
+        assert sturm.chain_real_roots(p) == SturmReport(n - 2, n - 2 + off, True)
+        assert verify.run_check("R-real-rooted", n).status == "fail"
+
+
+def test_counters_on_their_own():
+    p = (X - 1) * (X + 2) * X
+    assert (sturm.descartes_real_roots(p) == sturm.chain_real_roots(p)
+            == sturm_real_roots(p) == SturmReport(3, 3, True))
+    with pytest.raises(ValueError, match="proven squarefree"):
+        sturm.descartes_real_roots(X ** 2)
+    assert sturm.chain_real_roots(X ** 2) == SturmReport(2, 1, False)
+    for count in (sturm.descartes_real_roots, sturm.chain_real_roots):
+        assert count(ExactPoly.const(3)) == SturmReport(0, 0, True)
+        with pytest.raises(ValueError):
+            count(ExactPoly.zero())

@@ -616,36 +616,51 @@ def _moved_index(insert):
     return moved
 
 
-def _always_straight(split):
-    def always_straight(blocks, use_marked, p, lo, straight):
-        return split(blocks, use_marked, p, lo, True)
+def _always_straight(insert):
+    def always_straight(state, m, slots, index, first, straight, starts):
+        return insert(state, m, slots, index, first, True, starts)
     return always_straight
 
 
-def _appending(_insort):
-    return lambda blocks, block: blocks.append(block)
+def _one_link(insert):
+    # an appended block whose upper point keeps a link to itself
+    def one_link(state, m, *rest):
+        child = list(insert(state, m, *rest))
+        f = 0 if len(child[0]) > len(state[0]) else 1  # the matching that grew
+        if child[f][-2] == len(child[f]) - 1:  # an appended block
+            child[f] = child[f][:-1] + (len(child[f]) - 1,)
+        return tuple(child)
+    return one_link
 
 
-def _first_weighs_wrong(weighs):
-    # every leaf that ends in 1 is a counterexample, so each subtree has
-    # its own first one and the sum must keep the first in walk order
-    def wrong(word, state):
-        last = word[-1] if word else None
-        return weighs(word, state) and last not in (1, (1, False, False))
-    return wrong
+def _moved_weight(insert, at=5):
+    # at the edges into size `at`, a split of the other marking where
+    # there is one: the marked and unmarked blocks, so the weight, move
+    def moved(state, m, slots, index, first, straight, starts):
+        if m == at and index < len(slots):
+            f, marked, p = slots[index]
+            if len(starts[2 * f + (not marked)]) >= p:
+                slots = [*slots[:index], (f, not marked, p), *slots[index + 1:]]
+        return insert(state, m, slots, index, first, straight, starts)
+    return moved
 
 
-@pytest.mark.parametrize("attrs, mutate", [
-    (("_insert",), _moved_index),
-    (("_split_block",), _always_straight),
-    (("insort",), _appending),
-    (("_phi_weighs", "_psi_weighs"), _first_weighs_wrong),
-], ids=["moved-index", "always-straight", "appending-insort", "weights"])
+def _dropped_bit(insert):
+    # at the edges into size 5, the first matching takes m unrecorded
+    def dropped(state, m, *rest):
+        s1, s2, iset = insert(state, m, *rest)
+        return s1, s2, iset & ~(1 << 5) if m == 5 else iset
+    return dropped
+
+
+@pytest.mark.parametrize("mutate", [
+    _moved_index, _always_straight, _one_link, _moved_weight, _dropped_bit,
+], ids=["moved-index", "always-straight", "one-link", "weights",
+        "dropped-bit"])
 def test_mutant_certificates_same_on_one_and_two_cpus(monkeypatch, forks,
-                                                      attrs, mutate):
+                                                      mutate):
     from combi import bijections
-    for attr in attrs:
-        monkeypatch.setattr(bijections, attr, mutate(getattr(bijections, attr)))
+    monkeypatch.setattr(bijections, "_insert", mutate(bijections._insert))
     _cpus(monkeypatch, 1)
     serial = verify.run_all(5, _SHARED_IDS)
     _cpus(monkeypatch, 2)
@@ -706,12 +721,12 @@ def test_rule_mutant_reaches_the_subtrees_the_child_drains(monkeypatch, forks):
 @pytest.mark.parametrize("weighs_wrong", [False, True])
 def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
                                                             weighs_wrong):
-    # the tallies arrive in any order; the report takes the first
-    # counterexample in walk order, and the time of every subtree
+    # the tallies arrive in any order; the report is the serial one, and
+    # takes the time of every subtree
     from combi import bijections
-    if weighs_wrong:
-        monkeypatch.setattr(bijections, "_psi_weighs",
-                            _first_weighs_wrong(bijections._psi_weighs))
+    if weighs_wrong:  # below the subtree roots
+        monkeypatch.setattr(bijections, "_insert",
+                            _moved_weight(bijections._insert, 4))
     roots = bijections.certificate_roots("psi", 4)
     assert len(roots) == 48
     tallies = [(i, bijections.subtree_tally("psi", 4, root), 1000.0)

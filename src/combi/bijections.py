@@ -24,11 +24,12 @@ the object's construction history through `_replay`; `map_steps` yields
 the image of every prefix on the way.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
-verify_bijection walks the domain's insertion tree in `objects`, the one
-`generate` walks (a generating tree: J. West, Discrete Math. 146 (1995);
-Banderier et al., Discrete Math. 246 (2002)), and keeps no image.  Each
-edge into a child of size m is checked in O(1) from the child's word and
-state, never from the rule:
+`verify_bijection(map_id, n)` is the one entry point.  It walks the
+domain's insertion tree in `objects`, the one `generate` walks (a
+generating tree: J. West, Discrete Math. 146 (1995); Banderier et al.,
+Discrete Math. 246 (2002)), and keeps no image.  Each edge into a child of
+size m is checked in O(1) from the child's word and state, never from the
+rule:
   - `peel(child, m)` must give back the node's state, under a key no
     sibling shares.  The peel is strict: in the matching that took m, with
     j blocks, the points 2j - 1 and 2j are a block or link back to two
@@ -54,15 +55,18 @@ in walk order.  `subtree_tally` walks the subtree below one of them and
 returns a `Tally`: its images by k, and whether an edge failed.  A check
 reads only a node and its children, so the induction runs across the cut,
 and the subtrees may be tallied in any order, in any process:
-`verify.run_all` shares them between its two processes.
-`certificate_roots` first calls `objects.require_domain`, so n > 8 is
-refused before any walk.
+`verify.run_all` shares them between its two processes and hands the
+tallies to `verify_bijection(map_id, n, tallies)`, which then walks
+nothing unless an edge failed.  `certificate_roots` first calls
+`objects.require_domain`, so n > 8 is refused before any walk.
 
 A failed edge only means that the rule and the checks disagree.  The walk
 then runs again, keeps every image in a set and weighs every leaf whole
-(`_phi_weighs`, `_psi_weighs`): a repeated image, one outside the codomain
-or a leaf that weighs wrong is a counterexample, the first in walk order.
-So a report never depends on which of the two walks produced it.
+(`_phi_weighs`, `_psi_weighs`): the word's asc or des_B and its hat or
+bar set come from the statistics of `objects`, and only the matching side
+and the bitmask compare are done here.  A repeated image, one outside the
+codomain or a leaf that weighs wrong is a counterexample, the first in walk
+order.  So a report never depends on which of the two walks produced it.
 """
 
 from __future__ import annotations
@@ -240,15 +244,12 @@ def phi_map(w: DecoratedPermutation) -> MatchingTriple:
 def _phi_weighs(word, state) -> bool:
     """asc(word) = el(first) + el(second), and the index set is the set of
     hatted values."""
-    s1, s2, iset = state
-    asc = prev = hats = 0
-    for v, h, _ in word:
-        asc += prev < v  # the leading virtual 0 makes asc count from 1
-        if h:
-            hats |= 1 << v
-        prev = v
-    el = [int_stats_matching(_blocks(t))[0] for t in (s1, s2)]
-    return asc == sum(el) and hats == iset
+    s1, s2, mask = state
+    hats = objects.set_stats_decorated(word)["hat_value_set"]
+    return (objects.int_stats_decorated(word)[0]
+            == int_stats_matching(_blocks(s1))[0]
+            + int_stats_matching(_blocks(s2))[0]
+            and sum(1 << v for v in hats) == mask)
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +284,12 @@ def map_steps(map_id: str, obj):
 def _psi_weighs(word, state) -> bool:
     """des_B(word) = el(first) + ol(second), and the index set holds the
     magnitudes in the blocks that end negatively."""
-    t1, t2, iset = state
-    des = prev = 0
-    for v in word:
-        des += prev > v  # the leading virtual 0 counts a negative first entry
-        prev = v
-    # Scanning from the right, each right-to-left minimum of the magnitudes
-    # ends a block, and the entries met until the next one belong to it.
-    bars = 0
-    low = len(word) + 1
-    negative = False
-    for v in reversed(word):
-        a = -v if v < 0 else v
-        if a < low:
-            low = a
-            negative = v < 0
-        if negative:
-            bars |= 1 << a
-    return (des == int_stats_matching(_blocks(t1))[0]
-            + int_stats_matching(_blocks(t2))[1] and bars == iset)
+    s1, s2, mask = state
+    bars = objects.set_stats_signed(word)["bar_set"]
+    return (objects.int_stats_signed(word)[0]
+            == int_stats_matching(_blocks(s1))[0]
+            + int_stats_matching(_blocks(s2))[1]
+            and sum(1 << abs(v) for v in bars) == mask)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +409,22 @@ SPLIT_LEVEL = 3
 Tally = namedtuple("Tally", "per_k failed")
 
 
-def verify_bijection(map_id: str, n: int) -> BijectionReport:
-    """Walk the map's whole domain, checking every edge locally, then count
-    the images by k.  If an edge fails, walk again keeping every image, so
-    that the verdict and the counterexample come from the images."""
-    roots = certificate_roots(map_id, n)
-    tallies = (None if roots is None
-               else [subtree_tally(map_id, n, root) for root in roots])
-    return certificate(map_id, n, tallies)
+def verify_bijection(map_id: str, n: int, tallies=None) -> BijectionReport:
+    """Certify the map at n from the tallies of the subtrees below
+    `certificate_roots(map_id, n)`, in any order; with no tallies, walk and
+    tally every subtree here.  If an edge above the roots or in a subtree
+    failed its local check, the report comes from a walk that keeps every
+    image instead."""
+    if tallies is None:
+        roots = certificate_roots(map_id, n)
+        tallies = (None if roots is None
+                   else [subtree_tally(map_id, n, root) for root in roots])
+    if tallies is None or any(t.failed for t in tallies):
+        return _image_walk(map_id, n)
+    per_k = Counter()
+    for t in tallies:
+        per_k.update(t.per_k)
+    return _report(n, per_k, True, True, True, None)
 
 
 def certificate_roots(map_id: str, n: int):
@@ -468,23 +464,11 @@ def subtree_tally(map_id: str, n: int, root) -> Tally:
     return Tally(per_k, False)
 
 
-def certificate(map_id: str, n: int, tallies) -> BijectionReport:
-    """The report of the subtrees' tallies.  If an edge above them
-    (`tallies` None) or in one of them failed its local check, the report
-    comes from a walk that keeps every image instead."""
-    if tallies is None or any(t.failed for t in tallies):
-        return _image_walk(map_id, n)
-    per_k = Counter()
-    for t in tallies:
-        per_k.update(t.per_k)
-    return _report(n, per_k, True, True, True, None)
-
-
 def _image_walk(map_id: str, n: int) -> BijectionReport:
     """One walk of the domain that keeps every image in a set: a repeat is
     a counterexample, and so is an image that is not a pair of perfect
     matchings with one block of the first per recorded index.  Every leaf
-    is weighed from its word and its matchings."""
+    is weighed whole; the first leaf to fail a test is the counterexample."""
     kind, weighs, children = _domain_tree(map_id)
     images = set()
     per_k = Counter()
@@ -493,19 +477,14 @@ def _image_walk(map_id: str, n: int) -> BijectionReport:
     in_codomain = True
     counterexample = None
     for word, state in objects.walk(children, n, ((), _EMPTY)):
-        if weight_ok and not weighs(word, state):
-            weight_ok = False
-            counterexample = (encode(kind(word)), _encode_state(state))
+        weight_ok = weight_ok and weighs(word, state)
         seen = len(images)  # one hash of the image, not two
         images.add(state)
-        if injective and len(images) == seen:
-            injective = False
-            counterexample = counterexample or (encode(kind(word)),
-                                                _encode_state(state))
-        if in_codomain and not _in_codomain(state):
-            in_codomain = False
-            counterexample = counterexample or (encode(kind(word)),
-                                                _encode_state(state))
+        injective = injective and len(images) > seen
+        in_codomain = in_codomain and _in_codomain(state)
+        if counterexample is None and not (weight_ok and injective
+                                           and in_codomain):
+            counterexample = (encode(kind(word)), _encode_state(state))
         per_k[state[2].bit_count()] += 1
     return _report(n, per_k, injective, in_codomain, weight_ok,
                    counterexample)

@@ -307,10 +307,11 @@ def _validate_decorated(entries) -> bool:
     went in at the end and is uncircled.  Scanning from the right, a stack
     holds (value, hat) of the entries smaller than every entry between
     them and the scan."""
-    if sorted(v for v, _, _ in entries) != list(range(1, len(entries) + 1)):
-        return False
     stack = []
-    for v, hat, circle in reversed(entries):
+    for entry in reversed(entries):
+        if type(entry) is not tuple or len(entry) != 3:
+            return False
+        v, hat, circle = entry
         if type(v) is not int or type(hat) is not bool or type(circle) is not bool:
             return False
         while stack and stack[-1][0] > v:
@@ -318,12 +319,16 @@ def _validate_decorated(entries) -> bool:
         if (stack[-1][1] != hat) if stack else circle:
             return False
         stack.append((v, hat))
-    return True
+    return sorted([v for v, _, _ in entries]) == list(range(1, len(entries) + 1))
 
 
 def validate(obj) -> bool:
     """True iff all structural invariants of the object's class hold.  Every
-    entry must be an int, and a decorated entry's flags bools."""
+    field must be a tuple, every block, cycle and decorated entry a tuple
+    of the right length, every entry an int, and a decorated entry's flags
+    bools."""
+    if not all([type(f) is tuple for f in getattr(obj, "__dict__", {}).values()]):
+        return False
     if isinstance(obj, Permutation):
         word = obj.word
         return _ints(word) and sorted(word) == list(range(1, len(word) + 1))
@@ -334,6 +339,8 @@ def validate(obj) -> bool:
                 == list(range(1, len(word) + 1)))
 
     if isinstance(obj, PerfectMatching):
+        if not all([type(blk) is tuple and len(blk) == 2 for blk in obj.blocks]):
+            return False
         pts = [p for blk in obj.blocks for p in blk]
         if not _ints(pts) or sorted(pts) != list(range(1, 2 * len(obj.blocks) + 1)):
             return False
@@ -350,7 +357,7 @@ def validate(obj) -> bool:
 
     if isinstance(obj, CycleStirling):
         cycles = obj.cycles
-        if any(not c for c in cycles):
+        if not all([type(c) is tuple and c for c in cycles]):
             return False
         allv = [v for c in cycles for v in c]
         n = len(allv) // 2

@@ -14,8 +14,9 @@ over the subtrees at one level of its domain tree
 (`bijections.SPLIT_LEVEL`), and before anything runs one fixed-width
 token per subtree goes into a pipe.  Each process that runs the plan (one,
 or two where it can fork) drains the pipe after its other units, so two
-end together.  This process sums each certificate's tallies in subtree
-order and compares the result with the other routes as `run_check` does.
+end together.  This process hands each certificate's tallies, in subtree
+order, to `bijections.verify_bijection` and compares its report with the
+other routes as `run_check` does.
 
 Routes look their functions up in `families`, `grammar`, `objects` and
 `bijections` when they run, so a function replaced on its module is the
@@ -362,8 +363,8 @@ CHECKS: tuple[IdentityCheck, ...] = (
     IdentityCheck(
         "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
         (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),
-         Route("closed-form", "x^n R_n(1/x)", lambda n: poly_reverse(
-             families.r_poly(n, with_q=False), n)))),
+         Route("series", "x^n S_n(1/x)", lambda n: poly_reverse(
+             egf_coefficient(families.series_families(10)["S"], n), n)))),
     IdentityCheck(
         "R-real-rooted", "R_n/x has only simple real zeros (Descartes count "
         "once a mod-q test proves it squarefree, else the Sturm chain; and "
@@ -462,7 +463,6 @@ def plan(max_n: int | None = None, ids: tuple[str, ...] | None = None):
 # ---------------------------------------------------------------------------
 
 _RUN_CHECK_CODE = run_check.__code__
-_VERIFY_BIJECTION_CODE = bijections.verify_bijection.__code__
 
 # check id -> the map whose bijections.verify_bijection certificate is the
 # check's first route
@@ -550,7 +550,7 @@ def _certified_report(check_id, n, tallies) -> VerifyReport:
     map_id = _CERTIFIED[check_id]
     found = [tally for _, tally, _ in sorted(tallies, key=lambda t: t[0])]
     check = REGISTRY[check_id]
-    fns = [lambda n: bijections.certificate(map_id, n, found),
+    fns = [lambda n: bijections.verify_bijection(map_id, n, found),
            *(route.fn for route in check.routes[1:])]
     return _compare(check, n, fns, sum(ms for _, _, ms in tallies))
 
@@ -605,21 +605,20 @@ def run_all(max_n: int | None = None,
     and return the reports in plan order; `verify --all` and `--id` both do.
 
     Every certificate goes into the token pipe unless `run_check` (a
-    tracer) or `bijections.verify_bijection` is rebound: its counters stay
-    in this process, which then runs every unit (or certificate) whole.  A
-    forked child runs the checks that are not certificates and then drains
-    the pipe when a subtree is in it, two or more CPUs are free and no
-    other thread runs; otherwise this process runs every unit in plan order
-    and then drains the pipe.  The earliest exception in plan order is
-    raised."""
+    tracer) is rebound: its counters stay in this process, which then runs
+    every unit whole.  A shared certificate's tallies are combined by
+    `bijections.verify_bijection(map_id, n, tallies)`, so a rebound one is
+    reached on one process or two.  A forked child runs the checks that
+    are not certificates and then drains the pipe when a subtree is in it,
+    two or more CPUs are free and no other thread runs; otherwise this
+    process runs every unit in plan order and then drains the pipe.  The
+    earliest exception in plan order is raised."""
     with families.memoised():
         units = [(pos, *pair) for pos, pair in enumerate(
             (check_id, n) for check_id, ns in plan(max_n, ids) for n in ns)]
         whole, shared, tokens = units, [], None
         if (hasattr(os, "fork")  # the pipe protocol is POSIX, as fork is
-                and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE
-                and getattr(bijections.verify_bijection, "__code__", None)
-                is _VERIFY_BIJECTION_CODE):
+                and getattr(run_check, "__code__", None) is _RUN_CHECK_CODE):
             whole, shared, tokens = _share(units)
         child = None
         # A forked child holds only the calling thread, and locks other

@@ -455,6 +455,65 @@ def test_collision_above_the_cut_caught(monkeypatch, map_id):
     assert not rep.injective and not rep.image_complete and rep.weight_preserving
 
 
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+@pytest.mark.parametrize("n", range(7))
+def test_given_tallies_make_the_whole_certificate(monkeypatch, map_id, n):
+    # tallies made anywhere give the report of the walk verify_bijection
+    # makes itself, and walk nothing more; one failed tally sends it to
+    # the image walk
+    tallies = [bijections.subtree_tally(map_id, n, root)
+               for root in bijections.certificate_roots(map_id, n)]
+    whole = verify_bijection(map_id, n)
+    monkeypatch.setattr(bijections, "certificate_roots", None)
+    monkeypatch.setattr(bijections, "subtree_tally", None)
+    assert verify_bijection(map_id, n, tallies[::-1]) == whole
+    monkeypatch.setattr(bijections, "_image_walk", lambda *args: args)
+    failed = [*tallies[:-1], tallies[-1]._replace(failed=True)]
+    assert verify_bijection(map_id, n, failed) == (map_id, n)
+
+
+def _repaired(partners):
+    """The partner tuple with its first two blocks paired the two other
+    ways; none if it has fewer blocks."""
+    blocks = bijections._blocks(partners)
+    if len(blocks) < 2:
+        return []
+    (a, b), (c, d) = blocks[:2]
+    out = []
+    for p, q, r, s in ((a, c, b, d), (a, d, b, c)):
+        t = list(partners)
+        t[p], t[q], t[r], t[s] = q, p, s, r
+        out.append(tuple(t))
+    return out
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_leaves_weigh_right_and_moved_states_wrong(map_id):
+    # every leaf of the domain walk weighs right; one flipped bit of the
+    # index mask never does, and two blocks of one matching paired another
+    # way do iff the counted tops keep their number
+    weighs = getattr(bijections, f"_{map_id}_weighs")
+    children = bijections._domain_tree(map_id)[2]
+
+    def tops(partners, parity):  # el (parity 0) or ol (parity 1)
+        return sum(b & 1 == parity for _, b in bijections._blocks(partners))
+
+    wrong = 0
+    for n in range(6):
+        for word, state in walk(children, n, ((), bijections._EMPTY)):
+            assert weighs(word, state)
+            s1, s2, mask = state
+            for v in range(n + 2):
+                assert not weighs(word, (s1, s2, mask ^ 1 << v))
+            for f, parity in ((0, 0), (1, int(map_id == "psi"))):
+                for moved in _repaired(state[f]):
+                    same = tops(moved, parity) == tops(state[f], parity)
+                    pair = (moved, s2) if f == 0 else (s1, moved)
+                    assert weighs(word, (*pair, mask)) == same
+                    wrong += not same
+    assert wrong > 1000
+
+
 @st.composite
 def _grown(draw):
     """A map and a word of its domain, grown along a random path of the

@@ -238,6 +238,25 @@ def test_entries_that_are_not_ints_are_invalid(obj):
             bijections.phi_map(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    PerfectMatching(((1, 2, 3), (4,))), DecoratedPermutation(((1, False),)),
+    PerfectMatching((1, 2)), DecoratedPermutation((1,)),
+    CycleStirling((1, 1)), StirlingWord(None), Permutation(None),
+    InversionSequence(1, (1,)), SignedPermutation(None),
+    DecoratedPermutation(None), CycleStirling(((),)),
+], ids=repr)
+def test_shapes_parse_never_builds_are_invalid(obj):
+    # a field that is not a tuple, or a block, cycle or entry that is not
+    # a tuple of the right length, raised from unpacking or iterating
+    assert validate(obj) is False
+    if isinstance(obj, DecoratedPermutation):
+        with pytest.raises(ValueError, match="^invalid decorated"):
+            bijections.phi_map(obj)
+    if isinstance(obj, SignedPermutation):
+        with pytest.raises(ValueError, match="^invalid signed"):
+            bijections.psi_map(obj)
+
+
 @pytest.mark.parametrize("cls", CLASS_NAMES)
 def test_every_small_object_parses_back(cls):
     for n in range(5):

@@ -220,6 +220,16 @@ def test_mutant_r_recurrence_caught(monkeypatch):
     assert verify.run_check("R-recurrence-enum", 4).status == "fail"
 
 
+def test_mutant_poly_reverse_caught(monkeypatch):
+    # a reversal about n + 1 shifts x^n S_n(1/x) by x, away from R_n
+    reverse = verify.poly_reverse
+    monkeypatch.setattr(verify, "poly_reverse", lambda p, n: reverse(p, n + 1))
+    rep = verify.run_check("R-palindromic", 4)
+    assert rep.status == "fail"
+    assert rep.lhs.startswith("R_n: ")
+    assert rep.rhs.startswith("x^n S_n(1/x): ")
+
+
 @pytest.mark.parametrize("check_id, attr", [
     ("Y-cyclic", "y_poly"),
     ("S2-equals-d2z", "d_poly_enum"),
@@ -235,8 +245,9 @@ def test_registered_family_route_caught(monkeypatch, check_id, attr):
 # keeps a side that does not, so a wrong kernel cannot agree with itself
 # ---------------------------------------------------------------------------
 
-# property checks, each comparing one r_poly with its own transform
-KERNEL_ONLY = {"R-palindromic", "R-real-rooted"}
+# a property check whose every route reads r_poly: the degree and two
+# root counts of R_n/x
+KERNEL_ONLY = {"R-real-rooted"}
 
 
 class _KernelCalled(Exception):
@@ -570,6 +581,29 @@ def test_rebound_run_check_runs_in_process(monkeypatch, forks):
     assert not forks
     assert len(calls) == len(reports) == 254
     assert calls == [(cid, n) for cid, ns in verify.plan() for n in ns]
+
+
+def test_rebound_verify_bijection_combines_the_shared_tallies(monkeypatch,
+                                                            forks):
+    # the certificate is still shared, and its tallies reach the rebound
+    # function in this process
+    from combi import bijections
+    calls = []
+
+    def wrong(map_id, n, tallies=None):
+        calls.append((map_id, n, len(tallies)))
+        return bijections.BijectionReport(n, True, False, True, ("w", "t"))
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(bijections, "verify_bijection", wrong)
+    reports = verify.run_all(5, ("phi-bijection", "M-ol-enum"))
+    assert len(forks) == 1
+    assert [(r.id, r.n, r.status) for r in reports] == [
+        *(("phi-bijection", n, "fail") for n in range(1, 6)),
+        *(("M-ol-enum", n, "pass") for n in range(1, 6))]
+    assert calls == [("phi", n, 1 if n <= bijections.SPLIT_LEVEL else 48)
+                     for n in range(1, 6)]
+    _no_children_left()
 
 
 # ---------------------------------------------------------------------------

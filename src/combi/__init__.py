@@ -10,8 +10,7 @@ from .sturm import (SturmReport, chain_real_roots, descartes_real_roots,
                     sturm_real_roots)
 from .objects import (CycleStirling, DecoratedPermutation, InversionSequence,
                       PerfectMatching, Permutation, SignedPermutation,
-                      StirlingWord, encode, generate, parse, reduce_word,
-                      stats, validate)
+                      StirlingWord, encode, generate, parse, stats, validate)
 from .bijections import (BijectionReport, MatchingTriple, encode_triple,
                          phi_map, psi_map, verify_bijection)
 from .grammar import (CYCLE_GRAMMAR, EULERIAN_GRAMMAR, Grammar, derive,

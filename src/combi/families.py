@@ -64,11 +64,6 @@ class TriangleTable:
     name: str
     rows: tuple[tuple[int, ...], ...]
 
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 1 <= n <= len(self.rows):
-            raise ValueError(f"{self.name} has rows 1..{len(self.rows)}, not {n}")
-        return self.rows[n - 1]
-
     def row_sums(self) -> list[int]:
         return [sum(r) for r in self.rows]
 
@@ -154,14 +149,14 @@ def a_poly(n: int) -> ExactPoly:
     return p
 
 
-def q_poly(n: int, with_q: bool = True) -> ExactPoly:
+def q_poly(n: int) -> ExactPoly:
     require_size(n)
     p = ONE
     for m in range(n):
         step = (({"q": 1}, 1, {}), ({}, 0, {"x": 2}),
                 ({"x": 1}, 2 * m, {"x": -2}))
         p = poly_apply(((step, p),))
-    return p if with_q else p.subs_num("q", 1)
+    return p
 
 
 _P_ROUTES = ("recurrence", "convolution", "series", "enumeration")

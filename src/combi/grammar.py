@@ -32,10 +32,6 @@ class Grammar:
             if stray:
                 raise ValueError(f"rule for {letter} uses unknown letters {stray}")
 
-    @property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(self.rules)
-
 
 def _letters():
     return (ExactPoly.var(v) for v in ("a", "b", "c", "d", "q"))
@@ -119,11 +115,11 @@ def eulerian_encoding(n: int) -> ExactPoly:
 
 
 def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
-    """D^n(a) and the exhaustive cycle-Stirling encoding it should equal."""
+    """D^n(a) and the exhaustive cycle-Stirling encoding it should equal,
+    the enumeration refused past the cap before any derivative is taken."""
     require_size(n, 1)
-    dist = families.stat_distribution(
-        "stirling2", n, (("cap", "x"), ("fix", "y"), ("cyc", "q")))
-    return cycle_derivative_polynomial(n), from_xyq(dist, n)
+    encoding = from_xyq(families.p_poly(n, "enumeration"), n)
+    return cycle_derivative_polynomial(n), encoding
 
 
 def lemma2_sides(n: int) -> tuple[ExactPoly, ExactPoly]:

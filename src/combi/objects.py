@@ -248,7 +248,8 @@ def leaves(class_name: str, n: int, s=None):
 
 def generate(class_name: str, n: int, s=None):
     """Stream every object of the class exactly once, deterministically."""
-    return map(_CLASSES[class_name][0], *leaves(class_name, n, s))
+    columns = leaves(class_name, n, s)  # refuses an unknown class first
+    return map(_CLASSES[class_name][0], *columns)
 
 
 def class_count(class_name: str, n: int, s=None) -> int:
@@ -538,12 +539,6 @@ def stats(obj) -> dict:
     return out
 
 
-def reduce_word(word) -> tuple[int, ...]:
-    """Order-isomorphic word over 1..k: the i-th smallest value becomes i."""
-    ranks = {v: i + 1 for i, v in enumerate(sorted(set(word)))}
-    return tuple(ranks[v] for v in word)
-
-
 def count_paired_excedance_involutions(n: int) -> int:
     """Fixed-point-free involutions of [4n] in which positions 2i-1 and 2i
     are always both excedances or both anti-excedances."""
@@ -628,17 +623,19 @@ _PARSERS = {
 
 def parse(class_name: str, text: str):
     """Inverse of encode; the result is validated.  Text that is not an
-    encoding of the class at all (a bad integer, bracket, decoration or
-    bound-sequence part) is malformed.  An encoding is ASCII and spells each
-    integer -?[0-9]+; int() would also take '+1', '1_0' and non-ASCII
-    digits, so text that holds any of them is malformed.  Leading zeros and
-    runs of whitespace are read, not rejected: "01  2" is the permutation
-    1 2.  Accepting canonical text only would cost one encode per call."""
+    encoding of the class at all (not a str, or a bad integer, bracket,
+    decoration or bound-sequence part) is malformed.  An encoding is ASCII
+    and spells each integer -?[0-9]+; int() would also take '+1', '1_0' and
+    non-ASCII digits, so text that holds any of them is malformed.  Leading
+    zeros and runs of whitespace are read, not rejected: "01  2" is the
+    permutation 1 2.  Accepting canonical text only would cost one encode
+    per call."""
     build = _PARSERS.get(class_name)
     if build is None:
         raise ValueError(f"unknown object class {class_name!r}")
     try:
-        if not text.isascii() or "+" in text or "_" in text:
+        if (type(text) is not str or not text.isascii() or "+" in text
+                or "_" in text):
             raise ValueError("not an encoding")
         obj = build(text)
     except ValueError:

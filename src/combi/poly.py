@@ -88,6 +88,8 @@ def _monomial_key(exps: dict[str, int]) -> int:
     """The packed key of the monomial prod v^exps[v]."""
     e = [0] * NVARS
     for name, k in exps.items():
+        if name not in VAR_INDEX:
+            raise ValueError(f"unknown variable {name!r}: the alphabet is {VARS}")
         e[VAR_INDEX[name]] = k
     return _pack(tuple(e))
 
@@ -425,6 +427,8 @@ def poly_apply(terms) -> ExactPoly:
 
 def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
     """x^n * p(1/x) for a univariate p with exponent support inside [0, n]."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     i = VAR_INDEX["x"]

@@ -233,6 +233,8 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
 
 def egf_coefficient(s: TruncatedSeries, n: int) -> ExactPoly:
     """n! times the ordinary coefficient of z^n: entry n of the series."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"coefficient index must be an int, got {n!r}")
     if not 0 <= n <= s.order:
         raise ValueError(f"coefficient index {n} outside [0, {s.order}]")
     return s._egf[n]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .poly import (ONE, X, CapacityError, ExactPoly, divexact, poly_reverse,
                    poly_sum)
 from .series import TruncatedSeries, egf_coefficient
-from .sturm import chain_real_roots, sturm_real_roots
+from .sturm import chain_real_roots, descartes_real_roots
 from . import bijections, families, grammar, objects
 
 
@@ -109,13 +109,8 @@ def _r_over_x(n):
     return divexact(families.r_poly(n, with_q=False), X)
 
 
-def _real_root_count(n):
-    rep = sturm_real_roots(_r_over_x(n))
-    return rep.distinct_real_roots, rep.is_squarefree
-
-
-def _chain_root_count(n):
-    rep = chain_real_roots(_r_over_x(n))
+def _root_count(count, n):
+    rep = count(_r_over_x(n))
     return rep.distinct_real_roots, rep.is_squarefree
 
 
@@ -145,11 +140,14 @@ def _all_ok(n):
 
 CHECKS: tuple[IdentityCheck, ...] = (
     IdentityCheck(
-        "A-via-invseq", "type-A Eulerian polynomial equals the ascent "
-        "distribution of (1..n)-inversion sequences", range(0, 7),
+        "A-via-invseq", "type-A Eulerian polynomial equals the ascents of "
+        "(1..n)-inversion sequences and of permutations", range(0, 7),
         (Route("recurrence", "recurrence", lambda n: families.a_poly(n)),
          Route("enumeration", "inversion sequences",
-               lambda n: families.invseq_distribution(tuple(range(1, n + 1)))))),
+               lambda n: families.invseq_distribution(tuple(range(1, n + 1)))),
+         Route("enumeration", "ascents of permutations",
+               lambda n: families.stat_distribution("permutation", n,
+                                                    (("asc", "x"),))))),
     IdentityCheck(
         "B-via-invseq", "type-B Eulerian polynomial via (2,4,..,2n)-inversion "
         "sequences equals the signed-permutation descent distribution",
@@ -296,14 +294,16 @@ CHECKS: tuple[IdentityCheck, ...] = (
                lambda n: families.y_poly(n)))),
     IdentityCheck(
         "P-three-routes", "cap/fix/cycle polynomial agrees across recurrence, "
-        "convolution, series and enumeration", range(0, 8),
+        "convolution, series, enumeration and the grammar", range(0, 8),
         (Route("recurrence", "recurrence",
                lambda n: families.p_poly(n, "recurrence")),
          Route("convolution", "convolution",
                lambda n: families.p_poly(n, "convolution")),
          Route("series", "series", lambda n: families.p_poly(n, "series")),
          Route("enumeration", "enumeration",
-               lambda n: families.p_poly(n, "enumeration")))),
+               lambda n: families.p_poly(n, "enumeration")),
+         Route("grammar", "D^n(a)/a at c^2=x, b^2=y, d=1",
+               lambda n: grammar.fix_cycle_cap_polynomial(n)))),
     IdentityCheck(
         "P-gf", "cap/fix/cycle polynomial matches e^(qz(y-1)) Q(x,q;z)",
         range(0, 9),
@@ -315,15 +315,14 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "cycle-Stirling statistics", range(1, 7),
         (Route("grammar", "D^n(a)",
                lambda n: grammar.cycle_derivative_polynomial(n)),
-         Route("enumeration", "cycle-Stirling encoding", lambda n: grammar.from_xyq(
-             families.p_poly(n, "enumeration"), n)),
+         Route("enumeration", "cycle-Stirling encoding",
+               lambda n: grammar.lemma1_sides(n)[1]),
          Route("recurrence", "encoded recurrence",
                lambda n: grammar.from_xyq(families.p_poly(n), n)))),
     IdentityCheck(
         "grammar-lemma2", "n-th grammar derivative of b^2 produces the "
         "Eulerian row", range(1, 11),
-        (Route("grammar", "D^n(b^2)", lambda n: grammar.derive(
-            grammar.EULERIAN_GRAMMAR, ExactPoly.var("b") ** 2, n)),
+        (Route("grammar", "D^n(b^2)", lambda n: grammar.lemma2_sides(n)[0]),
          Route("recurrence", "2^n sum_k <n,k> c^(2k+2) d^(2n-2k)",
                lambda n: grammar.eulerian_encoding(n)))),
     IdentityCheck(
@@ -367,15 +366,14 @@ CHECKS: tuple[IdentityCheck, ...] = (
              egf_coefficient(families.series_families(10)["S"], n), n)))),
     IdentityCheck(
         "R-real-rooted", "R_n/x has only simple real zeros (Descartes count "
-        "once a mod-q test proves it squarefree, else the Sturm chain; and "
-        "the Sturm chain alone)",
+        "once a mod-q test proves it squarefree, and the Sturm chain)",
         range(2, 11),
         (Route("recurrence", "(degree of R_n/x, True)",
                lambda n: (_r_over_x(n).degree("x"), True)),
-         Route("sturm", "(distinct real roots, squarefree)",
-               _real_root_count),
+         Route("sturm", "(Descartes root count, squarefree)",
+               lambda n: _root_count(descartes_real_roots, n)),
          Route("chain", "(Sturm chain root count, squarefree)",
-               _chain_root_count))),
+               lambda n: _root_count(chain_real_roots, n)))),
     IdentityCheck(
         "h-series-vs-enum", "signed cap sums over fixed-point-free objects "
         "match the secant-root series", range(1, 8),
@@ -389,12 +387,15 @@ CHECKS: tuple[IdentityCheck, ...] = (
                lambda n: objects.count_paired_excedance_involutions(n)),
          Route("series", "series", lambda n: families.h_values(n)[n]))),
     IdentityCheck(
-        "rlmin-closed-form", "right-to-left minima over signed permutations "
-        "give 2^n x (x+1)..(x+n-1)", range(1, 6),
+        "rlmin-closed-form", "right-to-left minima: signed permutations and 2^n "
+        "times permutations give 2^n x (x+1)..(x+n-1)", range(1, 6),
         (Route("enumeration", "enumeration",
                lambda n: families.rlmin_poly_enum(n)),
          Route("closed-form", "rising factorial",
-               lambda n: families.rlmin_closed_form(n)))),
+               lambda n: families.rlmin_closed_form(n)),
+         Route("enumeration", "2^n x right-to-left minima of permutations",
+               lambda n: 2 ** n * families.stat_distribution(
+                   "permutation", n, (("rlmin", "x"),))))),
     IdentityCheck(
         "fiber-2n", "every permutation has exactly 2^n decorations",
         range(1, 6),

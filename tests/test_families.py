@@ -52,7 +52,7 @@ def test_q_poly():
         assert F.q_poly(n) == F.q_poly_enum(n)
         assert F.q_poly(n).subs_num("q", 1) == F.m_poly(n)
         assert F.q_poly(n).subs_num("x", 1) == F.l_closed(n)
-    assert F.q_poly(2, with_q=False) == 1 + 2 * X
+    assert F.q_poly(2).subs_num("q", 1) == 1 + 2 * X
 
 
 def test_p_poly_routes():
@@ -191,15 +191,6 @@ def test_sizes_that_are_not_ints_rejected(n):
                lambda n: F.stat_distribution("permutation", n, (("asc", "x"),))):
         with pytest.raises(ValueError, match="^n must be an int, got "):
             fn(n)
-
-
-def test_triangle_row_range():
-    tri = F.n_triangle(3)
-    assert tri.row(1) == (0, 1)
-    assert tri.row(3) == (0, 4, 10, 1)
-    for n in (0, 4):
-        with pytest.raises(ValueError, match="rows 1..3"):
-            tri.row(n)
 
 
 def test_n_series_to_order_ten():

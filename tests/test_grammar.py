@@ -30,6 +30,12 @@ def test_constants_and_unknown_letters():
         Grammar({"a": X})
 
 
+def test_rule_in_a_letter_outside_the_alphabet_is_refused():
+    # ExactPoly.var("z") raised KeyError: 'z' before the grammar saw it
+    with pytest.raises(ValueError, match="alphabet is"):
+        Grammar({"a": ExactPoly.var("z")})
+
+
 def test_linearity():
     u, v = A * B ** 2, C ** 3
     assert derive(CYCLE_GRAMMAR, u + v) == \

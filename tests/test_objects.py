@@ -14,7 +14,7 @@ from combi.objects import (CycleStirling, DecoratedPermutation,
                            SignedPermutation, StirlingWord, class_count,
                            count_paired_excedance_involutions,
                            double_factorial, encode, generate, leaves, parse,
-                           reduce_word, stats, validate)
+                           stats, validate)
 from combi.objects import CLASS_NAMES, INT_STAT_NAMES, class_functions
 
 
@@ -518,16 +518,6 @@ def test_stats_inversion():
     assert invseq_distribution((1, 3, 5)) == 1 + 10 * X + 4 * X ** 2
 
 
-def test_reduce():
-    assert reduce_word((3, 3, 2, 2, 4, 5, 4, 7)) == (2, 2, 1, 1, 3, 4, 3, 5)
-    assert reduce_word((1, 1)) == (1, 1)
-
-
-@given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
-def test_reduce_idempotent(word):
-    assert reduce_word(reduce_word(word)) == reduce_word(tuple(word))
-
-
 def test_paired_excedance_involutions():
     assert count_paired_excedance_involutions(0) == 1
     assert count_paired_excedance_involutions(1) == 2
@@ -637,6 +627,19 @@ def test_parse_rejects_invalid():
         with pytest.raises(ValueError) as err:
             parse(cls, text)
         assert str(err.value) == f"malformed {cls} encoding: {text!r}"
+
+
+def test_parse_rejects_text_that_is_not_a_str():
+    # None used to raise AttributeError from text.isascii()
+    for text in (None, 3, b"1 2"):
+        with pytest.raises(ValueError, match="^malformed signed encoding: "):
+            parse("signed", text)
+
+
+def test_generate_refuses_an_unknown_class_before_it_builds():
+    # it used to raise KeyError: 'perm' from the class table
+    with pytest.raises(ValueError, match="^unknown object class 'perm'$"):
+        generate("perm", 2)
 
 
 def test_parse_reads_leading_zeros_and_whitespace_runs():

@@ -107,6 +107,22 @@ def test_poly_reverse_errors():
         poly_reverse(X, -1)
 
 
+@pytest.mark.parametrize("n", [1.5, True, 1.0], ids=["float", "bool",
+                                                    "integral-float"])
+def test_poly_reverse_rejects_a_size_that_is_not_an_int(n):
+    # 1.5 raised a raw TypeError and True acted as 1
+    with pytest.raises(ValueError, match="^n must be an int, got "):
+        poly_reverse(X, n)
+
+
+def test_unknown_variable_names_the_alphabet():
+    # both raised KeyError: 'z'
+    for build in (lambda: ExactPoly.var("z"),
+                  lambda: ExactPoly.monomial(3, {"x": 1, "z": 2})):
+        with pytest.raises(ValueError, match=r"'z'.*alphabet is \('x', "):
+            build()
+
+
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
 def test_poly_reverse_involution(coeffs):
     p = sum((c * X ** k for k, c in enumerate(coeffs)), ExactPoly.zero())

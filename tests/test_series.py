@@ -108,6 +108,15 @@ def test_egf_coefficient():
         egf_coefficient(pm, 7)
 
 
+@pytest.mark.parametrize("n", [1.5, True, 1.0], ids=["float", "bool",
+                                                    "integral-float"])
+def test_egf_coefficient_index_must_be_an_int(n):
+    # 1.5 raised a raw TypeError and True read entry 1
+    s = series_exp(z_series([0, 1], 4))
+    with pytest.raises(ValueError, match="^coefficient index must be an int"):
+        egf_coefficient(s, n)
+
+
 def test_ratio_exactness():
     one = TruncatedSeries.const(1, 4)
     with pytest.raises(ZeroDivisionError):

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (or all checks pass), 1 verification failure (also
-a lost table-check process, or a stdout closed early), 2 usage error
-(including capacity misuse).  Results go to stdout, diagnostics to stderr.
+a `verify` route that raises, which is a FAIL report, a lost table-check
+process, or a stdout closed early), 2 usage error (including capacity
+misuse and a bad COMBI_MAX_ORDER).  Results go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -169,10 +171,9 @@ def _cmd_poly(args) -> int:
         return 0
     if args.format == "csv":
         if args.family in ("N", "C") and args.n:
-            tri = (families.n_triangle if args.family == "N"
-                   else families.c_triangle)(args.n)
-            for row in tri.rows:
-                print(",".join(str(c) for c in row))
+            row = families.n_row if args.family == "N" else families.c_row
+            for m in range(1, args.n + 1):
+                print(",".join(map(str, row(m))))
             return 0
         if isinstance(value, int):
             print(value)

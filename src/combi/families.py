@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_apply,
@@ -57,16 +56,6 @@ from .objects import class_functions, double_factorial, require_size
 # ---------------------------------------------------------------------------
 # coefficient triangles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TriangleTable:
-    """Rows of exact integers, row n giving the coefficients k = 0..n."""
-    name: str
-    rows: tuple[tuple[int, ...], ...]
-
-    def row_sums(self) -> list[int]:
-        return [sum(r) for r in self.rows]
-
 
 def n_row(n: int) -> tuple[int, ...]:
     """Matchings of [2n] with k even-larger blocks."""
@@ -106,14 +95,6 @@ def eulerian_row(n: int) -> tuple[int, ...]:
             new[k] = (k + 1) * left + (m - k) * right
         row = new
     return tuple(row)
-
-
-def n_triangle(n_max: int) -> TriangleTable:
-    return TriangleTable("N", tuple(n_row(n) for n in range(1, n_max + 1)))
-
-
-def c_triangle(n_max: int) -> TriangleTable:
-    return TriangleTable("C", tuple(c_row(n) for n in range(1, n_max + 1)))
 
 
 def _from_coeffs(coeffs, var="x") -> ExactPoly:

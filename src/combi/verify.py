@@ -18,6 +18,10 @@ end together.  This process hands each certificate's tallies, in subtree
 order, to `bijections.verify_bijection` and compares its report with the
 other routes as `run_check` does.
 
+A route that raises fails its check with what it raised, on one process
+or two; only bad input (a check id, n, `max_n` or `COMBI_MAX_ORDER`) raises,
+before any route runs.
+
 Routes look their functions up in `families`, `grammar`, `objects` and
 `bijections` when they run, so a function replaced on its module is the
 one the check calls.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 from .poly import (ONE, X, CapacityError, ExactPoly, divexact, poly_reverse,
                    poly_sum)
-from .series import TruncatedSeries, egf_coefficient
+from .series import TruncatedSeries, egf_coefficient, max_order
 from .sturm import chain_real_roots, descartes_real_roots
 from . import bijections, families, grammar, objects
 
@@ -420,6 +424,7 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     with the first route's, exactly."""
     check = _check(check_id)
     objects.require_size(n)
+    max_order()  # a bad COMBI_MAX_ORDER raises here, not in a route
     if not check.ns[0] <= n <= check.ns[-1]:
         return VerifyReport(check_id, n, "skipped-capacity")
     with families.memoised():
@@ -427,16 +432,26 @@ def run_check(check_id: str, n: int) -> VerifyReport:
 
 
 def _compare(check: IdentityCheck, n: int, fns, ms: float = 0.0) -> VerifyReport:
-    """Evaluate fns, one per route of the check, at n and compare each value
-    with the first's, exactly.  A route computed elsewhere comes as a
+    """Evaluate fns, one per route of the check, in order at n and compare
+    each value with the first's, exactly; a route that raises fails the
+    check with what it raised.  A route computed elsewhere comes as a
     function of its value, and its time as `ms`."""
     t0 = time.perf_counter()
-    try:
-        values = [fn(n) for fn in fns]
-    except CapacityError as exc:
-        return VerifyReport(check.id, n, "skipped-capacity", detail=str(exc))
+    first, values = check.routes[0], []
+    for route, fn in zip(check.routes, fns):
+        try:
+            values.append(fn(n))
+        except CapacityError as exc:
+            return VerifyReport(check.id, n, "skipped-capacity",
+                                detail=str(exc))
+        except Exception as exc:
+            raised = f"{route.label}: raised {type(exc).__name__}: {exc}"
+            return VerifyReport(
+                check.id, n, "fail", rhs=raised,
+                lhs=f"{first.label}: {_fmt(values[0])}" if values else raised,
+                runtime_ms=ms + (time.perf_counter() - t0) * 1000)
     ms += (time.perf_counter() - t0) * 1000
-    first, want = check.routes[0], values[0]
+    want = values[0]
     for route, got in zip(check.routes[1:], values[1:]):
         if got != want:
             return VerifyReport(check.id, n, "fail",
@@ -489,15 +504,15 @@ def _share(units):
     subtree in plan order, written before any process reads it.  A
     certificate whose tokens would not fit in the pipe is run whole, and so
     is one whose roots cannot be had: then run_check meets the same capacity
-    skip, failed local check above the roots (its image walk) or exception,
-    in plan order."""
+    skip, failed local check above the roots (its image walk) or raising
+    route."""
     import select
 
     whole, shared, data = [], [], bytearray()
     for pos, check_id, n in units:
         try:  # a KeyError for a unit that is not a certificate
             roots = bijections.certificate_roots(_CERTIFIED[check_id], n)
-        except Exception:  # else run_check raises or reports it in its turn
+        except Exception:  # else run_check reports it in its turn
             roots = None
         if roots is None or len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
             whole.append((pos, check_id, n))
@@ -514,42 +529,36 @@ def _share(units):
 
 
 def _run_units(units, shared, tokens):
-    """Run the units in order up to the first that raises.  Then take
-    tokens from the pipe `tokens` until it is empty and tally the subtrees
-    they name, up to the first that raises or that belongs to a unit after
-    one that raised.  Returns the (position, report) pairs, the (shared
-    index, subtree index, tally, ms) tuples, and None or ((position,
-    subtree index), the exception) of what raised."""
-    done, tallies, error = [], [], None
-    for pos, check_id, n in units:
-        try:
-            done.append((pos, run_check(check_id, n)))
-        except Exception as exc:
-            error = ((pos, 0), exc)
-            break
+    """Run the units in order, then take tokens from the pipe `tokens` until
+    it is empty and tally the subtrees they name; a subtree whose tally
+    raises is tallied as None.  Returns the (position, report) pairs and
+    the (shared index, subtree index, tally, ms) tuples."""
+    done = [(pos, run_check(check_id, n)) for pos, check_id, n in units]
+    tallies = []
     # Every token is in the pipe and no process writes to it any more, so
     # a read of one token's width returns one whole token, or b"" at the end.
     while tokens is not None and (token := os.read(tokens, _TOKEN.size)):
         j, i = _TOKEN.unpack(token)
-        pos, check_id, n, roots = shared[j]
-        if error is not None and pos >= error[0][0]:
-            break
+        _, check_id, n, roots = shared[j]
         t0 = time.perf_counter()
         try:
             tally = bijections.subtree_tally(_CERTIFIED[check_id], n, roots[i])
-        except Exception as exc:
-            error = ((pos, i), exc)
-            break
+        except Exception:  # _certified_report redoes it whole
+            tally = None
         tallies.append((j, i, tally, (time.perf_counter() - t0) * 1000))
-    return done, tallies, error
+    return done, tallies
 
 
 def _certified_report(check_id, n, tallies) -> VerifyReport:
     """The report of a shared certificate from the (subtree index, tally,
     ms) of all its subtrees, compared as run_check compares; its time is
-    the sum of the subtrees' times and of what is computed here."""
+    the sum of the subtrees' times and of what is computed here.  If a
+    subtree's tally raised, the certificate is redone whole, as run_check
+    does it."""
     map_id = _CERTIFIED[check_id]
     found = [tally for _, tally, _ in sorted(tallies, key=lambda t: t[0])]
+    if None in found:
+        found = None
     check = REGISTRY[check_id]
     fns = [lambda n: bijections.verify_bijection(map_id, n, found),
            *(route.fn for route in check.routes[1:])]
@@ -573,13 +582,7 @@ def _fork_units(units, shared, tokens):
     status = 1
     try:
         os.close(read)
-        result = _run_units(units, shared, tokens)
-        try:
-            data = pickle.dumps(result)
-        except Exception:  # the exception of a unit does not pickle
-            done, tallies, (key, exc) = result
-            data = pickle.dumps((done, tallies, (
-                key, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+        data = pickle.dumps(_run_units(units, shared, tokens))
         with os.fdopen(write, "wb") as fh:
             fh.write(data)
         status = 0
@@ -612,8 +615,10 @@ def run_all(max_n: int | None = None,
     reached on one process or two.  A forked child runs the checks that
     are not certificates and then drains the pipe when a subtree is in it,
     two or more CPUs are free and no other thread runs; otherwise this
-    process runs every unit in plan order and then drains the pipe.  The
-    earliest exception in plan order is raised."""
+    process runs every unit in plan order and then drains the pipe.  A
+    route that raises fails its check, as in run_check, on one process or
+    two; a bad `COMBI_MAX_ORDER` raises before anything runs."""
+    max_order()
     with families.memoised():
         units = [(pos, *pair) for pos, pair in enumerate(
             (check_id, n) for check_id, ns in plan(max_n, ids) for n in ns)]
@@ -644,17 +649,9 @@ def run_all(max_n: int | None = None,
                 os.close(tokens)
         if child is not None:
             results.append(_join(*child))
-        reports = [pair for done, _, _ in results for pair in done]
-        errors = [error for _, _, error in results if error is not None]
-        tallies = [tally for _, part, _ in results for tally in part]
-        for j, (pos, check_id, n, roots) in enumerate(shared):
+        reports = [pair for done, _ in results for pair in done]
+        tallies = [tally for _, part in results for tally in part]
+        for j, (pos, check_id, n, _) in enumerate(shared):
             mine = [(i, tally, ms) for k, i, tally, ms in tallies if k == j]
-            if len(mine) < len(roots):
-                continue  # a process stopped at an error no later in the plan
-            try:
-                reports.append((pos, _certified_report(check_id, n, mine)))
-            except Exception as exc:
-                errors.append(((pos, 0), exc))
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
+            reports.append((pos, _certified_report(check_id, n, mine)))
     return [rep for _, rep in sorted(reports)]

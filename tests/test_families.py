@@ -12,16 +12,16 @@ def test_n_triangle():
     assert F.n_poly(1) == X
     assert F.n_poly(2) == 2 * X + X ** 2
     assert F.n_poly(3) == 4 * X + 10 * X ** 2 + X ** 3
-    tri = F.n_triangle(10)
-    assert tri.row_sums() == [F.double_factorial(n) for n in range(1, 11)]
+    assert [sum(F.n_row(n)) for n in range(1, 11)] == [
+        F.double_factorial(n) for n in range(1, 11)]
 
 
 def test_c_triangle():
     assert F.c_poly(1) == X
     assert F.c_poly(2) == X + 2 * X ** 2
     assert F.c_poly(4) == F.c_poly_enum(4)
-    assert F.c_triangle(7).row_sums() == [F.double_factorial(n)
-                                          for n in range(1, 8)]
+    assert [sum(F.c_row(n)) for n in range(1, 8)] == [
+        F.double_factorial(n) for n in range(1, 8)]
 
 
 def test_m_poly():

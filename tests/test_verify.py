@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import sys
 import threading
 
@@ -474,29 +475,100 @@ def test_mutant_planted_in_parent_fails_in_child(monkeypatch, forks):
     assert not failed & {"phi-bijection", "psi-bijection"}
 
 
-def _raising(message):
+def _raising(message, error=ValueError):
     def fn(*args, **kwargs):
-        raise ValueError(message)
+        raise error(message)
     return fn
 
 
+def _serial_reports(max_n, ids=None):
+    return _strip([verify.run_check(cid, n)
+                   for cid, ns in verify.plan(max_n, ids) for n in ns])
+
+
 # A-via-invseq (a_poly) comes before phi-bijection in the plan, C-descents
-# (c_poly) after psi-bijection.
-@pytest.mark.parametrize("table_attr, expected", [
-    (None, "certificate"),
-    ("a_poly", "table"),
-    ("c_poly", "certificate"),
-], ids=["certificate-only", "table-first", "certificate-first"])
-def test_earliest_unit_error_is_raised(monkeypatch, table_attr, expected):
+# (c_poly) after psi-bijection; a route that raises fails its check alone.
+@pytest.mark.parametrize("table_attr", [None, "a_poly", "c_poly"],
+                         ids=["certificate-only", "table-first",
+                              "certificate-first"])
+def test_raising_route_fails_the_same_on_both_paths(monkeypatch, table_attr):
     from combi import bijections
     monkeypatch.setattr(bijections, "verify_bijection", _raising("certificate"))
     if table_attr is not None:
         monkeypatch.setattr(families, table_attr, _raising("table"))
+    paths = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
-        with pytest.raises(ValueError, match=f"^{expected}$"):
-            verify.run_all(3)
+        paths.append(_strip(verify.run_all(3)))
         _no_children_left()
+    assert paths[0] == paths[1] == _serial_reports(3)
+    raised = "certificate: raised ValueError: certificate"
+    assert [r for r in paths[0] if r[0] == "phi-bijection"] == [
+        ("phi-bijection", n, "fail", raised, raised) for n in (1, 2, 3)]
+    got = {r[:3]: r[3:] for r in paths[0]}
+    raised = "recurrence: raised ValueError: table"
+    if table_attr == "a_poly":
+        assert got["A-via-invseq", 2, "fail"] == (raised, raised)
+    if table_attr == "c_poly":
+        assert got["cplat-casc-C", 2, "fail"] == ("cycle plateaus: x + 2*x^2",
+                                                  raised)
+
+
+def test_raising_subtree_fails_its_certificate_as_run_check_does(monkeypatch):
+    # one subtree of phi at n = 5 raises in whichever process tallies it;
+    # the certificate is redone whole, and raises there as in run_check
+    from combi import bijections
+    tally = bijections.subtree_tally
+    bad_root = bijections.certificate_roots("phi", 5)[7]
+
+    def raising(map_id, n, root):
+        if (map_id, n, root) == ("phi", 5, bad_root):
+            raise ValueError("subtree")
+        return tally(map_id, n, root)
+
+    monkeypatch.setattr(bijections, "subtree_tally", raising)
+    paths = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        paths.append(_strip(verify.run_all(5, ("phi-bijection",))))
+        _no_children_left()
+    raised = "certificate: raised ValueError: subtree"
+    assert paths[0] == paths[1] == _serial_reports(5, ("phi-bijection",)) == [
+        *(("phi-bijection", n, "pass", None, None) for n in range(1, 5)),
+        ("phi-bijection", 5, "fail", raised, raised)]
+
+
+def _verify_all_cli(monkeypatch, capsys, cpus):
+    from combi.cli import main
+    _cpus(monkeypatch, cpus)
+    code = main(["verify", "--all", "--max-n", "4"])
+    out, err = capsys.readouterr()
+    _no_children_left()
+    return code, re.sub(r"\(\d+ ms\)", "", out), err
+
+
+def test_cli_route_raising_value_error_is_a_fail(monkeypatch, capsys):
+    # x^3 in N_0 puts an exponent out of range for poly_reverse
+    n_poly = families.n_poly
+    monkeypatch.setattr(families, "n_poly", lambda n: n_poly(n) + X ** 3)
+    runs = [_verify_all_cli(monkeypatch, capsys, cpus) for cpus in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (1, "")
+    assert "FAIL M-reverse-N n=0 \n" in out
+    assert ("  rhs: reversal of recurrence: raised ValueError: exponent 3 "
+            "outside [0, 0]\n") in out
+
+
+def test_cli_route_raising_index_error_is_a_fail(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "egf_coefficient",
+                        _raising("no such entry", IndexError))
+    runs = [_verify_all_cli(monkeypatch, capsys, cpus) for cpus in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (1, "")
+    assert "FAIL M-reverse-N n=0 \n" in out
+    assert "  lhs: egf: raised IndexError: no such entry\n" in out
 
 
 def test_interrupt_stops_the_child(monkeypatch, forks):

@@ -13,8 +13,8 @@ every element of a list or tuple, every value of a mapping, every field of
 a dataclass, every item of an iterator and every result of a returned
 function by the same rule.  The mutant is bound wherever a combi module
 binds the function, names taken by `from .x import y` included.  A check
-catches it when `run_all(6)` reports it failed, or when it raises; a run
-that raises is then repeated check by check with `run_check` to name them.
+catches it when `run_all(6)` reports it failed; a route that raises fails
+its check.
 
 Prints function -> the checks that catch it, and exits 1 when a function
 the registry leaves unreached or uncaught is not on FRONT_END, or when one
@@ -44,10 +44,6 @@ MAX_N = 6
 # Functions only the command-line front end, the benchmark or library
 # callers need, so no check can catch them; each with the reason.
 FRONT_END = {
-    "families.n_triangle": "`combi poly --format csv` prints its rows, and "
-                           "acceptance criterion 1 sums them",
-    "families.c_triangle": "`combi poly --family C --format csv` prints its "
-                           "rows",
     "objects.class_count": "the input to the enumeration cap, which "
                            "tests/test_enum_cap.py pins",
     "objects.stats": "`combi enumerate --stats` prints it",
@@ -154,24 +150,12 @@ def reach(functions):
 
 
 def catchers(fn):
-    """The checks that fail or raise with fn replaced by its mutant."""
+    """The checks that fail with fn replaced by its mutant."""
     bound = bind_everywhere(
         fn, lambda *args, **kwargs: moved(fn(*args, **kwargs)))
     try:
-        try:
-            return sorted({rep.id for rep in verify.run_all(MAX_N)
-                           if rep.status == "fail"})
-        except Exception:
-            pass
-        found = {}  # check id -> what it raised at its first catch, or ""
-        for check_id, ns in verify.plan(MAX_N):
-            for n in ns:
-                try:
-                    if verify.run_check(check_id, n).status == "fail":
-                        found.setdefault(check_id, "")
-                except Exception as exc:
-                    found.setdefault(check_id, f" ({type(exc).__name__})")
-        return sorted(check_id + how for check_id, how in found.items())
+        return sorted({rep.id for rep in verify.run_all(MAX_N)
+                       if rep.status == "fail"})
     finally:
         restore(bound, fn)
 

@@ -16,12 +16,13 @@ to, whether the split block is marked, and p.  `_insert` gives m's slot's
 matching of j blocks the points 2j + 1 and 2j + 2: at the end as a new
 block, before an entry by splitting the p-th marked or unmarked block
 (found in the lists of block starts `_starts` makes once per state),
-straight or crossed.  `_phi_rule` and `_psi_rule` hold only what differs:
+straight or crossed.  `_rule` holds what differs: a word's values and
 which entries belong to the first matching (the hatted ones; the ones in
-blocks that end negatively, where the marking flips), and how a child word
-shows the slot of m and the straight or crossed split.  Each map replays
-the object's construction history through `_replay`; `map_steps` yields
-the image of every prefix on the way.
+blocks that end negatively, where the marking flips), and how a child shows
+the slot of m and the split.  A map replays the object's construction
+through `_replay`, carrying the prefix and these slot inputs: m goes in at
+the index the rule reads, in the first matching iff the slot it splits is
+(at the end, iff the read says so).  `map_steps` yields every prefix's image.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
 `verify_bijection(map_id, n)` is the one entry point.  It walks the
@@ -49,32 +50,24 @@ The empty root weighs right, so every leaf does, and its image is a pair of
 perfect matchings of [2k] and [2n-2k].  Each node of size n - 1 counts its
 children by k, and the images are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 
-The walk is cut at level SPLIT_LEVEL.  `certificate_roots` walks the
-levels above the cut, checking each edge, and returns the nodes at the cut
-in walk order.  `subtree_tally` walks the subtree below one of them and
-returns a `Tally`: its images by k, and whether an edge failed.  A check
-reads only a node and its children, so the induction runs across the cut,
-and the subtrees may be tallied in any order, in any process:
-`verify.run_all` shares them between its two processes and hands the
-tallies to `verify_bijection(map_id, n, tallies)`, which then walks
-nothing unless an edge failed.  `certificate_roots` first calls
-`objects.require_domain`, so n > 8 is refused before any walk.
+The walk is cut at level SPLIT_LEVEL, above which `certificate_roots`
+checks every edge.  A check reads only a node and its children, so the
+induction runs across the cut, and `subtree_tally` may count the subtrees
+below it in any order, in any process (`verify.run_all` uses two).
 
-A failed edge only means that the rule and the checks disagree.  The walk
-then runs again, keeps every image in a set and weighs every leaf whole
-(`_phi_weighs`, `_psi_weighs`): the word's asc or des_B and its hat or
-bar set come from the statistics of `objects`, and only the matching side
-and the bitmask compare are done here.  A repeated image, one outside the
-codomain or a leaf that weighs wrong is a counterexample, the first in walk
-order.  So a report never depends on which of the two walks produced it.
+A failed edge only means that the rule and the checks disagree.  The
+report then comes from `_image_walk`, which keeps every image and weighs
+every leaf whole with the statistics of `objects`; its first bad leaf is
+the counterexample, so a report never depends on which walk produced it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, pos
 
 from . import objects
 from .objects import (DecoratedPermutation, PerfectMatching,
@@ -129,6 +122,8 @@ def _triple(state, n: int) -> MatchingTriple:
 
 # the state of the empty word: no blocks, nothing recorded
 _EMPTY = ((0,), (0,), 0)
+
+_Rule = namedtuple("_Rule", "kind cls inputs reads flip value weighs")
 
 
 def _starts(state):
@@ -188,30 +183,48 @@ def _insert(state, m: int, slots, index: int, first: bool, straight: bool,
     return s1, partners, mask
 
 
+def _rule(map_id: str):
+    """The map's domain type and class, its rule (`value` is an entry's
+    value in the slot inputs; its magnitude is the entry's size) and its
+    leaf weigher, as this module binds them now."""
+    if map_id == "phi":
+        return _Rule(DecoratedPermutation, "decorated", _phi_inputs,
+                     _phi_reads, False, itemgetter(0), _phi_weighs)
+    if map_id == "psi":
+        return _Rule(SignedPermutation, "signed", _psi_inputs, _psi_reads,
+                     True, pos, _psi_weighs)
+    raise ValueError(f"unknown map {map_id!r}")
+
+
 def _replay(map_id: str, obj):
     """Insert 1, ..., n in turn by the rule of phi (`obj` a decorated
-    permutation) or psi (a signed one), the entries of size <= m making the
-    child of the entries of size < m; yield each child with its state."""
-    if map_id not in ("phi", "psi"):
-        raise ValueError(f"unknown map {map_id!r}")
-    phi = map_id == "phi"
-    kind, rule, size = ((DecoratedPermutation, _phi_rule, itemgetter(0)) if phi
-                        else (SignedPermutation, _psi_rule, abs))
+    permutation) or psi (a signed one); yield each prefix, the entries of
+    size <= m, with its state; the prefix and its slot inputs are carried."""
+    kind, cls, _, reads, flip, value, _ = _rule(map_id)
     if not isinstance(obj, kind):
         raise ValueError(f"{map_id} maps a {kind.__name__}, not {obj!r}")
     if not validate(obj):
-        raise ValueError(f"invalid {'decorated' if phi else 'signed'} "
-                         f"permutation: {obj!r}")
+        raise ValueError(f"invalid {cls} permutation: {obj!r}")
     (word,) = vars(obj).values()
+    sizes = [abs(v) for v in map(value, word)]
+    placed = []  # the indices in `word` of the prefix's entries, increasing
+    child = ()
+    values, first = [], []
     state = _EMPTY
-    parent = ()
-    for m in range(1, len(word) + 1):
-        child = tuple(e for e in word if size(e) <= m)
-        slots, ((_, i, first, straight),) = rule(parent, m, (child,))
-        starts = _starts(state) if i < len(slots) else None
-        state = _insert(state, m, slots, i, first, straight, starts)
+    for m, j in enumerate(sorted(range(len(word)), key=sizes.__getitem__), 1):
+        at = bisect(placed, j)
+        placed.insert(at, j)
+        child = (*child[:at], word[j], *child[at:])
+        slots = _slots(values, first, flip)
+        ((_, i, f, straight),) = reads(m, (child,))
+        if i < len(slots):
+            f = slots[i][0]
+            state = _insert(state, m, slots, i, f, straight, _starts(state))
+        else:
+            state = _insert(state, m, slots, i, f, straight, None)
+        values.insert(i, value(child[i]))
+        first.insert(i, f)
         yield child, state
-        parent = child
 
 
 def _image(steps) -> MatchingTriple:
@@ -226,15 +239,17 @@ def _image(steps) -> MatchingTriple:
 # phi: decorated permutations
 # ---------------------------------------------------------------------------
 
-def _phi_rule(word, m: int, children):
-    """The hatted entries of `word` belong to the first matching.  Each
-    child gives the index of m, its hat (read only at the end: before an
-    entry, m copies that entry's hat), and a straight split unless m is
-    circled."""
-    slots = _slots([v for v, _, _ in word], [h for _, h, _ in word], False)
-    return slots, [(child, i, child[i][1], not child[i][2])
-                   for child in children
-                   for i in (next(zip(*child)).index(m),)]
+def _phi_inputs(word):
+    """The values of a word, and its hats, which name the first matching."""
+    return [v for v, _, _ in word], [h for _, h, _ in word]
+
+
+def _phi_reads(m: int, children):
+    """Each child gives the index of m, its hat (read only at the end:
+    before an entry, m copies that entry's hat), and a straight split
+    unless m is circled."""
+    return [(child, i, child[i][1], not child[i][2])
+            for child in children for i in (next(zip(*child)).index(m),)]
 
 
 def phi_map(w: DecoratedPermutation) -> MatchingTriple:
@@ -256,16 +271,18 @@ def _phi_weighs(word, state) -> bool:
 # psi: signed permutations
 # ---------------------------------------------------------------------------
 
-def _psi_rule(word, m: int, children):
-    """The entries in blocks of `word` that end negatively belong to the
-    first matching, where an ascent splits an unmarked block.  Each child
-    gives the index of m or -m, and a straight split unless it is -m, which
-    at the end appends to the first matching."""
-    first = [blk[-1] < 0 for blk in signed_blocks(word) for _ in blk]
-    return _slots(word, first, True), [
-        (child, i, child[i] < 0, child[i] > 0)
-        for child in children
-        for i in (child.index(m) if m in child else child.index(-m),)]
+def _psi_inputs(word):
+    """The word, and whether each entry lies in a block that ends
+    negatively, which names the first matching."""
+    return word, [blk[-1] < 0 for blk in signed_blocks(word) for _ in blk]
+
+
+def _psi_reads(m: int, children):
+    """Each child gives the index of m or -m, and a straight split unless
+    it is -m, which at the end appends to the first matching."""
+    return [(child, i, child[i] < 0, child[i] > 0)
+            for child in children
+            for i in (child.index(m) if m in child else child.index(-m),)]
 
 
 def psi_map(pi: SignedPermutation) -> MatchingTriple:
@@ -301,20 +318,15 @@ def _domain_tree(map_id: str):
     nodes over the domain's tree in `objects`, with m inserted by the map's
     rule.  The tree and the rule are looked up now, so that a replaced one
     reaches this walk as it reaches generate and the maps."""
-    if map_id == "phi":
-        kind, cls, weighs, rule = (DecoratedPermutation, "decorated",
-                                   _phi_weighs, _phi_rule)
-    else:
-        kind, cls, weighs, rule = (SignedPermutation, "signed",
-                                   _psi_weighs, _psi_rule)
+    kind, cls, inputs, reads, flip, _, weighs = _rule(map_id)
     tree = objects.class_functions(cls)[0]
 
     def children(node, m):
         word, state = node
-        slots, reads = rule(word, m, tree(word, m))
+        slots = _slots(*inputs(word), flip)
         starts = _starts(state)
         return [(child, _insert(state, m, slots, i, first, straight, starts))
-                for child, i, first, straight in reads]
+                for child, i, first, straight in reads(m, tree(word, m))]
     return kind, weighs, children
 
 
@@ -431,9 +443,7 @@ def certificate_roots(map_id: str, n: int):
     """The (word, state) roots of the certificate's subtrees in walk order:
     the nodes of level SPLIT_LEVEL, or the root alone when n <= SPLIT_LEVEL.
     Every edge above them is checked locally; None if one fails."""
-    if map_id not in ("phi", "psi"):
-        raise ValueError(f"unknown map {map_id!r}")
-    objects.require_domain("decorated" if map_id == "phi" else "signed", n)
+    objects.require_domain(_rule(map_id).cls, n)
     checked = _checked(map_id, _domain_tree(map_id)[2])
     level = SPLIT_LEVEL if n > SPLIT_LEVEL else 0
     try:
@@ -484,7 +494,8 @@ def _image_walk(map_id: str, n: int) -> BijectionReport:
         in_codomain = in_codomain and _in_codomain(state)
         if counterexample is None and not (weight_ok and injective
                                            and in_codomain):
-            counterexample = (encode(kind(word)), _encode_state(state))
+            counterexample = (encode(kind(word)),
+                              encode_triple(_triple(state, 0)))
         per_k[state[2].bit_count()] += 1
     return _report(n, per_k, injective, in_codomain, weight_ok,
                    counterexample)
@@ -510,7 +521,3 @@ def _in_codomain(state) -> bool:
     return mask.bit_count() == len(s1) // 2 and all(
         len(t) & 1 and sorted(t) == list(range(len(t)))
         and all(t[q] == p != q for p, q in enumerate(t) if p) for t in (s1, s2))
-
-
-def _encode_state(state) -> str:
-    return encode_triple(_triple(state, 0))

@@ -77,12 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _jsonable(v):
+def _sorted_set(v):
+    """A set or frozenset as a sorted list; json writes tuples as lists."""
     if isinstance(v, (set, frozenset)):
         return sorted(v)
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_sorted_set)
 
 
 def emit_jsonl(stream):
@@ -90,8 +92,8 @@ def emit_jsonl(stream):
     for obj, st in stream:
         record = {"object": objects.encode(obj)}
         if st is not None:
-            record["stats"] = {k: _jsonable(v) for k, v in st.items()}
-        yield json.dumps(record, separators=(",", ":"))
+            record["stats"] = st
+        yield _ENCODER.encode(record)
 
 
 def _report_lines(rep: verify.VerifyReport):
@@ -196,6 +198,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.s is not None and args.class_name != "invseq":
+        print(f"error: --s applies to invseq, not {args.class_name}",
+              file=sys.stderr)
+        return 2
     s = None
     if args.class_name == "invseq":
         if args.s is None:

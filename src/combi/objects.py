@@ -280,9 +280,13 @@ def require_domain(class_name: str, n: int, s=None) -> None:
 # validation
 # ---------------------------------------------------------------------------
 
+_INT = frozenset((int,))
+_TUPLE = frozenset((tuple,))
+
+
 def _ints(values) -> bool:
     """Every value is an int: a bool or a float equal to one is not."""
-    return all([type(v) is int for v in values])
+    return _INT.issuperset(map(type, values))
 
 
 def _stirling_property(word) -> bool:
@@ -323,62 +327,63 @@ def _validate_decorated(entries) -> bool:
     return sorted([v for v, _, _ in entries]) == list(range(1, len(entries) + 1))
 
 
+def _validate_permutation(word) -> bool:
+    return _ints(word) and sorted(word) == list(range(1, len(word) + 1))
+
+
+def _validate_signed(word) -> bool:
+    return (_ints(word)
+            and sorted(map(abs, word)) == list(range(1, len(word) + 1)))
+
+
+def _validate_matching(blocks) -> bool:
+    if not all([type(blk) is tuple and len(blk) == 2 for blk in blocks]):
+        return False
+    pts = [p for blk in blocks for p in blk]
+    if not _ints(pts) or sorted(pts) != list(range(1, 2 * len(blocks) + 1)):
+        return False
+    firsts = [a for a, _ in blocks]
+    return all(a < b for a, b in blocks) and firsts == sorted(firsts)
+
+
+def _validate_stirling(word) -> bool:
+    pairs = [v for v in range(1, len(word) // 2 + 1) for _ in (0, 1)]
+    return _ints(word) and sorted(word) == pairs and _stirling_property(word)
+
+
+def _validate_stirling2(cycles) -> bool:
+    if not all([type(c) is tuple and c for c in cycles]):
+        return False
+    allv = [v for c in cycles for v in c]
+    pairs = [v for v in range(1, len(allv) // 2 + 1) for _ in (0, 1)]
+    if not _ints(allv) or sorted(allv) != pairs:
+        return False
+    mins = [c[0] for c in cycles]
+    if mins != sorted(set(mins)) or any(c[0] != min(c) for c in cycles):
+        return False
+    return all(_stirling_property(c) for c in cycles)
+
+
+def _validate_invseq(e, s) -> bool:
+    return (len(e) == len(s) and _ints(e) and _ints(s)
+            and all(0 <= ei < si for ei, si in zip(e, s)))
+
+
+# object type -> the name of the validator of its fields
+_VALIDATE_BY_TYPE = {entry[0]: f"_validate_{name}"
+                     for name, entry in _CLASSES.items()}
+
+
 def validate(obj) -> bool:
     """True iff all structural invariants of the object's class hold.  Every
     field must be a tuple, every block, cycle and decorated entry a tuple
     of the right length, every entry an int, and a decorated entry's flags
-    bools."""
-    if not all([type(f) is tuple for f in getattr(obj, "__dict__", {}).values()]):
+    bools.  An object of any other type, a subclass too, is not valid."""
+    check = _VALIDATE_BY_TYPE.get(type(obj))
+    if check is None:
         return False
-    if isinstance(obj, Permutation):
-        word = obj.word
-        return _ints(word) and sorted(word) == list(range(1, len(word) + 1))
-
-    if isinstance(obj, SignedPermutation):
-        word = obj.word
-        return (_ints(word) and 0 not in word and sorted(map(abs, word))
-                == list(range(1, len(word) + 1)))
-
-    if isinstance(obj, PerfectMatching):
-        if not all([type(blk) is tuple and len(blk) == 2 for blk in obj.blocks]):
-            return False
-        pts = [p for blk in obj.blocks for p in blk]
-        if not _ints(pts) or sorted(pts) != list(range(1, 2 * len(obj.blocks) + 1)):
-            return False
-        firsts = [a for a, _ in obj.blocks]
-        return all(a < b for a, b in obj.blocks) and firsts == sorted(firsts)
-
-    if isinstance(obj, StirlingWord):
-        word = obj.word
-        n = len(word) // 2
-        pairs = [v for v in range(1, n + 1) for _ in (0, 1)]
-        if not _ints(word) or sorted(word) != pairs:
-            return False
-        return _stirling_property(word)
-
-    if isinstance(obj, CycleStirling):
-        cycles = obj.cycles
-        if not all([type(c) is tuple and c for c in cycles]):
-            return False
-        allv = [v for c in cycles for v in c]
-        n = len(allv) // 2
-        pairs = [v for v in range(1, n + 1) for _ in (0, 1)]
-        if not _ints(allv) or sorted(allv) != pairs:
-            return False
-        mins = [c[0] for c in cycles]
-        if mins != sorted(set(mins)) or any(c[0] != min(c) for c in cycles):
-            return False
-        return all(_stirling_property(c) for c in cycles)
-
-    if isinstance(obj, DecoratedPermutation):
-        return _validate_decorated(obj.entries)
-
-    if isinstance(obj, InversionSequence):
-        if len(obj.e) != len(obj.s) or not (_ints(obj.e) and _ints(obj.s)):
-            return False
-        return all(0 <= e < s for e, s in zip(obj.e, obj.s))
-
-    return False
+    fields = vars(obj).values()
+    return _TUPLE.issuperset(map(type, fields)) and globals()[check](*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +407,14 @@ def int_stats_permutation(w) -> tuple[int, ...]:
 def signed_blocks(word) -> tuple[tuple[int, ...], ...]:
     """Decompose into maximal segments each ending at a right-to-left
     minimum of the magnitudes."""
-    n = len(word)
-    is_min = [False] * n
-    cur = n + 1
-    for i in range(n - 1, -1, -1):
-        if abs(word[i]) < cur:
-            cur = abs(word[i])
-            is_min[i] = True
-    blocks = []
-    start = 0
-    for i in range(n):
-        if is_min[i]:
-            blocks.append(tuple(word[start:i + 1]))
-            start = i + 1
-    return tuple(blocks)
+    ends = []
+    low = len(word) + 1
+    for i in range(len(word) - 1, -1, -1):
+        if abs(word[i]) < low:
+            low = abs(word[i])
+            ends.append(i + 1)
+    ends.reverse()
+    return tuple([tuple(word[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 def int_stats_signed(w) -> tuple[int, ...]:
@@ -558,22 +557,25 @@ def count_paired_excedance_involutions(n: int) -> int:
 
 def encode(obj) -> str:
     if isinstance(obj, (Permutation, SignedPermutation, StirlingWord)):
-        return " ".join(str(v) for v in obj.word)
+        return " ".join(map(str, obj.word))
     if isinstance(obj, PerfectMatching):
         return "".join(f"({a},{b})" for a, b in obj.blocks)
     if isinstance(obj, CycleStirling):
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in obj.cycles)
+        return "".join(["(" + " ".join(map(str, c)) + ")" for c in obj.cycles])
     if isinstance(obj, DecoratedPermutation):
         return " ".join(f"{v}{'h' if h else ''}{'c' if c else ''}"
                         for v, h, c in obj.entries)
     if isinstance(obj, InversionSequence):
-        return (" ".join(str(v) for v in obj.e) + " | s = "
-                + " ".join(str(v) for v in obj.s))
+        return (" ".join(map(str, obj.e)) + " | s = "
+                + " ".join(map(str, obj.s)))
     raise TypeError(f"not a combinatorial object: {obj!r}")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
+    return tuple(map(int, text.split()))
+
+
+_GROUP_SPLIT = re.compile(r"\)\s*\(")
 
 
 def _parse_groups(text: str, parse_group) -> tuple:
@@ -583,12 +585,12 @@ def _parse_groups(text: str, parse_group) -> tuple:
         return ()
     if inner[0] != "(" or inner[-1] != ")":
         raise ValueError("missing bracket")
-    return tuple(parse_group(g) for g in re.split(r"\)\s*\(", inner[1:-1]))
+    return tuple(map(parse_group, _GROUP_SPLIT.split(inner[1:-1])))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    a, b = (int(t) for t in text.split(","))
-    return a, b
+    a, b = text.split(",")
+    return int(a), int(b)
 
 
 def _parse_entry(tok: str) -> tuple[int, bool, bool]:

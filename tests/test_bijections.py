@@ -183,8 +183,9 @@ def test_slot_tables(map_id, enc, want):
     values = [e[0] for e in word] if map_id == "phi" else list(word)
     first = [f for f, _, _ in want]
     assert bijections._slots(values, first, map_id == "psi") == want
-    rule = getattr(bijections, f"_{map_id}_rule")
-    assert rule(word, len(word) + 1, ()) == (want, [])
+    rule = bijections._rule(map_id)
+    assert bijections._slots(*rule.inputs(word), rule.flip) == want
+    assert rule.reads(len(word) + 1, ()) == []
 
 
 @pytest.mark.parametrize("map_id,n", [("phi", 1), ("phi", 3), ("phi", 4),
@@ -206,14 +207,35 @@ def test_exhaustive_empty(map_id):
         verify_bijection(map_id, -1)
 
 
-def test_peel_replay_matches_stepwise_construction():
-    # mapping the finished object must reproduce the state reached by
-    # building it one insertion at a time
-    root = ((), bijections._EMPTY)
-    for word, state in walk(bijections._domain_tree("phi")[2], 4, root):
-        assert phi_map(DecoratedPermutation(word)) == bijections._triple(state, 4)
-    for word, state in walk(bijections._domain_tree("psi")[2], 4, root):
-        assert psi_map(SignedPermutation(word)) == bijections._triple(state, 4)
+def test_peel_replay_matches_stepwise_construction(monkeypatch):
+    # every step of the replay of an object must reach the state that the
+    # domain tree reaches at that prefix, one insertion at a time, and the
+    # slot inputs it carries must be those of the prefix
+    slots = bijections._slots
+    carried = []
+
+    def recording(values, first, flip):
+        carried.append((list(values), list(first)))
+        return slots(values, first, flip)
+
+    monkeypatch.setattr(bijections, "_slots", recording)
+    for map_id in ("phi", "psi"):
+        rule = bijections._rule(map_id)
+        states = {}
+        for m in range(6):
+            states.update(walk(bijections._domain_tree(map_id)[2], m,
+                               ((), bijections._EMPTY)))
+        for word in objects.leaves(rule.cls, 5)[0]:
+            carried.clear()
+            prefixes = [()]
+            for m, (prefix, triple) in enumerate(
+                    bijections.map_steps(map_id, rule.kind(word)), 1):
+                (prefix,) = vars(prefix).values()
+                prefixes.append(prefix)
+                assert triple == bijections._triple(states[prefix], m)
+            assert prefixes[-1] == word
+            assert carried == [tuple(map(list, rule.inputs(prefix)))
+                               for prefix in prefixes[:-1]]
 
 
 def _partners(blocks):

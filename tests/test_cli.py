@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -138,6 +139,14 @@ def test_enumerate_invseq(capsys):
     code, _, err = run(capsys, "enumerate", "--class", "invseq", "--n", "3")
     assert code == 2
     assert "--s" in err
+
+
+@pytest.mark.parametrize("cls", ["permutation", "matching"])
+def test_enumerate_s_needs_invseq(capsys, cls):
+    # a bound sequence for another class is refused, not ignored
+    assert run(capsys, "enumerate", "--class", cls, "--n", "2",
+               "--s", "1,2") == (
+        2, "", f"error: --s applies to invseq, not {cls}\n")
 
 
 @pytest.mark.parametrize("bounds", ["1,a", "1,2.5", "x", "+1,1_0", "1,\u0663",
@@ -418,6 +427,48 @@ def test_emit_jsonl_matching():
     m = objects.parse("matching", "(1,3)(2,4)")
     line, = emit_jsonl([(m, objects.stats(m))])
     assert line == '{"object":"(1,3)(2,4)","stats":{"el":1,"ol":1}}'
+
+
+def test_emit_jsonl_sorts_sets_and_refuses_other_values():
+    m = objects.parse("matching", "(1,2)")
+    line, = emit_jsonl([(m, {"s": frozenset((3, 1, 2)), "t": ((2, 1),)})])
+    assert line == '{"object":"(1,2)","stats":{"s":[1,2,3],"t":[[2,1]]}}'
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        list(emit_jsonl([(m, {"z": 1j})]))
+
+
+# sha256 of the `enumerate --stats` lines of each class at n = 4 (invseq
+# with s = 1,2,3,4), each line ending in a newline
+STREAM_DIGESTS = {
+    "permutation":
+        "0d02149792e877ea29af51a01a480c10183c18fcc09c121577ab7e26da6e9c9f",
+    "signed":
+        "2d33fce3f0f6b6d6e5c8d2f1fd7c3260d87b6605fdc094a97c8eaf98a08c11cb",
+    "matching":
+        "a0498ed8efb9faf3b269eec1f851435f62ac4a4ed839ce502b69e5a7baf2d338",
+    "stirling":
+        "b020f42a0ada6f97b49e8ba3c865134307cee11dfbcc8ac871db637408d0b98f",
+    "stirling2":
+        "23f8afec0fb394cd42442d97de3e987b0ee0ae4046a45fa71f06d0f446e7a126",
+    "decorated":
+        "9f91a57229bdf8c9b072456799baf036687ac0a37170fd97d85b78c7e34bcf58",
+    "invseq":
+        "d39461fa7fbab0500f8d1514b6d61bdb7240f3ee373ab8ef3455a5ca3d05b401",
+}
+
+
+@pytest.mark.parametrize("cls", objects.CLASS_NAMES)
+def test_stream_path_bytes_pinned(cls):
+    # generate, stats, encode and emit_jsonl give these exact bytes; every
+    # object parses back from its encoding and is valid
+    objs = list(objects.generate(cls, 4, (1, 2, 3, 4) if cls == "invseq"
+                                 else None))
+    lines = emit_jsonl((o, objects.stats(o)) for o in objs)
+    digest = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[cls]
+    for o in objs:
+        assert objects.parse(cls, objects.encode(o)) == o
+        assert objects.validate(o)
 
 
 # ---------------------------------------------------------------------------

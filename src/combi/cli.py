@@ -63,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the image of every prefix of --input")
 
     s = sub.add_parser("series", help="print EGF coefficients")
-    s.add_argument("--id", required=True, choices=sorted(
-        ("M", "N", "A", "Q", "P", "d", "S", "sqrtsec", "pm", "qn")))
+    s.add_argument("--id", required=True, choices=sorted(families.SERIES_IDS))
     s.add_argument("--order", type=int, required=True)
 
     gr = sub.add_parser("grammar", help="check a grammar-derivative identity")
@@ -256,7 +255,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    series = families.series_families(args.order)[args.id]
+    series = families.series_family(args.id, args.order)
     for n in range(args.order + 1):
         print(f"{n}: {egf_coefficient(series, n).render()}")
     return 0

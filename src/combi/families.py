@@ -157,35 +157,38 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
         return p
     if route == "convolution":
         a_polys = [a_poly(j) for j in range(n)]
-        ps = [ONE]
+        ps, qx_ps = [ONE], []  # qx_ps[k] = Q X P_k, first read for P_(k+2)
         for m in range(n):
+            if m:
+                qx_ps.append(Q * X * ps[m - 1])
             ps.append(poly_dot([(1, Q * Y, ps[m])] + [
-                (math.comb(m, k) * 2 ** (m - k), Q * X * ps[k], a_polys[m - k])
+                (math.comb(m, k) * 2 ** (m - k), qx_ps[k], a_polys[m - k])
                 for k in range(m)]))
         return ps[n]
     if route == "series":
         if n > max_order():
             raise CapacityError(f"series route needs order {n} > {max_order()}")
-        return egf_coefficient(series_families(max(n, DEFAULT_ORDER))["P"], n)
+        return egf_coefficient(series_family("P", max(n, DEFAULT_ORDER)), n)
     return stat_distribution("stirling2", n, (("cap", "x"), ("fix", "y"),
                                               ("cyc", "q")))
 
 
 def r_poly(n: int, with_q: bool = True) -> ExactPoly:
-    """Fixed-point-free cycle-Stirling distribution by (cap, cycles)."""
+    """Fixed-point-free cycle-Stirling distribution by (cap, cycles).
+    with_q=False runs the recurrence at q = 1: no weight reads the exponent
+    of q, so setting it to 1 commutes with every step."""
     require_size(n)
     if n == 0:
-        p = ONE
-    elif n == 1:
-        p = ExactPoly.zero()
-    else:
-        prev, cur = ExactPoly.zero(), 2 * Q * X
-        for m in range(2, n):
-            step = (({}, 0, {"x": 2}), ({"x": 1}, 2 * m, {"x": -2}))
-            back = (({"x": 1, "q": 1}, 2 * m, {}),)
-            prev, cur = cur, poly_apply(((step, cur), (back, prev)))
-        p = cur
-    return p if with_q else p.subs_num("q", 1)
+        return ONE
+    if n == 1:
+        return ExactPoly.zero()
+    shift = {"x": 1, "q": 1} if with_q else {"x": 1}
+    prev, cur = ExactPoly.zero(), ExactPoly.monomial(2, shift)
+    for m in range(2, n):
+        step = (({}, 0, {"x": 2}), ({"x": 1}, 2 * m, {"x": -2}))
+        back = ((shift, 2 * m, {}),)
+        prev, cur = cur, poly_apply(((step, cur), (back, prev)))
+    return cur
 
 
 def r_nk_poly(n: int, k: int) -> ExactPoly:
@@ -257,49 +260,62 @@ def _memo(key: tuple, build):
     return _MEMO[key] if key in _MEMO else _MEMO.setdefault(key, build())
 
 
-def series_families(order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
-    """All the package's EGFs at the requested truncation order."""
+def series_family(name: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """The EGF `name` (one of SERIES_IDS) at the requested truncation order.
+    Only it and the families it is built from are built: Q and P from M,
+    qn from pm."""
     require_size(order, name="order")
     if order > max_order():
         raise CapacityError(
             f"order {order} exceeds cap {max_order()} (raise COMBI_MAX_ORDER)")
-    return _memo(("series", order), lambda: _build_series_families(order))
+    if name not in _SERIES_BUILDERS:
+        raise ValueError(f"unknown series {name!r}; choose from {SERIES_IDS}")
+    return _memo(("series", name, order), lambda: _SERIES_BUILDERS[name](order))
 
 
-def _build_series_families(order: int) -> dict[str, TruncatedSeries]:
-    one = TruncatedSeries.const(1, order)
+def _expz(p, order: int) -> TruncatedSeries:
+    """e^(p z)."""
+    return series_exp(TruncatedSeries.z_poly(p, order))
 
-    def expz(p):
-        return series_exp(TruncatedSeries.z_poly(p, order))
 
-    m_series = series_sqrt(series_ratio(X - 1, X * one - expz(2 * (X - 1))))
-    n_series = series_sqrt(series_ratio(1 - X, one - X * expz(2 * (1 - X))))
-    a_series = series_ratio(1 - X, one - X * expz(1 - X))
-    q_series = series_pow_symbolic(m_series, "q")
-    p_series = series_exp(TruncatedSeries.z_poly(Q * (Y - 1), order)) * q_series
-    d_series = series_ratio(1 - X, expz(X) - X * expz(ExactPoly.one()))
-    s_series = series_sqrt(series_ratio(X - 1, X * expz(2) - expz(2 * X)))
-    sqrtsec = series_sqrt(series_ratio(ExactPoly.const(2),
-                                       expz(2) + expz(-2)))
-    pm_series = series_inverse(series_sqrt(one - TruncatedSeries.z_poly(2, order)))
-    qn_series = expz(-1) * pm_series
-    return {"M": m_series, "N": n_series, "A": a_series, "Q": q_series,
-            "P": p_series, "d": d_series, "S": s_series, "sqrtsec": sqrtsec,
-            "pm": pm_series, "qn": qn_series}
+def _one(order: int) -> TruncatedSeries:
+    return TruncatedSeries.const(1, order)
+
+
+# one builder per family; each reaches the families it needs through
+# series_family, so they are memoised and looked up by name
+_SERIES_BUILDERS = {
+    "M": lambda o: series_sqrt(series_ratio(
+        X - 1, X * _one(o) - _expz(2 * (X - 1), o))),
+    "N": lambda o: series_sqrt(series_ratio(
+        1 - X, _one(o) - X * _expz(2 * (1 - X), o))),
+    "A": lambda o: series_ratio(1 - X, _one(o) - X * _expz(1 - X, o)),
+    "Q": lambda o: series_pow_symbolic(series_family("M", o), "q"),
+    "P": lambda o: _expz(Q * (Y - 1), o) * series_family("Q", o),
+    "d": lambda o: series_ratio(1 - X, _expz(X, o) - X * _expz(ONE, o)),
+    "S": lambda o: series_sqrt(series_ratio(
+        X - 1, X * _expz(2, o) - _expz(2 * X, o))),
+    "sqrtsec": lambda o: series_sqrt(series_ratio(
+        ExactPoly.const(2), _expz(2, o) + _expz(-2, o))),
+    "pm": lambda o: series_inverse(series_sqrt(
+        _one(o) - TruncatedSeries.z_poly(2, o))),
+    "qn": lambda o: _expz(-1, o) * series_family("pm", o),
+}
+SERIES_IDS = tuple(_SERIES_BUILDERS)
 
 
 def d_poly(n: int) -> ExactPoly:
     """Derangements of [n] by excedances, from the EGF (1-x)/(e^xz - x e^z)."""
     require_size(n)
     order = max(n, DEFAULT_ORDER)
-    return egf_coefficient(series_families(order)["d"], n)
+    return egf_coefficient(series_family("d", order), n)
 
 
 def h_values(k_max: int) -> list[int]:
     """h_k = (-1)^k (2k)! [z^(2k)] sqrt(2/(e^(2z)+e^(-2z)))."""
     require_size(k_max)
     order = max(2 * k_max, DEFAULT_ORDER)
-    s = series_families(order)["sqrtsec"]
+    s = series_family("sqrtsec", order)
     out = []
     for k in range(k_max + 1):
         v = egf_coefficient(s, 2 * k) * (-1) ** k

@@ -352,16 +352,33 @@ def _validate_stirling(word) -> bool:
 
 
 def _validate_stirling2(cycles) -> bool:
-    if not all([type(c) is tuple and c for c in cycles]):
+    """Non-empty tuple cycles whose int values hold each of 1..N twice,
+    each starting at its minimum, the minima increasing, and each cycle a
+    Stirling word: the stack of `_stirling_property` runs across all the
+    cycles and is back at its floor at the end of every cycle."""
+    if not (_TUPLE.issuperset(map(type, cycles)) and all(cycles)):
         return False
-    allv = [v for c in cycles for v in c]
-    pairs = [v for v in range(1, len(allv) // 2 + 1) for _ in (0, 1)]
-    if not _ints(allv) or sorted(allv) != pairs:
+    values = list(itertools.chain.from_iterable(cycles))
+    if not _ints(values):
         return False
-    mins = [c[0] for c in cycles]
-    if mins != sorted(set(mins)) or any(c[0] != min(c) for c in cycles):
+    ordered = sorted(values)
+    if not ordered[::2] == ordered[1::2] == list(range(1, len(values) // 2 + 1)):
         return False
-    return all(_stirling_property(c) for c in cycles)
+    firsts = [c[0] for c in cycles]
+    if firsts != list(map(min, cycles)) or not all(map(lt, firsts, firsts[1:])):
+        return False
+    stack = [0]
+    for cycle in cycles:
+        for v in cycle:
+            if v == stack[-1]:
+                stack.pop()
+            elif v > stack[-1]:
+                stack.append(v)
+            else:
+                return False
+        if len(stack) != 1:
+            return False
+    return True
 
 
 def _validate_invseq(e, s) -> bool:

@@ -105,7 +105,7 @@ def _coefficients(p, var, n):
 
 
 def _series_square(name, order):
-    s = families.series_families(order)[name]
+    s = families.series_family(name, order)
     return s * s
 
 
@@ -183,7 +183,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
     IdentityCheck(
         "M-reverse-N", "EGF route for M agrees with x^n N_n(1/x)", range(0, 11),
         (Route("series", "egf",
-               lambda n: egf_coefficient(families.series_families(10)["M"], n)),
+               lambda n: egf_coefficient(families.series_family("M", 10), n)),
          Route("recurrence", "reversal of recurrence",
                lambda n: poly_reverse(families.n_poly(n), n)))),
     IdentityCheck(
@@ -229,7 +229,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "N2-equals-A2z", "N(x,z)^2 = A(x,2z) as truncated series", (8,),
         (Route("series", "N(x,z)^2", lambda n: _series_square("N", n)),
          Route("series", "A(x,2z)",
-               lambda n: families.series_families(n)["A"].scale_argument(2)))),
+               lambda n: families.series_family("A", n).scale_argument(2)))),
     IdentityCheck(
         "phi-bijection", "decorated permutations biject onto matching pairs, "
         "preserving ascents", range(1, 8),
@@ -274,7 +274,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
         range(0, 9),
         (Route("recurrence", "recurrence", lambda n: families.q_poly(n)),
          Route("series", "egf symbolic power",
-               lambda n: egf_coefficient(families.series_families(8)["Q"], n)))),
+               lambda n: egf_coefficient(families.series_family("Q", 8), n)))),
     IdentityCheck(
         "cyc-closed-form", "cycle-count distribution is the rising product "
         "q(q+2)..(q+2n-2)", range(1, 9),
@@ -313,7 +313,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
         range(0, 9),
         (Route("recurrence", "recurrence", lambda n: families.p_poly(n)),
          Route("series", "egf product",
-               lambda n: egf_coefficient(families.series_families(8)["P"], n)))),
+               lambda n: egf_coefficient(families.series_family("P", 8), n)))),
     IdentityCheck(
         "grammar-lemma1", "n-th grammar derivative of a encodes the "
         "cycle-Stirling statistics", range(1, 7),
@@ -342,13 +342,13 @@ CHECKS: tuple[IdentityCheck, ...] = (
          Route("closed-form", "C(n,k) q^k R_{n-k} by k",
                lambda n: tuple(families.r_nk_poly(n, k) for k in range(n + 1))),
          Route("series", "y-coefficients of the P egf", lambda n: _coefficients(
-             egf_coefficient(families.series_families(8)["P"], n), "y", n)))),
+             egf_coefficient(families.series_family("P", 8), n), "y", n)))),
     IdentityCheck(
         "qn-egf", "fixed-point-free counts match e^(-z)/sqrt(1-2z)", range(0, 13),
         (Route("recurrence", "recurrence",
                lambda n: ExactPoly.const(families.q_seq(n)[n])),
          Route("series", "egf",
-               lambda n: egf_coefficient(families.series_families(12)["qn"], n)),
+               lambda n: egf_coefficient(families.series_family("qn", 12), n)),
          Route("recurrence", "R at (1,1)", lambda n: families.r_poly(n).subs_num(
              "x", 1).subs_num("q", 1)))),
     IdentityCheck(
@@ -367,7 +367,7 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
         (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),
          Route("series", "x^n S_n(1/x)", lambda n: poly_reverse(
-             egf_coefficient(families.series_families(10)["S"], n), n)))),
+             egf_coefficient(families.series_family("S", 10), n), n)))),
     IdentityCheck(
         "R-real-rooted", "R_n/x has only simple real zeros (Descartes count "
         "once a mod-q test proves it squarefree, and the Sturm chain)",

@@ -384,6 +384,33 @@ def test_series_command(capsys):
     assert code == 2
 
 
+# sha256 of the stdout of `combi series --id <id> --order 8` as the build of
+# all ten families at once printed it
+SERIES_STDOUT_SHA256 = {
+    "A": "8ee6e5fa7233f8104301c7316c43daa112e44ecf6321a86df9f7349cbf01be20",
+    "M": "c029cf311ad2afcb215b5d060e356f480e33e3d7ee6ecae1af8a00ef4850b7c4",
+    "N": "c4ca5fa5eac702b03833e04947a313dc8d521b0588ea9f0010a84150fc1dead8",
+    "P": "8f1c132bdc82253b4adf10fcb808c82b38de447099fcfc59759c83a97a2a184e",
+    "Q": "8d0ca99bb8aee9d3c4688c7644ac13867a7edf2d95e9fe9d94f6bc2dac28577e",
+    "S": "f52f0fe184bbdf4b66b5f8dd6eaf9ca2107d2415efcab2b906986fe71d484d65",
+    "d": "c4b1262cc532af4f6aa9eaa2db79b4faa77cb2a513e9b9bbc40c562a35d5635a",
+    "pm": "e8f81f9baf37d56c6f8cbdad240147f1fe2cbe4c3376361354f7d2c52ca66e14",
+    "qn": "4ddccb43961513378d2d8bcd0aa31bb4472be863b5f04253948b24c321b7e911",
+    "sqrtsec":
+        "ef519e20c882aa12914ce4131969e1a8ff8601e02fd08e4efdd0d000d8816f45",
+}
+
+
+@pytest.mark.parametrize("series_id", SERIES_IDS)
+def test_series_stdout_pinned(capsys, monkeypatch, series_id):
+    monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
+    code, out, err = run(capsys, "series", "--id", series_id, "--order", "8")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 9
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SERIES_STDOUT_SHA256[series_id])
+
+
 @pytest.mark.parametrize("series_id", SERIES_IDS)
 def test_series_order_zero(capsys, series_id):
     code, out, _ = run(capsys, "series", "--id", series_id, "--order", "0")

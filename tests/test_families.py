@@ -4,6 +4,7 @@ from combi.poly import CapacityError, ExactPoly, Q, X, Y
 from combi.series import egf_coefficient
 from combi import objects
 from combi.objects import generate, stats
+from combi import cli
 from combi import families as F
 
 
@@ -86,6 +87,13 @@ def test_r_poly():
     qs = F.q_seq(8)
     for n in range(8):
         assert F.r_poly(n).subs_num("x", 1).subs_num("q", 1) == qs[n]
+
+
+def test_r_poly_at_q_one_is_the_bivariate_one_at_q_one():
+    # with_q=False runs its own recurrence at q = 1; no registry check
+    # compares it with the bivariate one directly
+    for n in range(21):
+        assert F.r_poly(n, with_q=False) == F.r_poly(n).subs_num("q", 1), n
 
 
 def test_r_nk_matches_p_coefficients():
@@ -194,49 +202,112 @@ def test_sizes_that_are_not_ints_rejected(n):
 
 
 def test_n_series_to_order_ten():
-    s = F.series_families(10)
+    s = F.series_family("N", 10)
     for n in range(11):
-        assert egf_coefficient(s["N"], n) == F.n_poly(n)
+        assert egf_coefficient(s, n) == F.n_poly(n)
 
 
-def test_series_families():
-    s = F.series_families(6)
+# each family's n![z^n] by a route that reads no series; A(x,z) collects
+# x*A_n(x) for n >= 1, and sqrtsec holds (-1)^k h_k at z^(2k)
+_SERIES_ENTRY = {
+    "N": F.n_poly,
+    "M": F.m_poly,
+    "A": lambda n: X * F.a_poly(n) if n else ExactPoly.one(),
+    "Q": F.q_poly,
+    "P": F.p_poly,
+    "d": F.d_poly_enum,
+    "S": lambda n: F.r_poly(n, with_q=False),
+    "sqrtsec": lambda n: 0 if n % 2 else (-1) ** (n // 2) * (
+        1, 2, 28, 1112)[n // 2],
+    "pm": F.double_factorial,
+    "qn": lambda n: F.q_seq(n)[n],
+}
+
+
+def test_series_entry_table_covers_every_family():
+    assert sorted(_SERIES_ENTRY) == sorted(F.SERIES_IDS)
+    assert len(F.SERIES_IDS) == 10
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_ENTRY))
+def test_series_family(name):
+    s = F.series_family(name, 6)
+    assert s.order == 6
     for n in range(7):
-        assert egf_coefficient(s["N"], n) == F.n_poly(n)
-        assert egf_coefficient(s["M"], n) == F.m_poly(n)
-        assert egf_coefficient(s["Q"], n) == F.q_poly(n)
-        assert egf_coefficient(s["P"], n) == F.p_poly(n)
-        assert egf_coefficient(s["S"], n) == F.r_poly(n, with_q=False)
-        assert egf_coefficient(s["pm"], n) == F.double_factorial(n)
-    # A(x,z) collects x*A_n(x) for n >= 1
-    for n in range(1, 7):
-        assert egf_coefficient(s["A"], n) == X * F.a_poly(n)
-    assert s["N"] * s["N"] == s["A"].scale_argument(2)
-    assert s["S"] * s["S"] == s["d"].scale_argument(2)
+        assert egf_coefficient(s, n) == _SERIES_ENTRY[name](n), n
 
 
-def test_series_families_entries_are_integer_polynomials(monkeypatch):
+def test_series_squares():
+    assert (F.series_family("N", 6) * F.series_family("N", 6)
+            == F.series_family("A", 6).scale_argument(2))
+    assert (F.series_family("S", 6) * F.series_family("S", 6)
+            == F.series_family("d", 6).scale_argument(2))
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_ENTRY))
+def test_series_family_entries_are_integer_polynomials(monkeypatch, name):
     # every n![z^n] of the order-16 build is an integer polynomial: the
     # EGF-normalised steps keep the build's sums and products on ints
     monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
-    for name, s in F.series_families(16).items():
-        for n in range(17):
-            entry = egf_coefficient(s, n)
-            assert isinstance(entry, ExactPoly)
-            assert all(type(c) is int for _, c in entry.items()), (name, n)
+    s = F.series_family(name, 16)
+    for n in range(17):
+        entry = egf_coefficient(s, n)
+        assert isinstance(entry, ExactPoly)
+        assert all(type(c) is int for _, c in entry.items()), n
 
 
 @pytest.mark.parametrize("order", [2.5, True], ids=["float", "bool"])
 def test_series_order_that_is_not_an_int_rejected(order):
     # True used to hit the memoised order-1 families, 2.5 a raw TypeError
-    F.series_families(1)
+    F.series_family("N", 1)
     with pytest.raises(ValueError, match="^order must be an int, got "):
-        F.series_families(order)
+        F.series_family("N", order)
 
 
 def test_series_capacity():
     with pytest.raises(CapacityError):
-        F.series_families(99)
+        F.series_family("N", 99)
+    # the cap is checked before the name
+    with pytest.raises(CapacityError):
+        F.series_family("nope", 99)
+
+
+class _Built(Exception):
+    """A series builder ran that the call should not need."""
+
+
+def _refuse(order):
+    raise _Built(order)
+
+
+@pytest.mark.parametrize("name", ["nope", "p", "", "Nq"])
+def test_series_unknown_name_rejected(monkeypatch, name):
+    for known in F.SERIES_IDS:
+        monkeypatch.setitem(F._SERIES_BUILDERS, known, _refuse)
+    with F.memoised(), pytest.raises(ValueError) as err:
+        F.series_family(name, 4)
+    assert str(err.value) == (
+        f"unknown series {name!r}; choose from ('M', 'N', 'A', 'Q', 'P', "
+        "'d', 'S', 'sqrtsec', 'pm', 'qn')")
+
+
+@pytest.mark.parametrize("call, needs", [
+    (lambda: F.p_poly(16, "series"), {"P", "Q", "M"}),
+    (lambda: F.d_poly(6), {"d"}),
+    (lambda: F.h_values(4), {"sqrtsec"}),
+    (lambda: cli.main(["series", "--id", "A", "--order", "10"]), {"A"}),
+], ids=["p16-series", "d6", "h4", "cli-series-A"])
+def test_series_request_builds_only_what_it_reads(monkeypatch, capsys, call,
+                                                  needs):
+    monkeypatch.delenv("COMBI_MAX_ORDER", raising=False)
+    want = call()
+    capsys.readouterr()
+    for name in set(F.SERIES_IDS) - needs:
+        monkeypatch.setitem(F._SERIES_BUILDERS, name, _refuse)
+    assert call() == want
+    with F.memoised():
+        assert call() == want
+    assert capsys.readouterr().err == ""
 
 
 def test_cap_sign_sum():

@@ -3,7 +3,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from combi import bijections, families, objects, verify
@@ -203,6 +203,95 @@ def test_validate_rejects_bad_cycle_stirling():
     assert not validate(CycleStirling(((2, 1, 1, 2),)))
     # inner word fails the betweenness condition after reduction
     assert not validate(CycleStirling(((1, 3, 1, 3, 2, 2),)))
+
+
+def _cycle_form_by_definition(cycles) -> bool:
+    """The definition of a cycle form, checked value by value: non-empty
+    tuple cycles of ints; both copies of each of 1..N in one cycle, with
+    only larger values between them; each cycle led by its minimum; the
+    minima increasing."""
+    if any(type(c) is not tuple or not c for c in cycles):
+        return False
+    values = [v for c in cycles for v in c]
+    if any(type(v) is not int for v in values):
+        return False
+    n = len(values) // 2
+    if len(values) != 2 * n:
+        return False
+    for v in range(1, n + 1):
+        homes = [c for c in cycles if v in c]
+        if len(homes) != 1 or homes[0].count(v) != 2:
+            return False
+        first = homes[0].index(v)
+        second = homes[0].index(v, first + 1)
+        if any(w < v for w in homes[0][first + 1:second]):
+            return False
+    if any(c[0] != min(c) for c in cycles):
+        return False
+    return all(a[0] < b[0] for a, b in zip(cycles, cycles[1:]))
+
+
+_CYCLE_FORMS = [list(generate("stirling2", n)) for n in range(5)]
+
+
+@st.composite
+def _edited_cycle_forms(draw):
+    """A cycle form of n <= 4 with up to three edits: entries swapped,
+    moved to another cycle, dropped, doubled or replaced by a non-int or
+    an int out of range; a cycle rotated or joined to the end of another;
+    an empty cycle inserted; the cycles reordered."""
+    n = draw(st.integers(0, 4))
+    cycles = [list(c) for c in draw(st.sampled_from(_CYCLE_FORMS[n])).cycles]
+    for _ in range(draw(st.integers(0, 3))):
+        places = [(i, j) for i, c in enumerate(cycles) for j in range(len(c))]
+        edit = draw(st.sampled_from(("swap", "move", "drop", "double", "odd",
+                                     "rotate", "join", "empty", "reorder")))
+        if edit in ("swap", "move", "drop", "double", "odd", "rotate"):
+            if not places:
+                continue
+            i, j = draw(st.sampled_from(places))
+        if edit == "swap":
+            k, m = draw(st.sampled_from(places))
+            cycles[i][j], cycles[k][m] = cycles[k][m], cycles[i][j]
+        elif edit == "move":
+            k = draw(st.integers(0, len(cycles) - 1))
+            v = cycles[i].pop(j)
+            cycles[k].insert(draw(st.integers(0, len(cycles[k]))), v)
+        elif edit == "drop":
+            del cycles[i][j]
+        elif edit == "double":
+            cycles[i].insert(j, cycles[i][j])
+        elif edit == "odd":
+            cycles[i][j] = draw(st.sampled_from(
+                (1.0, 2.0, True, "1", None, 0, -1, n + 1)))
+        elif edit == "rotate":
+            cycles[i] = cycles[i][1:] + cycles[i][:1]
+        elif edit == "join":
+            if len(cycles) > 1:
+                i, k = draw(st.permutations(range(len(cycles))))[:2]
+                cycles[i] += cycles[k]
+                del cycles[k]
+        elif edit == "empty":
+            cycles.insert(draw(st.integers(0, len(cycles))), [])
+        else:
+            cycles = list(draw(st.permutations(cycles)))
+    return tuple(map(tuple, cycles))
+
+
+@given(_edited_cycle_forms())
+@example(((1, 2, 2.0, 1),))  # a non-int entry
+@example(((True, True),))
+@example(((1, 2), (1, 2)))  # a value split across two cycles
+@example(((1, 1, 2), (2,)))
+@example(((2, 2), (1, 1)))  # minima out of order
+@example(((1, 1), (3, 3), (2, 2)))
+@example(((2, 2, 1, 1),))  # a Stirling word not led by its minimum
+@example(((),))  # empty cycles
+@example(((1, 1), ()))
+@example(((), (1, 1)))
+@example(((1, 2, 2, 1), (3, 3)))  # valid
+def test_cycle_form_validator_matches_the_definition(cycles):
+    assert validate(CycleStirling(cycles)) is _cycle_form_by_definition(cycles)
 
 
 def test_decorated_peeling_rules():

@@ -391,7 +391,7 @@ def _mutant_series_mul(self, other):
 def test_series_kernel_mutant_after_warm_up_caught(monkeypatch, module, attr,
                                                    mutant):
     # the public series functions call the kernel by name
-    families.series_families(12)
+    families.series_family("qn", 12)
     assert verify.run_check("qn-egf", 4).status == "pass"
     monkeypatch.setattr(module, attr, mutant)
     assert verify.run_check("qn-egf", 4).status == "fail"

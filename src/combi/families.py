@@ -29,12 +29,13 @@ the groups (1, 0, {x: 1}) and (x, 0, {x: -1}), and the terms of a
 recurrence that share a shift share one group.  `grammar.derive` and the
 convolution and series routes do not use the kernel.
 
-Every exhaustive route builds one statistic table, refused past
-`objects.ENUM_CAP` objects before the walk.  The EGFs and the tables are
-memoised by their arguments, only while a `memoised()` block is open:
-`verify.run_check` and `verify.run_all` each run in one, so a run builds
-each once, and a function replaced between two runs is the one the next
-run calls.
+The exhaustive route of every family is `stat_distribution`, which the
+registry calls with the class and the statistics it reads; it builds one
+statistic table, refused past `objects.ENUM_CAP` objects before the walk.
+The EGFs and the tables are memoised by their arguments, only while a
+`memoised()` block is open: `verify.run_check` and `verify.run_all` each
+run in one, so a run builds each once, and a function replaced between
+two runs is the one the next run calls.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import Counter
 from contextlib import contextmanager
 from types import MappingProxyType
 
-from .poly import (ONE, Q, X, Y, CapacityError, ExactPoly, poly_apply,
+from .poly import (ONE, Q, VARS, X, Y, CapacityError, ExactPoly, poly_apply,
                    poly_dot, poly_reverse, poly_sum)
 from .series import (DEFAULT_ORDER, TruncatedSeries, egf_coefficient,
                      max_order, series_exp, series_inverse,
@@ -130,6 +131,17 @@ def a_poly(n: int) -> ExactPoly:
     return p
 
 
+def b_poly(n: int) -> ExactPoly:
+    """Signed permutations by descents (with a leading virtual 0), by
+    Brenti's recurrence (Europ. J. Combin. 15, 1994)."""
+    require_size(n)
+    p = ONE
+    for m in range(n):
+        step = (({}, 1, {"x": 2}), ({"x": 1}, 2 * m + 1, {"x": -2}))
+        p = poly_apply(((step, p),))
+    return p
+
+
 def q_poly(n: int) -> ExactPoly:
     require_size(n)
     p = ONE
@@ -140,11 +152,12 @@ def q_poly(n: int) -> ExactPoly:
     return p
 
 
-_P_ROUTES = ("recurrence", "convolution", "series", "enumeration")
+_P_ROUTES = ("recurrence", "convolution", "series")
 
 
 def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
-    """Cycle-Stirling distribution by (cap, fix, cycles), four ways."""
+    """Cycle-Stirling distribution by (cap, fix, cycles), three ways; the
+    enumeration is `stat_distribution` over "stirling2"."""
     if route not in _P_ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {_P_ROUTES}")
     require_size(n)
@@ -165,12 +178,9 @@ def p_poly(n: int, route: str = "recurrence") -> ExactPoly:
                 (math.comb(m, k) * 2 ** (m - k), qx_ps[k], a_polys[m - k])
                 for k in range(m)]))
         return ps[n]
-    if route == "series":
-        if n > max_order():
-            raise CapacityError(f"series route needs order {n} > {max_order()}")
-        return egf_coefficient(series_family("P", max(n, DEFAULT_ORDER)), n)
-    return stat_distribution("stirling2", n, (("cap", "x"), ("fix", "y"),
-                                              ("cyc", "q")))
+    if n > max_order():
+        raise CapacityError(f"series route needs order {n} > {max_order()}")
+    return egf_coefficient(series_family("P", max(n, DEFAULT_ORDER)), n)
 
 
 def r_poly(n: int, with_q: bool = True) -> ExactPoly:
@@ -345,94 +355,13 @@ def stat_distribution(class_name, n, pairs, s=None, where=None) -> ExactPoly:
     names = objects.INT_STAT_NAMES.get(class_name)  # None: refused below
     if names and not {name for name, _ in pairs} <= set(names):
         raise ValueError(f"{class_name} statistics are {names}, not {pairs}")
+    variables = [var for _, var in pairs]  # a repeated one would drop a stat
+    if len(set(variables)) < len(variables) or not set(variables) <= set(VARS):
+        raise ValueError(f"variables must be distinct letters of {VARS}, "
+                         f"not {pairs}")
     table = _joint_table(class_name, n, s)
     rows = ((dict(zip(names, key)), count) for key, count in table.items())
     return poly_sum(
         ExactPoly.monomial(count, {var: st[name] for name, var in pairs})
         for st, count in rows if where is None or where(st))
 
-
-def invseq_distribution(s) -> ExactPoly:
-    return stat_distribution("invseq", len(s), (("asc", "x"),), s=s)
-
-
-def a_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("permutation", n, (("des_A", "x"),))
-
-
-def b_poly(n: int, route: str = "recurrence") -> ExactPoly:
-    """Signed permutations by descents (with a leading virtual 0): Brenti's
-    recurrence (Europ. J. Combin. 15, 1994), (2,4,..,2n)-inversion
-    sequences (Savage and Schuster, JCTA 119, 2012) or signed permutations."""
-    require_size(n)
-    if route == "recurrence":
-        p = ONE
-        for m in range(n):
-            step = (({}, 1, {"x": 2}), ({"x": 1}, 2 * m + 1, {"x": -2}))
-            p = poly_apply(((step, p),))
-        return p
-    if route == "invseq":
-        return invseq_distribution(tuple(2 * i for i in range(1, n + 1)))
-    if route == "signed":
-        return stat_distribution("signed", n, (("des_B", "x"),))
-    raise ValueError(f"unknown route {route!r}")
-
-
-def n_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("matching", n, (("el", "x"),))
-
-
-def m_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("matching", n, (("ol", "x"),))
-
-
-def ap_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling", n, (("ap", "x"),))
-
-
-def c_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling", n, (("descents", "x"),))
-
-
-def cplat_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("cplat", "x"),))
-
-
-def casc_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("casc", "x"),))
-
-
-def q_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("cap", "x"), ("cyc", "q")))
-
-
-def r_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("cap", "x"), ("cyc", "q")),
-                             where=lambda st: st["fix"] == 0)
-
-
-def y_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("cap", "x"),),
-                             where=lambda st: st["cyc"] == 1)
-
-
-def desi_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling", n, (("desi", "q"),))
-
-
-def cyc_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("stirling2", n, (("cyc", "q"),))
-
-
-def d_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("permutation", n, (("exc", "x"),),
-                             where=lambda st: st["exc"] + st["anti_exc"] == n)
-
-
-def rlmin_poly_enum(n: int) -> ExactPoly:
-    return stat_distribution("signed", n, (("rlmin", "x"),))
-
-
-def cap_sign_sum(n: int) -> int:
-    """Sum of (-1)^cap over fixed-point-free cycle-Stirling objects."""
-    return r_poly_enum(n).subs_num("x", -1).subs_num("q", 1).const_value()

@@ -118,7 +118,8 @@ def lemma1_sides(n: int) -> tuple[ExactPoly, ExactPoly]:
     """D^n(a) and the exhaustive cycle-Stirling encoding it should equal,
     the enumeration refused past the cap before any derivative is taken."""
     require_size(n, 1)
-    encoding = from_xyq(families.p_poly(n, "enumeration"), n)
+    encoding = from_xyq(families.stat_distribution(
+        "stirling2", n, (("cap", "x"), ("fix", "y"), ("cyc", "q"))), n)
     return cycle_derivative_polynomial(n), encoding
 
 

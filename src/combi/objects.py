@@ -264,7 +264,7 @@ def class_count(class_name: str, n: int, s=None) -> int:
 
 
 # The most objects an exhaustive route may walk: the 2^8 8! inversion
-# sequences of b_poly(8, "invseq"), the largest domain taken before.
+# sequences with bounds (2, 4, .., 16), the largest domain taken before.
 ENUM_CAP = 2 ** 8 * math.factorial(8)
 
 
@@ -354,8 +354,7 @@ def _validate_stirling(word) -> bool:
 def _validate_stirling2(cycles) -> bool:
     """Non-empty tuple cycles whose int values hold each of 1..N twice,
     each starting at its minimum, the minima increasing, and each cycle a
-    Stirling word: the stack of `_stirling_property` runs across all the
-    cycles and is back at its floor at the end of every cycle."""
+    Stirling word."""
     if not (_TUPLE.issuperset(map(type, cycles)) and all(cycles)):
         return False
     values = list(itertools.chain.from_iterable(cycles))
@@ -367,18 +366,7 @@ def _validate_stirling2(cycles) -> bool:
     firsts = [c[0] for c in cycles]
     if firsts != list(map(min, cycles)) or not all(map(lt, firsts, firsts[1:])):
         return False
-    stack = [0]
-    for cycle in cycles:
-        for v in cycle:
-            if v == stack[-1]:
-                stack.pop()
-            elif v > stack[-1]:
-                stack.append(v)
-            else:
-                return False
-        if len(stack) != 1:
-            return False
-    return True
+    return all(map(_stirling_property, cycles))
 
 
 def _validate_invseq(e, s) -> bool:

@@ -148,38 +148,44 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "(1..n)-inversion sequences and of permutations", range(0, 7),
         (Route("recurrence", "recurrence", lambda n: families.a_poly(n)),
          Route("enumeration", "inversion sequences",
-               lambda n: families.invseq_distribution(tuple(range(1, n + 1)))),
+               lambda n: families.stat_distribution(
+                   "invseq", n, (("asc", "x"),), s=range(1, n + 1))),
          Route("enumeration", "ascents of permutations",
                lambda n: families.stat_distribution("permutation", n,
                                                     (("asc", "x"),))))),
+    # the (2,4,..,2n)-inversion sequences: Savage and Schuster, JCTA 119 (2012)
     IdentityCheck(
         "B-via-invseq", "type-B Eulerian polynomial via (2,4,..,2n)-inversion "
         "sequences equals the signed-permutation descent distribution",
         range(1, 7),
         (Route("enumeration", "inversion sequences",
-               lambda n: families.b_poly(n, "invseq")),
+               lambda n: families.stat_distribution(
+                   "invseq", n, (("asc", "x"),), s=range(2, 2 * n + 1, 2))),
          Route("enumeration", "signed permutations",
-               lambda n: families.b_poly(n, "signed")),
-         Route("recurrence", "Brenti recurrence",
-               lambda n: families.b_poly(n, "recurrence")))),
+               lambda n: families.stat_distribution("signed", n,
+                                                    (("des_B", "x"),))),
+         Route("recurrence", "Brenti recurrence", lambda n: families.b_poly(n)))),
     IdentityCheck(
         "M-via-invseq", "odd-larger matching polynomial equals the ascent "
         "distribution of (1,3,..,2n-1)-inversion sequences", range(0, 8),
         (Route("recurrence", "reversed recurrence", lambda n: families.m_poly(n)),
          Route("enumeration", "inversion sequences",
-               lambda n: families.invseq_distribution(tuple(range(1, 2 * n, 2)))))),
+               lambda n: families.stat_distribution(
+                   "invseq", n, (("asc", "x"),), s=range(1, 2 * n, 2))))),
     IdentityCheck(
         "N-el-enum", "N-triangle recurrence matches even-larger block counts",
         range(1, 8),
         (Route("recurrence", "recurrence", lambda n: families.n_poly(n)),
          Route("enumeration", "matching enumeration",
-               lambda n: families.n_poly_enum(n)))),
+               lambda n: families.stat_distribution("matching", n,
+                                                    (("el", "x"),))))),
     IdentityCheck(
         "M-ol-enum", "reversed N-polynomial matches odd-larger block counts",
         range(1, 8),
         (Route("recurrence", "reversed recurrence", lambda n: families.m_poly(n)),
          Route("enumeration", "matching enumeration",
-               lambda n: families.m_poly_enum(n)))),
+               lambda n: families.stat_distribution("matching", n,
+                                                    (("ol", "x"),))))),
     IdentityCheck(
         "M-reverse-N", "EGF route for M agrees with x^n N_n(1/x)", range(0, 11),
         (Route("series", "egf",
@@ -192,21 +198,23 @@ CHECKS: tuple[IdentityCheck, ...] = (
         (Route("recurrence", "2^n x A_n by recurrence",
                lambda n: 2 ** n * X * families.a_poly(n) if n else ONE),
          Route("enumeration", "2^n x A_n by enumeration",
-               lambda n: 2 ** n * X * families.a_poly_enum(n) if n else ONE),
+               lambda n: 2 ** n * X * families.stat_distribution(
+                   "permutation", n, (("des_A", "x"),)) if n else ONE),
          Route("convolution", "binomial convolution",
                lambda n: _binomial_convolution(n, families.n_poly,
                                                families.n_poly)))),
     IdentityCheck(
         "eq-1-4", "B_n equals the binomial convolution of N and M", range(1, 7),
         (Route("enumeration", "inversion sequences",
-               lambda n: families.b_poly(n, "invseq")),
+               lambda n: families.stat_distribution(
+                   "invseq", n, (("asc", "x"),), s=range(2, 2 * n + 1, 2))),
          Route("enumeration", "signed permutations",
-               lambda n: families.b_poly(n, "signed")),
+               lambda n: families.stat_distribution("signed", n,
+                                                    (("des_B", "x"),))),
          Route("convolution", "binomial convolution",
                lambda n: _binomial_convolution(n, families.n_poly,
                                                families.m_poly)),
-         Route("recurrence", "Brenti recurrence",
-               lambda n: families.b_poly(n, "recurrence")))),
+         Route("recurrence", "Brenti recurrence", lambda n: families.b_poly(n)))),
     IdentityCheck(
         "eq-1-3-refined-k", "hat-refined ascent distribution equals "
         "C(n,k) N_k N_{n-k}", range(1, 7),
@@ -247,28 +255,35 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "enumeration over Stirling words", range(1, 8),
         (Route("recurrence", "recurrence", lambda n: families.c_poly(n)),
          Route("enumeration", "descent enumeration",
-               lambda n: families.c_poly_enum(n)))),
+               lambda n: families.stat_distribution("stirling", n,
+                                                    (("descents", "x"),))))),
     IdentityCheck(
         "ap-equals-el", "ascent-plateau distribution equals the even-larger "
         "block distribution", range(1, 8),
         (Route("enumeration", "ascent plateaus",
-               lambda n: families.ap_poly_enum(n)),
+               lambda n: families.stat_distribution("stirling", n,
+                                                    (("ap", "x"),))),
          Route("enumeration", "even-larger blocks",
-               lambda n: families.n_poly_enum(n)),
+               lambda n: families.stat_distribution("matching", n,
+                                                    (("el", "x"),))),
          Route("recurrence", "recurrence", lambda n: families.n_poly(n)))),
     IdentityCheck(
         "cplat-casc-C", "cycle plateaus and shifted cycle ascents both give "
         "the second-order Eulerian polynomial", range(1, 8),
         (Route("enumeration", "cycle plateaus",
-               lambda n: families.cplat_poly_enum(n)),
+               lambda n: families.stat_distribution("stirling2", n,
+                                                    (("cplat", "x"),))),
          Route("enumeration", "x * cycle ascents",
-               lambda n: X * families.casc_poly_enum(n)),
+               lambda n: X * families.stat_distribution("stirling2", n,
+                                                        (("casc", "x"),))),
          Route("recurrence", "recurrence", lambda n: families.c_poly(n)))),
     IdentityCheck(
         "Q-recurrence-enum", "cap/cycle polynomial recurrence matches "
         "enumeration", range(1, 8),
         (Route("recurrence", "recurrence", lambda n: families.q_poly(n)),
-         Route("enumeration", "enumeration", lambda n: families.q_poly_enum(n)))),
+         Route("enumeration", "enumeration",
+               lambda n: families.stat_distribution(
+                   "stirling2", n, (("cap", "x"), ("cyc", "q")))))),
     IdentityCheck(
         "Q-gf", "cap/cycle polynomial matches its symbolic-power EGF",
         range(0, 9),
@@ -286,14 +301,19 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "desi-equals-cyc", "descent intervals on words match cycle counts on "
         "cycle forms", range(1, 8),
         (Route("enumeration", "descent intervals",
-               lambda n: families.desi_poly_enum(n)),
-         Route("enumeration", "cycle count", lambda n: families.cyc_poly_enum(n)),
+               lambda n: families.stat_distribution("stirling", n,
+                                                    (("desi", "q"),))),
+         Route("enumeration", "cycle count",
+               lambda n: families.stat_distribution("stirling2", n,
+                                                    (("cyc", "q"),))),
          Route("closed-form", "rising product", lambda n: families.l_closed(n)))),
     IdentityCheck(
         "Y-cyclic", "one-cycle cap distribution is 2^(n-1) x A_(n-1)",
         range(2, 8),
         (Route("enumeration", "one-cycle enumeration",
-               lambda n: families.y_poly_enum(n)),
+               lambda n: families.stat_distribution(
+                   "stirling2", n, (("cap", "x"),),
+                   where=lambda st: st["cyc"] == 1)),
          Route("recurrence", "doubled Eulerian",
                lambda n: families.y_poly(n)))),
     IdentityCheck(
@@ -305,7 +325,8 @@ CHECKS: tuple[IdentityCheck, ...] = (
                lambda n: families.p_poly(n, "convolution")),
          Route("series", "series", lambda n: families.p_poly(n, "series")),
          Route("enumeration", "enumeration",
-               lambda n: families.p_poly(n, "enumeration")),
+               lambda n: families.stat_distribution(
+                   "stirling2", n, (("cap", "x"), ("fix", "y"), ("cyc", "q")))),
          Route("grammar", "D^n(a)/a at c^2=x, b^2=y, d=1",
                lambda n: grammar.fix_cycle_cap_polynomial(n)))),
     IdentityCheck(
@@ -333,7 +354,10 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "R-recurrence-enum", "fixed-point-free recurrence matches enumeration",
         range(1, 8),
         (Route("recurrence", "recurrence", lambda n: families.r_poly(n)),
-         Route("enumeration", "enumeration", lambda n: families.r_poly_enum(n)))),
+         Route("enumeration", "enumeration",
+               lambda n: families.stat_distribution(
+                   "stirling2", n, (("cap", "x"), ("cyc", "q")),
+                   where=lambda st: st["fix"] == 0)))),
     IdentityCheck(
         "R-binomial-shift", "y-coefficients of P_n equal C(n,k) q^k R_{n-k}",
         range(0, 9),
@@ -362,7 +386,9 @@ CHECKS: tuple[IdentityCheck, ...] = (
          Route("series", "n! [z^n] S(x,z)^2",
                lambda n: egf_coefficient(_series_square("S", 8), n)),
          Route("enumeration", "2^n d_n by enumeration",
-               lambda n: 2 ** n * families.d_poly_enum(n)))),
+               lambda n: 2 ** n * families.stat_distribution(
+                   "permutation", n, (("exc", "x"),),
+                   where=lambda st: st["exc"] + st["anti_exc"] == n)))),
     IdentityCheck(
         "R-palindromic", "R_n at q=1 is palindromic with center n", range(2, 11),
         (Route("recurrence", "R_n", lambda n: families.r_poly(n, with_q=False)),
@@ -382,7 +408,10 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "h-series-vs-enum", "signed cap sums over fixed-point-free objects "
         "match the secant-root series", range(1, 8),
         (Route("enumeration", "signed enumeration",
-               lambda n: families.cap_sign_sum(n)),
+               lambda n: families.stat_distribution(
+                   "stirling2", n, (("cap", "x"),),
+                   where=lambda st: st["fix"] == 0).subs_num(
+                       "x", -1).const_value()),
          Route("series", "secant-root series", _h_signed))),
     IdentityCheck(
         "h-involutions", "paired-excedance involution counts match the "
@@ -394,7 +423,8 @@ CHECKS: tuple[IdentityCheck, ...] = (
         "rlmin-closed-form", "right-to-left minima: signed permutations and 2^n "
         "times permutations give 2^n x (x+1)..(x+n-1)", range(1, 6),
         (Route("enumeration", "enumeration",
-               lambda n: families.rlmin_poly_enum(n)),
+               lambda n: families.stat_distribution("signed", n,
+                                                    (("rlmin", "x"),))),
          Route("closed-form", "rising factorial",
                lambda n: families.rlmin_closed_form(n)),
          Route("enumeration", "2^n x right-to-left minima of permutations",

@@ -3,7 +3,8 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--seed", type=int, default=20240815,
-                     help="seed for randomized property tests")
+                     help="seed of test_poly.py::test_ring_laws_bulk; the "
+                          "Hypothesis tests take --hypothesis-seed")
 
 
 @pytest.fixture

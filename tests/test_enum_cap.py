@@ -21,31 +21,56 @@ def _evens(n):
     return tuple(2 * i for i in range(1, n + 1))
 
 
-# (route, its class, the bound sequence of size n for inversion sequences)
+def _route(check_id, label):
+    """The function of the registry route `label` of the check."""
+    route, = (r for r in verify.REGISTRY[check_id].routes if r.label == label)
+    return route.fn
+
+
+# (route, its class, the bound sequence of size n for inversion sequences):
+# registry routes keyed by the table they read, then entry points that no
+# registry route is
 ROUTES = {
+    "invseq_distribution": (_route("A-via-invseq", "inversion sequences"),
+                            "invseq", lambda n: tuple(range(1, n + 1))),
+    "a_poly_enum": (_route("eq-1-3", "2^n x A_n by enumeration"),
+                    "permutation", None),
+    "d_poly_enum": (_route("S2-equals-d2z", "2^n d_n by enumeration"),
+                    "permutation", None),
+    "n_poly_enum": (_route("N-el-enum", "matching enumeration"), "matching",
+                    None),
+    "m_poly_enum": (_route("M-ol-enum", "matching enumeration"), "matching",
+                    None),
+    "ap_poly_enum": (_route("ap-equals-el", "ascent plateaus"), "stirling",
+                     None),
+    "c_poly_enum": (_route("C-descents", "descent enumeration"), "stirling",
+                    None),
+    "desi_poly_enum": (_route("desi-equals-cyc", "descent intervals"),
+                       "stirling", None),
+    "cplat_poly_enum": (_route("cplat-casc-C", "cycle plateaus"), "stirling2",
+                        None),
+    "casc_poly_enum": (_route("cplat-casc-C", "x * cycle ascents"),
+                       "stirling2", None),
+    "q_poly_enum": (_route("Q-recurrence-enum", "enumeration"), "stirling2",
+                    None),
+    "r_poly_enum": (_route("R-recurrence-enum", "enumeration"), "stirling2",
+                    None),
+    "y_poly_enum": (_route("Y-cyclic", "one-cycle enumeration"), "stirling2",
+                    None),
+    "cyc_poly_enum": (_route("desi-equals-cyc", "cycle count"), "stirling2",
+                      None),
+    "rlmin_poly_enum": (_route("rlmin-closed-form", "enumeration"), "signed",
+                        None),
+    "cap_sign_sum": (_route("h-series-vs-enum", "signed enumeration"),
+                     "stirling2", None),
+    "p_poly-enumeration": (_route("P-three-routes", "enumeration"),
+                           "stirling2", None),
+    "b_poly-invseq": (_route("B-via-invseq", "inversion sequences"), "invseq",
+                      _evens),
+    "b_poly-signed": (_route("B-via-invseq", "signed permutations"), "signed",
+                      None),
     "stat_distribution": (lambda n: F.stat_distribution(
         "decorated", n, (("asc", "x"), ("hat", "q"))), "decorated", None),
-    "invseq_distribution": (lambda n: F.invseq_distribution(_evens(n)),
-                            "invseq", _evens),
-    "a_poly_enum": (F.a_poly_enum, "permutation", None),
-    "d_poly_enum": (F.d_poly_enum, "permutation", None),
-    "n_poly_enum": (F.n_poly_enum, "matching", None),
-    "m_poly_enum": (F.m_poly_enum, "matching", None),
-    "ap_poly_enum": (F.ap_poly_enum, "stirling", None),
-    "c_poly_enum": (F.c_poly_enum, "stirling", None),
-    "desi_poly_enum": (F.desi_poly_enum, "stirling", None),
-    "cplat_poly_enum": (F.cplat_poly_enum, "stirling2", None),
-    "casc_poly_enum": (F.casc_poly_enum, "stirling2", None),
-    "q_poly_enum": (F.q_poly_enum, "stirling2", None),
-    "r_poly_enum": (F.r_poly_enum, "stirling2", None),
-    "y_poly_enum": (F.y_poly_enum, "stirling2", None),
-    "cyc_poly_enum": (F.cyc_poly_enum, "stirling2", None),
-    "rlmin_poly_enum": (F.rlmin_poly_enum, "signed", None),
-    "cap_sign_sum": (F.cap_sign_sum, "stirling2", None),
-    "p_poly-enumeration": (lambda n: F.p_poly(n, "enumeration"), "stirling2",
-                           None),
-    "b_poly-invseq": (lambda n: F.b_poly(n, "invseq"), "invseq", _evens),
-    "b_poly-signed": (lambda n: F.b_poly(n, "signed"), "signed", None),
     "lemma1_sides": (grammar.lemma1_sides, "stirling2", None),
     "certificate_roots-phi": (lambda n: bijections.certificate_roots("phi", n),
                               "decorated", None),
@@ -62,11 +87,6 @@ ROUTES = {
 }
 
 
-def test_every_enumeration_route_is_listed():
-    enum_routes = {name for name in vars(F) if name.endswith("_enum")}
-    assert enum_routes <= set(ROUTES)
-
-
 @pytest.fixture
 def no_objects(monkeypatch):
     """Building any object fails the test."""
@@ -74,6 +94,17 @@ def no_objects(monkeypatch):
         raise AssertionError("an object was built")
     monkeypatch.setattr(objects, "generate", refuse)
     monkeypatch.setattr(objects, "walk", refuse)
+
+
+def test_every_enumeration_route_is_listed(no_objects):
+    # every class is over the cap at n = 11, so each enumeration route of
+    # the registry is refused there before it builds an object
+    routes = [(check.id, route) for check in verify.CHECKS
+              for route in check.routes if route.kind == "enumeration"]
+    for check_id, route in routes:
+        with F.memoised(), pytest.raises(CapacityError) as exc:
+            route.fn(11)
+        assert f"ENUM_CAP={ENUM_CAP}" in str(exc.value), (check_id, route.label)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -92,14 +123,14 @@ def test_route_refuses_first_n_above_cap(route, no_objects):
 
 def test_bound_sequence_over_cap_refused(no_objects):
     with pytest.raises(CapacityError, match=str(ENUM_CAP + 1)):
-        F.invseq_distribution((ENUM_CAP + 1,))
+        F.stat_distribution("invseq", 1, (("asc", "x"),), s=(ENUM_CAP + 1,))
     require_domain("invseq", 1, (ENUM_CAP,))
 
 
 # The largest n each hand-set cap accepted before this one replaced them:
-# the phi/psi domain cap (2^n n! <= 700,000), p_poly's enumeration route,
-# b_poly's inversion-sequence and signed routes, lemma1_sides and the
-# paired-involution count.
+# the phi/psi domain cap (2^n n! <= 700,000), the enumeration of P, those
+# of B over inversion sequences and signed permutations, lemma1_sides and
+# the paired-involution count.
 @pytest.mark.parametrize("class_name,n,bounds", [
     ("decorated", 7, None), ("signed", 7, None), ("stirling2", 7, None),
     ("invseq", 8, _evens), ("signed", 6, None), ("stirling2", 8, None),

@@ -4,8 +4,17 @@ from combi.poly import CapacityError, ExactPoly, Q, X, Y
 from combi.series import egf_coefficient
 from combi import objects
 from combi.objects import generate, stats
-from combi import cli
+from combi import cli, verify
 from combi import families as F
+
+
+def _dist(class_name, n, *pairs, **kwargs):
+    return F.stat_distribution(class_name, n, pairs, **kwargs)
+
+
+def _derangements_by_exc(n):
+    return _dist("permutation", n, ("exc", "x"),
+                 where=lambda st: st["exc"] + st["anti_exc"] == n)
 
 
 def test_n_triangle():
@@ -20,7 +29,7 @@ def test_n_triangle():
 def test_c_triangle():
     assert F.c_poly(1) == X
     assert F.c_poly(2) == X + 2 * X ** 2
-    assert F.c_poly(4) == F.c_poly_enum(4)
+    assert F.c_poly(4) == _dist("stirling", 4, ("descents", "x"))
     assert [sum(F.c_row(n)) for n in range(1, 8)] == [
         F.double_factorial(n) for n in range(1, 8)]
 
@@ -31,7 +40,7 @@ def test_m_poly():
     assert F.m_poly(2) == 1 + 2 * X
     assert F.m_poly(3) == 1 + 10 * X + 4 * X ** 2
     for n in range(1, 5):
-        assert F.m_poly(n) == F.m_poly_enum(n)
+        assert F.m_poly(n) == _dist("matching", n, ("ol", "x"))
 
 
 def test_a_poly():
@@ -40,7 +49,7 @@ def test_a_poly():
     assert F.a_poly(3) == 1 + 4 * X + X ** 2
     assert F.a_poly(4) == 1 + 11 * X + 11 * X ** 2 + X ** 3
     for n in range(1, 6):
-        assert F.a_poly(n) == F.a_poly_enum(n)
+        assert F.a_poly(n) == _dist("permutation", n, ("des_A", "x"))
         # coefficients match the Eulerian-number recurrence
         assert F.a_poly(n).univariate_coeffs("x") == list(F.eulerian_row(n))
 
@@ -50,7 +59,7 @@ def test_q_poly():
     assert F.q_poly(1) == Q
     assert F.q_poly(2) == Q ** 2 + 2 * Q * X
     for n in range(1, 6):
-        assert F.q_poly(n) == F.q_poly_enum(n)
+        assert F.q_poly(n) == _dist("stirling2", n, ("cap", "x"), ("cyc", "q"))
         assert F.q_poly(n).subs_num("q", 1) == F.m_poly(n)
         assert F.q_poly(n).subs_num("x", 1) == F.l_closed(n)
     assert F.q_poly(2).subs_num("q", 1) == 1 + 2 * X
@@ -68,11 +77,13 @@ def test_p_poly_routes():
         assert rec == F.p_poly(n, "convolution")
         assert rec == F.p_poly(n, "series")
         if n:
-            assert rec == F.p_poly(n, "enumeration")
-    with pytest.raises(ValueError):
-        F.p_poly(2, "wrong")
+            assert rec == _dist("stirling2", n, ("cap", "x"), ("fix", "y"),
+                                ("cyc", "q"))
+    for route in ("wrong", "enumeration"):
+        with pytest.raises(ValueError):
+            F.p_poly(2, route)
     with pytest.raises(CapacityError):  # 17!! objects; n = 8 now runs
-        F.p_poly(9, "enumeration")
+        _dist("stirling2", 9, ("cap", "x"), ("fix", "y"), ("cyc", "q"))
 
 
 def test_r_poly():
@@ -82,7 +93,8 @@ def test_r_poly():
     assert F.r_poly(3) == 4 * Q * X * (1 + X)
     assert F.r_poly(4, with_q=False) == 8 * X + 44 * X ** 2 + 8 * X ** 3
     for n in range(1, 6):
-        assert F.r_poly(n) == F.r_poly_enum(n)
+        assert F.r_poly(n) == _dist("stirling2", n, ("cap", "x"), ("cyc", "q"),
+                                    where=lambda st: st["fix"] == 0)
     # q_n = R_n(1, 1)
     qs = F.q_seq(8)
     for n in range(8):
@@ -121,8 +133,8 @@ def test_l_poly():
     assert F.l_closed(0) == 1
     assert F.l_closed(3) == Q * (Q + 2) * (Q + 4)
     for n in range(1, 5):
-        assert F.desi_poly_enum(n) == F.l_closed(n)
-        assert F.cyc_poly_enum(n) == F.l_closed(n)
+        assert _dist("stirling", n, ("desi", "q")) == F.l_closed(n)
+        assert _dist("stirling2", n, ("cyc", "q")) == F.l_closed(n)
 
 
 def test_q_seq():
@@ -139,7 +151,7 @@ def test_d_poly():
     assert F.d_poly(2) == X
     assert F.d_poly(3) == X + X ** 2
     for n in range(1, 6):
-        assert F.d_poly(n) == F.d_poly_enum(n)
+        assert F.d_poly(n) == _derangements_by_exc(n)
 
 
 def test_b_poly():
@@ -147,11 +159,13 @@ def test_b_poly():
     assert F.b_poly(1) == 1 + X
     assert F.b_poly(2) == 1 + 6 * X + X ** 2
     for n in range(1, 5):
-        assert F.b_poly(n, "invseq") == F.b_poly(n, "signed") == F.b_poly(n)
+        evens = range(2, 2 * n + 1, 2)
+        assert (_dist("invseq", n, ("asc", "x"), s=evens)
+                == _dist("signed", n, ("des_B", "x")) == F.b_poly(n))
     with pytest.raises(CapacityError):
-        F.b_poly(9, "invseq")
-    with pytest.raises(ValueError):
-        F.b_poly(2, "sideways")
+        _dist("invseq", 9, ("asc", "x"), s=range(2, 19, 2))
+    with pytest.raises(TypeError):  # Brenti's recurrence is its one route
+        F.b_poly(2, "signed")
 
 
 def _type_b_triangle(n):
@@ -167,21 +181,21 @@ def _type_b_triangle(n):
 @pytest.mark.parametrize("n", range(9, 13))
 def test_b_poly_recurrence_beyond_enumeration(n):
     assert F.b_poly(n).univariate_coeffs("x") == _type_b_triangle(n)
-    assert F.b_poly(n, "recurrence") == F.b_poly(n)
 
 
 def test_y_poly():
     assert F.y_poly(1) == 1
     assert F.y_poly(2) == 2 * X
     for n in range(2, 6):
-        assert F.y_poly_enum(n) == F.y_poly(n)
+        assert _dist("stirling2", n, ("cap", "x"),
+                     where=lambda st: st["cyc"] == 1) == F.y_poly(n)
     with pytest.raises(ValueError):
         F.y_poly(0)
 
 
 def test_rlmin_closed_form():
     for n in range(1, 5):
-        assert F.rlmin_poly_enum(n) == F.rlmin_closed_form(n)
+        assert _dist("signed", n, ("rlmin", "x")) == F.rlmin_closed_form(n)
     assert F.rlmin_closed_form(2) == 4 * X * (X + 1)
 
 
@@ -215,7 +229,7 @@ _SERIES_ENTRY = {
     "A": lambda n: X * F.a_poly(n) if n else ExactPoly.one(),
     "Q": F.q_poly,
     "P": F.p_poly,
-    "d": F.d_poly_enum,
+    "d": _derangements_by_exc,
     "S": lambda n: F.r_poly(n, with_q=False),
     "sqrtsec": lambda n: 0 if n % 2 else (-1) ** (n // 2) * (
         1, 2, 28, 1112)[n // 2],
@@ -311,15 +325,13 @@ def test_series_request_builds_only_what_it_reads(monkeypatch, capsys, call,
 
 
 def test_cap_sign_sum():
-    assert F.cap_sign_sum(1) == 0
-    assert F.cap_sign_sum(2) == -2
-    assert F.cap_sign_sum(3) == 0
-    assert F.cap_sign_sum(4) == 28
+    signed_sum = verify.REGISTRY["h-series-vs-enum"].routes[0].fn
+    assert [signed_sum(n) for n in range(1, 5)] == [0, -2, 0, 28]
     # the projection of R_n against the sum taken object by object
     for n in range(1, 6):
         direct = sum((-1) ** st["cap"] for st in map(stats, generate("stirling2", n))
                      if st["fix"] == 0)
-        assert F.cap_sign_sum(n) == direct
+        assert signed_sum(n) == direct
 
 
 def test_statistic_outside_the_schema_names_it():
@@ -328,6 +340,19 @@ def test_statistic_outside_the_schema_names_it():
         F.stat_distribution("matching", 3, (("nope", "x"),))
     with pytest.raises(ValueError, match="unknown object class"):
         F.stat_distribution("nope", 3, (("el", "x"),))
+
+
+@pytest.mark.parametrize("pairs", [(("cap", "x"), ("cyc", "x")),
+                                   (("cap", "z"),)],
+                         ids=["repeated-variable", "variable-outside-alphabet"])
+def test_bad_variable_refused_before_the_walk(monkeypatch, pairs):
+    # a repeated x used to return the cyc distribution alone, and z raised
+    # only after the whole table was walked
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was walked")
+    monkeypatch.setattr(F, "_joint_table", refuse)
+    with pytest.raises(ValueError, match="^variables must be distinct "):
+        F.stat_distribution("stirling2", 3, pairs)
 
 
 def test_split_distributions():

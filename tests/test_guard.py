@@ -1,11 +1,17 @@
 """Every integer statistic is load-bearing: raised by one in its class's
 statistic function, each of the 21 fields of `objects.INT_STAT_NAMES`
 makes some registry check fail.  `tools/guard_map.py` sweeps the same
-kind of mutant over every public function of the lower layers."""
+kind of mutant over every public function of the lower layers; its
+`moved` is tested here too."""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from combi import objects, verify
+from combi import bijections, objects, verify
 
 FIELDS = [(class_name, i, name)
           for class_name, names in objects.INT_STAT_NAMES.items()
@@ -25,3 +31,15 @@ def test_raised_statistic_fails_a_check(class_name, i, name, monkeypatch):
     monkeypatch.setattr(objects, ints.__name__, raised)
     failed = [rep.id for rep in verify.run_all(5) if rep.status == "fail"]
     assert failed, f"no check reads {class_name} {name}"
+
+
+def test_guard_map_moves_a_named_tuple_field_by_field(monkeypatch):
+    # rebuilding it as type(value)(items) raised a TypeError
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src
+    path = Path(__file__).resolve().parents[1] / "tools" / "guard_map.py"
+    spec = importlib.util.spec_from_file_location("guard_map", path)
+    guard_map = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(guard_map)
+    got = guard_map.moved(bijections.Tally(Counter({2: 3}), False))
+    assert type(got) is bijections.Tally
+    assert got.per_k == {2: 4} and got.failed is True

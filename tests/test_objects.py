@@ -602,9 +602,9 @@ def test_stats_inversion():
     assert stats(InversionSequence((1,), (2,)))["asc"] == 1
     assert stats(InversionSequence((0,), (2,)))["asc"] == 0
     assert stats(InversionSequence((0, 2), (1, 3)))["asc"] == 1
-    from combi.families import invseq_distribution
-    assert invseq_distribution((2,)) == 1 + X
-    assert invseq_distribution((1, 3, 5)) == 1 + 10 * X + 4 * X ** 2
+    assert stat_distribution("invseq", 1, (("asc", "x"),), s=(2,)) == 1 + X
+    assert (stat_distribution("invseq", 3, (("asc", "x"),), s=(1, 3, 5))
+            == 1 + 10 * X + 4 * X ** 2)
 
 
 def test_paired_excedance_involutions():

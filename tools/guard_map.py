@@ -9,12 +9,12 @@ wrapped in a counter and `verify.run_check` rebound so that no check runs
 in a forked child, finds the functions the registry reaches.  Then each
 reached function in turn is replaced by a mutant that moves its result: an
 int by 1 (a bool is negated), a polynomial by x^3, a series by x*z, and
-every element of a list or tuple, every value of a mapping, every field of
-a dataclass, every item of an iterator and every result of a returned
-function by the same rule.  The mutant is bound wherever a combi module
-binds the function, names taken by `from .x import y` included.  A check
-catches it when `run_all(6)` reports it failed; a route that raises fails
-its check.
+every element of a list or tuple (a named tuple's fields included), every
+value of a mapping, every field of a dataclass, every item of an iterator
+and every result of a returned function by the same rule.  The mutant is
+bound wherever a combi module binds the function, names taken by
+`from .x import y` included.  A check catches it when `run_all(6)` reports
+it failed; a route that raises fails its check.
 
 Prints function -> the checks that catch it, and exits 1 when a function
 the registry leaves unreached or uncaught is not on FRONT_END, or when one
@@ -89,6 +89,8 @@ def moved(value):
         items = [moved(v) for v in value]
         if all(a is b for a, b in zip(items, value)):
             return value
+        if hasattr(value, "_fields"):  # a named tuple: one argument per field
+            return type(value)._make(items)
         return type(value)(items)
     if isinstance(value, Mapping):
         items = {k: moved(v) for k, v in value.items()}

@@ -55,10 +55,11 @@ checks every edge.  A check reads only a node and its children, so the
 induction runs across the cut, and `subtree_tally` may count the subtrees
 below it in any order, in any process (`verify.run_all` uses two).
 
-A failed edge only means that the rule and the checks disagree.  The
-report then comes from `_image_walk`, which keeps every image and weighs
-every leaf whole with the statistics of `objects`; its first bad leaf is
-the counterexample, so a report never depends on which walk produced it.
+A failed edge only means that the rule and the checks disagree, and it
+raises `_Unpeeled` wherever it is met.  `verify_bijection` then redoes the
+certificate by `_image_walk`, which keeps every image and weighs every leaf
+whole with the statistics of `objects`; its first bad leaf is the
+counterexample, so a report never depends on which walk produced it.
 """
 
 from __future__ import annotations
@@ -415,63 +416,51 @@ def _checked(map_id: str, children):
 SPLIT_LEVEL = 3
 
 
-# What one subtree adds to a certificate: its images counted by k, and
-# whether an edge in it failed its local check.  A named tuple: it crosses
-# the fork pickled, and a dataclass would add a millisecond to every import.
-Tally = namedtuple("Tally", "per_k failed")
-
-
 def verify_bijection(map_id: str, n: int, tallies=None) -> BijectionReport:
     """Certify the map at n from the tallies of the subtrees below
     `certificate_roots(map_id, n)`, in any order; with no tallies, walk and
-    tally every subtree here.  If an edge above the roots or in a subtree
-    failed its local check, the report comes from a walk that keeps every
-    image instead."""
+    tally every subtree here.  If an edge fails its local check there, the
+    report comes from a walk that keeps every image instead."""
     if tallies is None:
-        roots = certificate_roots(map_id, n)
-        tallies = (None if roots is None
-                   else [subtree_tally(map_id, n, root) for root in roots])
-    if tallies is None or any(t.failed for t in tallies):
-        return _image_walk(map_id, n)
+        try:
+            tallies = [subtree_tally(map_id, n, root)
+                       for root in certificate_roots(map_id, n)]
+        except _Unpeeled:
+            return _image_walk(map_id, n)
     per_k = Counter()
-    for t in tallies:
-        per_k.update(t.per_k)
+    for tally in tallies:
+        per_k.update(tally)
     return _report(n, per_k, True, True, True, None)
 
 
-def certificate_roots(map_id: str, n: int):
+def certificate_roots(map_id: str, n: int) -> list:
     """The (word, state) roots of the certificate's subtrees in walk order:
     the nodes of level SPLIT_LEVEL, or the root alone when n <= SPLIT_LEVEL.
-    Every edge above them is checked locally; None if one fails."""
+    Every edge above them is checked locally; _Unpeeled if one fails."""
     objects.require_domain(_rule(map_id).cls, n)
     checked = _checked(map_id, _domain_tree(map_id)[2])
     level = SPLIT_LEVEL if n > SPLIT_LEVEL else 0
-    try:
-        return list(objects.walk(lambda node, m: checked(node, m)[0], level,
-                                 ((), _EMPTY)))
-    except _Unpeeled:
-        return None
+    return list(objects.walk(lambda node, m: checked(node, m)[0], level,
+                             ((), _EMPTY)))
 
 
-def subtree_tally(map_id: str, n: int, root) -> Tally:
+def subtree_tally(map_id: str, n: int, root) -> Counter:
     """Walk the domain tree below `root` down to size n - 1, checking every
-    edge locally, and count the children of each node of size n - 1 by k:
-    the node's k, plus one for each child that recorded n."""
+    edge locally (_Unpeeled if one fails), and count the children of each
+    node of size n - 1 by k: the node's k, plus one for each child that
+    recorded n."""
     checked = _checked(map_id, _domain_tree(map_id)[2])
     level = len(root[0])
     if n == level:  # the empty word, a leaf of its own
-        return Tally(Counter({root[1][2].bit_count(): 1}), False)
+        return Counter({root[1][2].bit_count(): 1})
     per_k = Counter()
-    try:
-        for node in objects.walk(lambda node, m: checked(node, level + m)[0],
-                                 n - 1 - level, root):
-            kids, recorded = checked(node, n)
-            k = node[1][2].bit_count()
-            per_k[k] += len(kids) - recorded
-            per_k[k + 1] += recorded
-    except _Unpeeled:
-        return Tally(Counter(), True)
-    return Tally(per_k, False)
+    for node in objects.walk(lambda node, m: checked(node, level + m)[0],
+                             n - 1 - level, root):
+        kids, recorded = checked(node, n)
+        k = node[1][2].bit_count()
+        per_k[k] += len(kids) - recorded
+        per_k[k + 1] += recorded
+    return per_k
 
 
 def _image_walk(map_id: str, n: int) -> BijectionReport:

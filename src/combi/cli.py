@@ -137,9 +137,8 @@ def _cmd_verify(args) -> int:
     seconds = time.perf_counter() - start
     if not reports:  # only a cap below every selected check's first n
         smallest = min(ns[0] for _, ns in verify.plan(ids=ids))
-        print(f"error: --max-n {args.max_n} selects no n; the smallest "
-              f"n is {smallest}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--max-n {args.max_n} selects no n; the smallest "
+                         f"n is {smallest}")
     if args.format == "json":
         print(json.dumps([rep.__dict__ for rep in reports], indent=None))
     elif args.format == "summary":
@@ -183,8 +182,7 @@ def _cmd_poly(args) -> int:
             (name,) = value.variables() or {"x"}
             coeffs = value.univariate_coeffs(name)
         except ValueError:
-            print("error: csv output needs a univariate family", file=sys.stderr)
-            return 2
+            raise ValueError("csv output needs a univariate family") from None
         print(",".join(str(c) for c in coeffs))
         return 0
     payload = {"family": args.family, "n": args.n}
@@ -198,21 +196,16 @@ def _cmd_poly(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.s is not None and args.class_name != "invseq":
-        print(f"error: --s applies to invseq, not {args.class_name}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--s applies to invseq, not {args.class_name}")
     s = None
     if args.class_name == "invseq":
         if args.s is None:
-            print("error: --s is required for inversion sequences",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--s is required for inversion sequences")
         tokens = args.s.replace(",", " ").split()
         # ASCII digits only: int() would also take '+1', '1_0' and non-ASCII
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            print(f"error: bad bound sequence --s {args.s!r}: expected "
-                  "positive integers", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad bound sequence --s {args.s!r}: expected "
+                             "positive integers")
         s = tuple(map(int, tokens))
     stream = objects.generate(args.class_name, args.n, s)
     pairs = ((obj, objects.stats(obj) if args.stats else None)
@@ -226,9 +219,7 @@ def _cmd_bijection(args) -> int:
     mapper = bijections.phi_map if args.map == "phi" else bijections.psi_map
     if args.input is not None:
         if args.n is not None:
-            print("error: --n applies to --check, not --input",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--n applies to --check, not --input")
         cls = "decorated" if args.map == "phi" else "signed"
         obj = objects.parse(cls, args.input)
         if args.steps:
@@ -239,12 +230,9 @@ def _cmd_bijection(args) -> int:
             print(bijections.encode_triple(mapper(obj)))
         return 0
     if args.steps:
-        print("error: --steps applies to --input, not --check",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--steps applies to --input, not --check")
     if args.n is None:
-        print("error: --check requires --n", file=sys.stderr)
-        return 2
+        raise ValueError("--check requires --n")
     rep = bijections.verify_bijection(args.map, args.n)
     print(f"n={rep.n} injective={rep.injective} "
           f"image_complete={rep.image_complete} "

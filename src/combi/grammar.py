@@ -101,6 +101,7 @@ def from_xyq(p: ExactPoly, n: int) -> ExactPoly:
     """a times p with x^cap y^fix q^cyc -> q^cyc b^(2 fix) c^(2 cap)
     d^(2n - 2 fix - 2 cap): a (cap, fix, cycles)-distribution of objects of
     size n in the letters of the cycle grammar."""
+    require_size(n)
     ix, iy, iq = (VAR_INDEX[v] for v in ("x", "y", "q"))
     return poly_sum(ExactPoly.monomial(count, {
         "a": 1, "q": exp[iq], "b": 2 * exp[iy], "c": 2 * exp[ix],

@@ -220,11 +220,15 @@ def require_size(n, least: int = 0, name: str = "n") -> None:
 def _check_size(class_name: str, n: int, s):
     """Reject a size the class cannot take: n must be an int >= 0, and an
     inversion sequence needs a bound sequence s of length n with entries
-    >= 1.  Returns s as a tuple for inversion sequences."""
+    >= 1, which no other class takes.  Returns s as a tuple for inversion
+    sequences."""
     if class_name not in _CLASSES:
         raise ValueError(f"unknown object class {class_name!r}")
     require_size(n)
     if class_name != "invseq":
+        if s is not None:
+            raise ValueError("a bound sequence s applies to invseq, not "
+                             f"{class_name}")
         return s
     if s is None:
         raise ValueError("inversion sequences need a bound sequence s")

@@ -38,14 +38,11 @@ def max_order() -> int:
     text = os.environ.get("COMBI_MAX_ORDER")
     if text is None:
         return _DEFAULT_MAX_ORDER
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
+    # ASCII digits only: int() would also take '+3', '1_6' and non-ASCII
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(
             f"COMBI_MAX_ORDER must be a nonnegative integer, got {text!r}")
-    return cap
+    return int(text)
 
 
 def _binomial_step(a, b, m: int, start: int = 0) -> ExactPoly:

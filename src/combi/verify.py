@@ -533,9 +533,9 @@ def _share(units):
     Returns both and the read end of a pipe that holds one token per
     subtree in plan order, written before any process reads it.  A
     certificate whose tokens would not fit in the pipe is run whole, and so
-    is one whose roots cannot be had: then run_check meets the same capacity
-    skip, failed local check above the roots (its image walk) or raising
-    route."""
+    is one whose roots raise: then run_check meets the same capacity skip,
+    failed edge above the roots (which sends it to the image walk) or
+    raising route."""
     import select
 
     whole, shared, data = [], [], bytearray()
@@ -561,8 +561,9 @@ def _share(units):
 def _run_units(units, shared, tokens):
     """Run the units in order, then take tokens from the pipe `tokens` until
     it is empty and tally the subtrees they name; a subtree whose tally
-    raises is tallied as None.  Returns the (position, report) pairs and
-    the (shared index, subtree index, tally, ms) tuples."""
+    raises, a failed edge in it included, is tallied as None.  Returns the
+    (position, report) pairs and the (shared index, subtree index, tally,
+    ms) tuples."""
     done = [(pos, run_check(check_id, n)) for pos, check_id, n in units]
     tallies = []
     # Every token is in the pipe and no process writes to it any more, so

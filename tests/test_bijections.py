@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -472,7 +473,8 @@ def test_collision_above_the_cut_caught(monkeypatch, map_id):
 
     monkeypatch.setattr(bijections, "_insert", straight_at_2)
     assert 2 <= bijections.SPLIT_LEVEL < 5
-    assert bijections.certificate_roots(map_id, 5) is None
+    with pytest.raises(bijections._Unpeeled):
+        bijections.certificate_roots(map_id, 5)
     rep = verify_bijection(map_id, 5)
     assert not rep.injective and not rep.image_complete and rep.weight_preserving
 
@@ -481,17 +483,27 @@ def test_collision_above_the_cut_caught(monkeypatch, map_id):
 @pytest.mark.parametrize("n", range(7))
 def test_given_tallies_make_the_whole_certificate(monkeypatch, map_id, n):
     # tallies made anywhere give the report of the walk verify_bijection
-    # makes itself, and walk nothing more; one failed tally sends it to
-    # the image walk
-    tallies = [bijections.subtree_tally(map_id, n, root)
-               for root in bijections.certificate_roots(map_id, n)]
+    # makes itself, and walk nothing more; one subtree whose edge fails
+    # raises, and sends the walk verify_bijection makes to the image walk
+    roots = bijections.certificate_roots(map_id, n)
+    tallies = [bijections.subtree_tally(map_id, n, root) for root in roots]
+    assert all(type(tally) is Counter for tally in tallies)
     whole = verify_bijection(map_id, n)
+    certificate_roots = bijections.certificate_roots
+    subtree_tally = bijections.subtree_tally
     monkeypatch.setattr(bijections, "certificate_roots", None)
     monkeypatch.setattr(bijections, "subtree_tally", None)
     assert verify_bijection(map_id, n, tallies[::-1]) == whole
+
+    def failing_last(map_id, n, root):
+        if root == roots[-1]:
+            raise bijections._Unpeeled
+        return subtree_tally(map_id, n, root)
+
+    monkeypatch.setattr(bijections, "certificate_roots", certificate_roots)
+    monkeypatch.setattr(bijections, "subtree_tally", failing_last)
     monkeypatch.setattr(bijections, "_image_walk", lambda *args: args)
-    failed = [*tallies[:-1], tallies[-1]._replace(failed=True)]
-    assert verify_bijection(map_id, n, failed) == (map_id, n)
+    assert verify_bijection(map_id, n) == (map_id, n)
 
 
 def _repaired(partners):

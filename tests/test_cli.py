@@ -424,7 +424,9 @@ def test_series_negative_order(capsys):
     assert "order must be >= 0" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+# int() took the last three: '\u0663' is the Arabic-Indic digit three
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", "", "1_6", "+3",
+                                   "\u0663"])
 def test_bad_max_order_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("COMBI_MAX_ORDER", value)
     code, out, err = run(capsys, "series", "--id", "qn", "--order", "3")

@@ -4,7 +4,7 @@
 import pytest
 
 from combi import bijections, families as F, grammar, objects, verify
-from combi.objects import ENUM_CAP, class_count, require_domain
+from combi.objects import ENUM_CAP, class_count, generate, require_domain
 from combi.poly import CapacityError
 
 
@@ -125,6 +125,17 @@ def test_bound_sequence_over_cap_refused(no_objects):
     with pytest.raises(CapacityError, match=str(ENUM_CAP + 1)):
         F.stat_distribution("invseq", 1, (("asc", "x"),), s=(ENUM_CAP + 1,))
     require_domain("invseq", 1, (ENUM_CAP,))
+
+
+@pytest.mark.parametrize("s", [(9,), "junk"], ids=["tuple", "str"])
+def test_bound_sequence_outside_invseq_refused(s, no_objects):
+    # it was ignored, and a memo keyed on it walked and kept a second table
+    match = "^a bound sequence s applies to invseq, not permutation$"
+    for fn in (generate, class_count, require_domain, objects.leaves):
+        with pytest.raises(ValueError, match=match):
+            fn("permutation", 4, s)
+    with F.memoised(), pytest.raises(ValueError, match=match):
+        F.stat_distribution("permutation", 4, (("asc", "x"),), s=s)
 
 
 # The largest n each hand-set cap accepted before this one replaced them:

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from combi.poly import CapacityError, ExactPoly, X
 from combi.grammar import (CYCLE_GRAMMAR, EULERIAN_GRAMMAR, Grammar, derive,
-                           fix_cycle_cap_polynomial, lemma1_sides,
-                           lemma2_sides, to_xyq)
+                           fix_cycle_cap_polynomial, from_xyq,
+                           lemma1_sides, lemma2_sides, to_xyq)
 from combi import families
 from combi.verify import run_check
 
@@ -118,6 +118,15 @@ def test_orders_that_are_not_ints_rejected(n):
         derive(CYCLE_GRAMMAR, A, -1)
     with pytest.raises(ValueError, match="^n must be >= 1$"):
         lemma1_sides(0)
+
+
+@pytest.mark.parametrize("n,match", [(-1, "^n must be >= 0$"),
+                                     (True, "^n must be an int, got True$")],
+                         ids=["negative", "bool"])
+def test_from_xyq_checks_n(n, match):
+    # -1 gave a*c^2*d^-4, and True was taken as 1
+    with pytest.raises(ValueError, match=match):
+        from_xyq(X, n)
 
 
 def test_substitution_matches_p_polynomials():

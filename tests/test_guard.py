@@ -6,7 +6,7 @@ kind of mutant over every public function of the lower layers; its
 
 import importlib.util
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
@@ -33,13 +33,31 @@ def test_raised_statistic_fails_a_check(class_name, i, name, monkeypatch):
     assert failed, f"no check reads {class_name} {name}"
 
 
-def test_guard_map_moves_a_named_tuple_field_by_field(monkeypatch):
-    # rebuilding it as type(value)(items) raised a TypeError
+def _guard_map(monkeypatch):
+    """tools/guard_map.py as a module."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src
     path = Path(__file__).resolve().parents[1] / "tools" / "guard_map.py"
     spec = importlib.util.spec_from_file_location("guard_map", path)
     guard_map = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(guard_map)
-    got = guard_map.moved(bijections.Tally(Counter({2: 3}), False))
-    assert type(got) is bijections.Tally
-    assert got.per_k == {2: 4} and got.failed is True
+    return guard_map
+
+
+def test_guard_map_moves_a_named_tuple_field_by_field(monkeypatch):
+    # rebuilding it as type(value)(items) raised a TypeError
+    Pair = namedtuple("Pair", "counts flag")
+    got = _guard_map(monkeypatch).moved(Pair(Counter({2: 3}), False))
+    assert type(got) is Pair
+    assert got.counts == {2: 4} and got.flag is True
+
+
+def test_moved_subtree_tally_fails_every_certificate(monkeypatch):
+    # a failed-edge flag in the tally, once moved, sent every certificate to
+    # the image walk, which passed it; a tally that only counts cannot hide
+    moved = _guard_map(monkeypatch).moved
+    tally = bijections.subtree_tally
+    monkeypatch.setattr(bijections, "subtree_tally",
+                        lambda *args: moved(tally(*args)))
+    reports = verify.run_all(6, ("phi-bijection", "psi-bijection"))
+    assert len(reports) == 12
+    assert all(rep.status == "fail" for rep in reports)

@@ -18,10 +18,13 @@ block, before an entry by splitting the p-th marked or unmarked block
 (found in the lists of block starts `_starts` makes once per state),
 straight or crossed.  `_rule` holds what differs: a word's values and
 which entries belong to the first matching (the hatted ones; the ones in
-blocks that end negatively, where the marking flips), and how a child shows
-the slot of m and the split.  A map replays the object's construction
-through `_replay`, carrying the prefix and these slot inputs: m goes in at
-the index the rule reads, in the first matching iff the slot it splits is
+blocks that end negatively, where the marking flips), and how m's entry
+shows the split (and, at the end, the matching m joins).  The rule reads
+m's entry where the insertion put it, and never searches for m: child c
+of the domain tree holds it at index c // 2, and a replay step at the
+index of m's entry among the prefix.  A map replays the object's
+construction through `_replay`, carrying the prefix and these slot inputs:
+m goes in at that index, in the first matching iff the slot it splits is
 (at the end, iff the read says so).  `map_steps` yields every prefix's image.
 
 Bijectivity is certified exhaustively, not by an inverse algorithm.
@@ -53,13 +56,16 @@ children by k, and the images are counted against C(n,k)(2k-1)!!(2n-2k-1)!!.
 The walk is cut at level SPLIT_LEVEL, above which `certificate_roots`
 checks every edge.  A check reads only a node and its children, so the
 induction runs across the cut, and `subtree_tally` may count the subtrees
-below it in any order, in any process (`verify.run_all` uses two).
+below it in any order, in any process (`verify.run_all` uses two).  A
+subtree's tally counts every level from its root's down to n, so one walk
+to the deepest n certifies every n above the cut.
 
 A failed edge only means that the rule and the checks disagree, and it
 raises `_Unpeeled` wherever it is met.  `verify_bijection` then redoes the
 certificate by `_image_walk`, which keeps every image and weighs every leaf
 whole with the statistics of `objects`; its first bad leaf is the
-counterexample, so a report never depends on which walk produced it.
+counterexample, so a report depends on which walk produced it only in its
+`walk` field, which equality and repr leave out.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, pos
 
 from . import objects
@@ -92,6 +98,8 @@ class BijectionReport:
     image_complete: bool
     weight_preserving: bool
     counterexample: tuple[str, str] | None = None
+    # "edges" from the edge-local tallies, "images" from the image walk
+    walk: str = field(default="edges", compare=False, repr=False)
 
     @property
     def all_ok(self) -> bool:
@@ -124,7 +132,7 @@ def _triple(state, n: int) -> MatchingTriple:
 # the state of the empty word: no blocks, nothing recorded
 _EMPTY = ((0,), (0,), 0)
 
-_Rule = namedtuple("_Rule", "kind cls inputs reads flip value weighs")
+_Rule = namedtuple("_Rule", "kind cls inputs read flip value weighs")
 
 
 def _starts(state):
@@ -190,9 +198,9 @@ def _rule(map_id: str):
     leaf weigher, as this module binds them now."""
     if map_id == "phi":
         return _Rule(DecoratedPermutation, "decorated", _phi_inputs,
-                     _phi_reads, False, itemgetter(0), _phi_weighs)
+                     _phi_read, False, itemgetter(0), _phi_weighs)
     if map_id == "psi":
-        return _Rule(SignedPermutation, "signed", _psi_inputs, _psi_reads,
+        return _Rule(SignedPermutation, "signed", _psi_inputs, _psi_read,
                      True, pos, _psi_weighs)
     raise ValueError(f"unknown map {map_id!r}")
 
@@ -201,7 +209,7 @@ def _replay(map_id: str, obj):
     """Insert 1, ..., n in turn by the rule of phi (`obj` a decorated
     permutation) or psi (a signed one); yield each prefix, the entries of
     size <= m, with its state; the prefix and its slot inputs are carried."""
-    kind, cls, _, reads, flip, value, _ = _rule(map_id)
+    kind, cls, _, read, flip, value, _ = _rule(map_id)
     if not isinstance(obj, kind):
         raise ValueError(f"{map_id} maps a {kind.__name__}, not {obj!r}")
     if not validate(obj):
@@ -217,14 +225,14 @@ def _replay(map_id: str, obj):
         placed.insert(at, j)
         child = (*child[:at], word[j], *child[at:])
         slots = _slots(values, first, flip)
-        ((_, i, f, straight),) = reads(m, (child,))
-        if i < len(slots):
-            f = slots[i][0]
-            state = _insert(state, m, slots, i, f, straight, _starts(state))
+        f, straight = read(word[j])
+        if at < len(slots):
+            f = slots[at][0]
+            state = _insert(state, m, slots, at, f, straight, _starts(state))
         else:
-            state = _insert(state, m, slots, i, f, straight, None)
-        values.insert(i, value(child[i]))
-        first.insert(i, f)
+            state = _insert(state, m, slots, at, f, straight, None)
+        values.insert(at, value(word[j]))
+        first.insert(at, f)
         yield child, state
 
 
@@ -245,12 +253,10 @@ def _phi_inputs(word):
     return [v for v, _, _ in word], [h for _, h, _ in word]
 
 
-def _phi_reads(m: int, children):
-    """Each child gives the index of m, its hat (read only at the end:
-    before an entry, m copies that entry's hat), and a straight split
-    unless m is circled."""
-    return [(child, i, child[i][1], not child[i][2])
-            for child in children for i in (next(zip(*child)).index(m),)]
+def _phi_read(entry):
+    """m's entry gives its hat (read only at the end: before an entry, m
+    copies that entry's hat), and a straight split unless m is circled."""
+    return entry[1], not entry[2]
 
 
 def phi_map(w: DecoratedPermutation) -> MatchingTriple:
@@ -278,12 +284,10 @@ def _psi_inputs(word):
     return word, [blk[-1] < 0 for blk in signed_blocks(word) for _ in blk]
 
 
-def _psi_reads(m: int, children):
-    """Each child gives the index of m or -m, and a straight split unless
-    it is -m, which at the end appends to the first matching."""
-    return [(child, i, child[i] < 0, child[i] > 0)
-            for child in children
-            for i in (child.index(m) if m in child else child.index(-m),)]
+def _psi_read(entry):
+    """m's entry gives a straight split unless it is -m, which at the end
+    appends to the first matching."""
+    return entry < 0, entry > 0
 
 
 def psi_map(pi: SignedPermutation) -> MatchingTriple:
@@ -319,15 +323,16 @@ def _domain_tree(map_id: str):
     nodes over the domain's tree in `objects`, with m inserted by the map's
     rule.  The tree and the rule are looked up now, so that a replaced one
     reaches this walk as it reaches generate and the maps."""
-    kind, cls, inputs, reads, flip, _, weighs = _rule(map_id)
+    kind, cls, inputs, read, flip, _, weighs = _rule(map_id)
     tree = objects.class_functions(cls)[0]
 
     def children(node, m):
         word, state = node
         slots = _slots(*inputs(word), flip)
         starts = _starts(state)
-        return [(child, _insert(state, m, slots, i, first, straight, starts))
-                for child, i, first, straight in reads(m, tree(word, m))]
+        return [(child, _insert(state, m, slots, c >> 1, *read(child[c >> 1]),
+                                starts))
+                for c, child in enumerate(tree(word, m))]
     return kind, weighs, children
 
 
@@ -412,25 +417,26 @@ def _checked(map_id: str, children):
 # A certificate sums the tallies of the subtrees rooted at this level of
 # the domain tree (at the root when n is no deeper), which `verify.run_all`
 # shares out between its processes.  Level 3 gives 48 subtrees; at n = 7
-# each phi subtree takes about 0.1 s on a 2-core Xeon.
+# each phi subtree takes about 0.04 s on a 2-core Xeon.
 SPLIT_LEVEL = 3
 
 
 def verify_bijection(map_id: str, n: int, tallies=None) -> BijectionReport:
-    """Certify the map at n from the tallies of the subtrees below
+    """Certify the map at n from the level-n tallies of the subtrees below
     `certificate_roots(map_id, n)`, in any order; with no tallies, walk and
     tally every subtree here.  If an edge fails its local check there, the
     report comes from a walk that keeps every image instead."""
+    objects.require_domain(_rule(map_id).cls, n)
     if tallies is None:
         try:
-            tallies = [subtree_tally(map_id, n, root)
+            tallies = [subtree_tally(map_id, n, root)[-1]
                        for root in certificate_roots(map_id, n)]
         except _Unpeeled:
             return _image_walk(map_id, n)
     per_k = Counter()
     for tally in tallies:
         per_k.update(tally)
-    return _report(n, per_k, True, True, True, None)
+    return _report(n, per_k, True, True, True, None, "edges")
 
 
 def certificate_roots(map_id: str, n: int) -> list:
@@ -444,23 +450,31 @@ def certificate_roots(map_id: str, n: int) -> list:
                              ((), _EMPTY)))
 
 
-def subtree_tally(map_id: str, n: int, root) -> Counter:
-    """Walk the domain tree below `root` down to size n - 1, checking every
-    edge locally (_Unpeeled if one fails), and count the children of each
-    node of size n - 1 by k: the node's k, plus one for each child that
-    recorded n."""
-    checked = _checked(map_id, _domain_tree(map_id)[2])
+def subtree_tally(map_id: str, n: int, root) -> list[Counter]:
+    """Walk the domain tree below `root` down to size n, checking every
+    edge locally (_Unpeeled if one fails), and count the nodes of each size
+    from the root's to n by k, one Counter per size: a node counts its
+    children by its own k, plus one for each child that recorded m."""
     level = len(root[0])
-    if n == level:  # the empty word, a leaf of its own
-        return Counter({root[1][2].bit_count(): 1})
-    per_k = Counter()
-    for node in objects.walk(lambda node, m: checked(node, level + m)[0],
-                             n - 1 - level, root):
-        kids, recorded = checked(node, n)
+    if isinstance(n, bool) or not isinstance(n, int) or n < level:
+        raise ValueError(f"n must be an int >= {level}, the level of the "
+                         f"root, got {n!r}")
+    checked = _checked(map_id, _domain_tree(map_id)[2])
+    tallies = [Counter({root[1][2].bit_count(): 1}),
+               *(Counter() for _ in range(level, n))]
+
+    def counted(node, depth):  # the children at `depth` below the root
+        kids, recorded = checked(node, level + depth)
         k = node[1][2].bit_count()
-        per_k[k] += len(kids) - recorded
-        per_k[k + 1] += recorded
-    return per_k
+        tally = tallies[depth]
+        tally[k] += len(kids) - recorded
+        tally[k + 1] += recorded
+        return kids
+
+    if n > level:
+        for node in objects.walk(counted, n - 1 - level, root):
+            counted(node, n - level)
+    return tallies
 
 
 def _image_walk(map_id: str, n: int) -> BijectionReport:
@@ -487,11 +501,11 @@ def _image_walk(map_id: str, n: int) -> BijectionReport:
                               encode_triple(_triple(state, 0)))
         per_k[state[2].bit_count()] += 1
     return _report(n, per_k, injective, in_codomain, weight_ok,
-                   counterexample)
+                   counterexample, "images")
 
 
-def _report(n, per_k, injective, in_codomain, weight_ok,
-            counterexample) -> BijectionReport:
+def _report(n, per_k, injective, in_codomain, weight_ok, counterexample,
+            walk) -> BijectionReport:
     """Compare the images counted by k with C(n,k)(2k-1)!!(2n-2k-1)!!."""
     expected = {k: math.comb(n, k) * double_factorial(k) * double_factorial(n - k)
                 for k in range(n + 1)}
@@ -500,7 +514,8 @@ def _report(n, per_k, injective, in_codomain, weight_ok,
     if not complete and counterexample is None:
         counterexample = ("image cardinality mismatch",
                           repr({k: per_k.get(k, 0) for k in expected}))
-    return BijectionReport(n, injective, complete, weight_ok, counterexample)
+    return BijectionReport(n, injective, complete, weight_ok, counterexample,
+                           walk)
 
 
 def _in_codomain(state) -> bool:

@@ -11,12 +11,16 @@ with its value in canonical text.
 `run_all(max_n, ids)` runs the checks in `ids` (all by default) at their
 default n up to `max_n`.  Each bijection certificate is a sum of tallies
 over the subtrees at one level of its domain tree
-(`bijections.SPLIT_LEVEL`), and before anything runs one fixed-width
-token per subtree goes into a pipe.  Each process that runs the plan (one,
-or two where it can fork) drains the pipe after its other units, so two
-end together.  This process hands each certificate's tallies, in subtree
-order, to `bijections.verify_bijection` and compares its report with the
-other routes as `run_check` does.
+(`bijections.SPLIT_LEVEL`), and a subtree's walk tallies every level down
+to its n.  So each map is walked once for all its n above that level, to
+the deepest, and once from the root for each n at or below it.  Before
+anything runs, one fixed-width token per subtree of each walk goes into a
+pipe.  Each process that runs the plan (one, or two where it can fork)
+drains the pipe after its other units, so two end together.  This process
+hands each n its level's tallies, in subtree order, to
+`bijections.verify_bijection` and compares its report with the other
+routes as `run_check` does; the deepest n of a walk takes the walk's
+time.
 
 A route that raises fails its check with what it raised, on one process
 or two; only bad input (a check id, n, `max_n` or `COMBI_MAX_ORDER`) raises,
@@ -514,8 +518,8 @@ _RUN_CHECK_CODE = run_check.__code__
 # check's first route
 _CERTIFIED = {"phi-bijection": "phi", "psi-bijection": "psi"}
 
-# One token per certificate subtree: the index of the certificate among the
-# shared ones, and the subtree's index in walk order.
+# One token per certificate subtree: the index of the walk among the shared
+# ones, and the subtree's index in walk order.
 _TOKEN = struct.Struct("<HH")
 
 
@@ -528,64 +532,86 @@ def _cpu_count() -> int:
 
 
 def _share(units):
-    """Split the units into those run whole and the certificates whose
-    subtrees any process may tally, as (position, check id, n, roots).
-    Returns both and the read end of a pipe that holds one token per
-    subtree in plan order, written before any process reads it.  A
-    certificate whose tokens would not fit in the pipe is run whole, and so
-    is one whose roots raise: then run_check meets the same capacity skip,
-    failed edge above the roots (which sends it to the image walk) or
-    raising route."""
+    """Split the units into those run whole and the certificate walks whose
+    subtrees any process may tally, as (check id, deepest n, roots, the
+    (position, n) of the units it certifies).  A certificate has one walk
+    for all its units above bijections.SPLIT_LEVEL, to the deepest of their
+    n, and one per unit at or below it, from the root alone.  Returns both
+    and the read end of a pipe that holds one token per subtree in plan
+    order, written before any process reads it.  A walk whose tokens would
+    not fit in the pipe runs its units whole, and so does one whose roots
+    raise: then run_check meets the same capacity skip, failed edge above
+    the roots (which sends it to the image walk) or raising route."""
     import select
 
-    whole, shared, data = [], [], bytearray()
+    whole, walks = [], {}
     for pos, check_id, n in units:
-        try:  # a KeyError for a unit that is not a certificate
-            roots = bijections.certificate_roots(_CERTIFIED[check_id], n)
-        except Exception:  # else run_check reports it in its turn
+        if check_id in _CERTIFIED:
+            below = n if n <= bijections.SPLIT_LEVEL else None
+            walks.setdefault((check_id, below), []).append((pos, n))
+        else:
+            whole.append((pos, check_id, n))
+    shared, data = [], bytearray()
+    for (check_id, _), certified in walks.items():
+        deepest = max(n for _, n in certified)
+        try:
+            roots = bijections.certificate_roots(_CERTIFIED[check_id], deepest)
+        except Exception:  # run_check reports it in its turn
             roots = None
         if roots is None or len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
-            whole.append((pos, check_id, n))
+            whole += [(pos, check_id, n) for pos, n in certified]
             continue
         for i in range(len(roots)):
             data += _TOKEN.pack(len(shared), i)
-        shared.append((pos, check_id, n, roots))
+        shared.append((check_id, deepest, roots, certified))
     read, write = os.pipe()
     try:
         os.write(write, data)  # at most PIPE_BUF bytes: written whole
     finally:
         os.close(write)
-    return whole, shared, read
+    return sorted(whole), shared, read
 
 
 def _run_units(units, shared, tokens):
     """Run the units in order, then take tokens from the pipe `tokens` until
-    it is empty and tally the subtrees they name; a subtree whose tally
-    raises, a failed edge in it included, is tallied as None.  Returns the
-    (position, report) pairs and the (shared index, subtree index, tally,
-    ms) tuples."""
+    it is empty and tally the subtrees they name, to their walk's deepest
+    n; a subtree whose tally raises, a failed edge in it included, is
+    tallied as None.  Returns the (position, report) pairs and the (walk
+    index, subtree index, tallies by level, ms) tuples."""
     done = [(pos, run_check(check_id, n)) for pos, check_id, n in units]
     tallies = []
     # Every token is in the pipe and no process writes to it any more, so
     # a read of one token's width returns one whole token, or b"" at the end.
     while tokens is not None and (token := os.read(tokens, _TOKEN.size)):
         j, i = _TOKEN.unpack(token)
-        _, check_id, n, roots = shared[j]
+        check_id, deepest, roots, _ = shared[j]
         t0 = time.perf_counter()
         try:
-            tally = bijections.subtree_tally(_CERTIFIED[check_id], n, roots[i])
+            tally = bijections.subtree_tally(_CERTIFIED[check_id], deepest,
+                                             roots[i])
         except Exception:  # _certified_report redoes it whole
             tally = None
         tallies.append((j, i, tally, (time.perf_counter() - t0) * 1000))
     return done, tallies
 
 
+def _walk_reports(check_id, deepest, certified, tallies):
+    """The (position, report) of each unit (position, n) that a shared walk
+    to `deepest` certifies, from the (subtree index, tallies by level, ms)
+    of all its subtrees: n takes each subtree's level-n tally, and the
+    deepest n the subtrees' time."""
+    for pos, n in certified:
+        at_n = [(i, None if tally is None else tally[n - deepest - 1],
+                 ms if n == deepest else 0.0) for i, tally, ms in tallies]
+        yield pos, _certified_report(check_id, n, at_n)
+
+
 def _certified_report(check_id, n, tallies) -> VerifyReport:
-    """The report of a shared certificate from the (subtree index, tally,
-    ms) of all its subtrees, compared as run_check compares; its time is
-    the sum of the subtrees' times and of what is computed here.  If a
-    subtree's tally raised, the certificate is redone whole, as run_check
-    does it."""
+    """The report of a shared certificate from the (subtree index, level-n
+    tally, ms) of all its subtrees, compared as run_check compares; its
+    time is the sum of the subtrees' times and of what is computed here.
+    If a subtree's tally raised, the certificate is redone whole, as
+    run_check does it."""
     map_id = _CERTIFIED[check_id]
     found = [tally for _, tally, _ in sorted(tallies, key=lambda t: t[0])]
     if None in found:
@@ -682,7 +708,7 @@ def run_all(max_n: int | None = None,
             results.append(_join(*child))
         reports = [pair for done, _ in results for pair in done]
         tallies = [tally for _, part in results for tally in part]
-        for j, (pos, check_id, n, _) in enumerate(shared):
+        for j, (check_id, deepest, _, certified) in enumerate(shared):
             mine = [(i, tally, ms) for k, i, tally, ms in tallies if k == j]
-            reports.append((pos, _certified_report(check_id, n, mine)))
+            reports += _walk_reports(check_id, deepest, certified, mine)
     return [rep for _, rep in sorted(reports)]

@@ -186,7 +186,22 @@ def test_slot_tables(map_id, enc, want):
     assert bijections._slots(values, first, map_id == "psi") == want
     rule = bijections._rule(map_id)
     assert bijections._slots(*rule.inputs(word), rule.flip) == want
-    assert rule.reads(len(word) + 1, ()) == []
+
+
+# (first, straight) read off each entry of the worked examples, by hand:
+# phi reads the hat and whether the entry is uncircled, psi the sign
+READS = [
+    ("phi", "3h 1h 4 2 6hc 5h", "TT TT FT FT TF TT"),
+    ("psi", "-3 -1 4 2 -6 7 -5", "TF TF FT FT TF FT TF"),
+]
+
+
+@pytest.mark.parametrize("map_id,enc,want", READS, ids=["phi", "psi"])
+def test_rule_reads_one_entry(map_id, enc, want):
+    rule = bijections._rule(map_id)
+    (word,) = vars(parse(rule.cls, enc)).values()
+    assert [rule.read(entry) for entry in word] == [
+        (a == "T", b == "T") for a, b in want.split()]
 
 
 @pytest.mark.parametrize("map_id,n", [("phi", 1), ("phi", 3), ("phi", 4),
@@ -210,14 +225,21 @@ def test_exhaustive_empty(map_id):
 
 def test_peel_replay_matches_stepwise_construction(monkeypatch):
     # every step of the replay of an object must reach the state that the
-    # domain tree reaches at that prefix, one insertion at a time, and the
-    # slot inputs it carries must be those of the prefix
+    # domain tree reaches at that prefix, one insertion at a time; the slot
+    # inputs it carries must be those of the prefix, and the rule must read
+    # the entry of size m alone
     slots = bijections._slots
-    carried = []
+    carried, read = [], []
 
     def recording(values, first, flip):
         carried.append((list(values), list(first)))
         return slots(values, first, flip)
+
+    def reading(rule):
+        def recorded(entry):
+            read.append(entry)
+            return rule(entry)
+        return recorded
 
     monkeypatch.setattr(bijections, "_slots", recording)
     for map_id in ("phi", "psi"):
@@ -226,8 +248,11 @@ def test_peel_replay_matches_stepwise_construction(monkeypatch):
         for m in range(6):
             states.update(walk(bijections._domain_tree(map_id)[2], m,
                                ((), bijections._EMPTY)))
+        monkeypatch.setattr(bijections, f"_{map_id}_read",
+                            reading(rule.read))
         for word in objects.leaves(rule.cls, 5)[0]:
             carried.clear()
+            read.clear()
             prefixes = [()]
             for m, (prefix, triple) in enumerate(
                     bijections.map_steps(map_id, rule.kind(word)), 1):
@@ -237,6 +262,7 @@ def test_peel_replay_matches_stepwise_construction(monkeypatch):
             assert prefixes[-1] == word
             assert carried == [tuple(map(list, rule.inputs(prefix)))
                                for prefix in prefixes[:-1]]
+            assert read == sorted(word, key=lambda e: abs(rule.value(e)))
 
 
 def _partners(blocks):
@@ -272,6 +298,51 @@ def test_capacity_guard():
 def test_sizes_that_are_not_ints_rejected(map_id, n):
     with pytest.raises(ValueError, match="^n must be an int, got "):
         verify_bijection(map_id, n)
+
+
+@pytest.mark.parametrize("map_id,n,tallies,error,message", [
+    ("phi", -1, [], ValueError, "^n must be >= 0$"),
+    ("nope", 0, [Counter({0: 1})], ValueError, "^unknown map 'nope'$"),
+    ("phi", 2.0, [], ValueError, "^n must be an int, got 2.0$"),
+    ("psi", True, [Counter({0: 1})], ValueError, "^n must be an int, got "),
+    ("psi", 9, [], CapacityError, "^signed at n=9 has "),
+], ids=["negative", "unknown-map", "float", "bool", "over-the-cap"])
+def test_given_tallies_checked_as_no_tallies_are(map_id, n, tallies, error,
+                                                 message):
+    # the tallies name no map and no n, so both are checked first; without
+    # tallies, certificate_roots refuses the same input
+    for given in (tallies, None):
+        with pytest.raises(error, match=message):
+            verify_bijection(map_id, n, given)
+
+
+@pytest.mark.parametrize("n,level", [(2, 3), (-1, 3), (-1, 0), (3.0, 3)],
+                         ids=["below", "negative", "negative-at-root",
+                              "float"])
+def test_subtree_tally_refuses_n_below_its_root(n, level):
+    root = bijections.certificate_roots("phi", 5 if level else 0)[0]
+    assert len(root[0]) == level
+    with pytest.raises(ValueError, match=f"^n must be an int >= {level}, "
+                       f"the level of the root, got {n!r}$"):
+        bijections.subtree_tally("phi", n, root)
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_one_walk_tallies_every_level(map_id):
+    # a walk to n = 6 counts each level as the walk to that level alone
+    # does, subtree by subtree, and level by level makes each certificate
+    deepest, level = 6, bijections.SPLIT_LEVEL
+    roots = bijections.certificate_roots(map_id, deepest)
+    walks = [bijections.subtree_tally(map_id, deepest, root) for root in roots]
+    assert all(len(levels) == deepest - level + 1 for levels in walks)
+    assert [levels[0] for levels in walks] == [
+        Counter({root[1][2].bit_count(): 1}) for root in roots]
+    for n in range(level + 1, deepest + 1):
+        at_n = [levels[n - level] for levels in walks]
+        assert at_n == [bijections.subtree_tally(map_id, n, root)[-1]
+                        for root in roots]
+        rep = verify_bijection(map_id, n, at_n)
+        assert rep == verify_bijection(map_id, n) and rep.all_ok
 
 
 @pytest.mark.parametrize("map_id,counterexample", [
@@ -486,14 +557,16 @@ def test_given_tallies_make_the_whole_certificate(monkeypatch, map_id, n):
     # makes itself, and walk nothing more; one subtree whose edge fails
     # raises, and sends the walk verify_bijection makes to the image walk
     roots = bijections.certificate_roots(map_id, n)
-    tallies = [bijections.subtree_tally(map_id, n, root) for root in roots]
+    tallies = [bijections.subtree_tally(map_id, n, root)[-1] for root in roots]
     assert all(type(tally) is Counter for tally in tallies)
     whole = verify_bijection(map_id, n)
+    assert whole.all_ok and whole.walk == "edges"
     certificate_roots = bijections.certificate_roots
     subtree_tally = bijections.subtree_tally
     monkeypatch.setattr(bijections, "certificate_roots", None)
     monkeypatch.setattr(bijections, "subtree_tally", None)
-    assert verify_bijection(map_id, n, tallies[::-1]) == whole
+    given = verify_bijection(map_id, n, tallies[::-1])
+    assert given == whole and given.walk == "edges"
 
     def failing_last(map_id, n, root):
         if root == roots[-1]:

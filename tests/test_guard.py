@@ -61,3 +61,17 @@ def test_moved_subtree_tally_fails_every_certificate(monkeypatch):
     reports = verify.run_all(6, ("phi-bijection", "psi-bijection"))
     assert len(reports) == 12
     assert all(rep.status == "fail" for rep in reports)
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_moved_peel_shows_in_the_walk(monkeypatch, map_id):
+    # with peel's result moved every edge fails, and the image walk
+    # certifies the map again: the report passes as before, equal and with
+    # the same repr, and only its walk tells which walk made it
+    moved = _guard_map(monkeypatch).moved
+    whole = bijections.verify_bijection(map_id, 5)
+    peel = bijections.peel
+    monkeypatch.setattr(bijections, "peel", lambda *args: moved(peel(*args)))
+    rep = bijections.verify_bijection(map_id, 5)
+    assert rep.all_ok and rep == whole and repr(rep) == repr(whole)
+    assert (whole.walk, rep.walk) == ("edges", "images")

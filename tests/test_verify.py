@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -688,13 +689,53 @@ def test_rebound_verify_bijection_combines_the_shared_tallies(monkeypatch,
 _SHARED_IDS = ("phi-bijection", "psi-bijection", "M-ol-enum")
 
 
+def _counted_run_all():
+    """run_all(), the (map, n) of each subtree_tally call in whichever
+    process made it, and the walk of each certificate report made here."""
+    from combi import bijections
+    tally, certify = bijections.subtree_tally, bijections.verify_bijection
+    read, write = os.pipe()
+    walks = []
+
+    def counting(map_id, n, root):
+        os.write(write, f"{map_id} {n}\n".encode())  # one atomic write
+        return tally(map_id, n, root)
+
+    def recording(*args):
+        rep = certify(*args)
+        walks.append(rep.walk)
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bijections, "subtree_tally", counting)
+        mp.setattr(bijections, "verify_bijection", recording)
+        try:
+            reports = verify.run_all()
+        finally:
+            os.close(write)
+            with os.fdopen(read) as fh:
+                calls = Counter(tuple(line.split()) for line in fh)
+    return reports, calls, walks
+
+
 def test_full_plan_same_on_one_and_two_cpus(monkeypatch, forks):
+    # each map is walked once above the cut, to its deepest n, in 48
+    # subtrees; each n at or below the cut from the root alone
+    from combi import bijections
+    level = bijections.SPLIT_LEVEL
+    subtrees = Counter({("phi", "7"): 48, ("psi", "6"): 48})
+    subtrees.update((map_id, str(n)) for map_id in ("phi", "psi")
+                    for n in range(1, level + 1))
     _cpus(monkeypatch, 1)
-    serial = verify.run_all()
+    serial, calls, walks = _counted_run_all()
     assert not forks
+    assert calls == subtrees
+    assert walks == ["edges"] * 13
     _cpus(monkeypatch, 2)
-    shared = verify.run_all()
+    shared, calls, walks = _counted_run_all()
     assert len(forks) == 1
+    assert calls == subtrees
+    assert walks == ["edges"] * 13
     assert _strip(shared) == _strip(serial)
     assert all(r.status == "pass" for r in shared)
     _no_children_left()
@@ -825,6 +866,26 @@ def test_rule_mutant_reaches_the_subtrees_the_child_drains(monkeypatch, forks):
     _no_children_left()
 
 
+def test_failed_walk_redoes_each_of_its_n_whole(monkeypatch, forks):
+    # the edges into size 6 fail below the cut, in one walk per map to its
+    # deepest n: every n of the walk is redone whole, as run_check does it,
+    # so n <= 5 still passes
+    from combi import bijections
+    monkeypatch.setattr(bijections, "_insert",
+                        _moved_weight(bijections._insert, 6))
+    ids = ("phi-bijection", "psi-bijection")
+    paths = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        paths.append(_strip(verify.run_all(None, ids)))
+        _no_children_left()
+    assert len(forks) == 1
+    assert paths[0] == paths[1] == _serial_reports(None, ids)
+    assert {r[:2] for r in paths[0] if r[2] == "fail"} == {
+        ("phi-bijection", 6), ("phi-bijection", 7), ("psi-bijection", 6)}
+    assert len(paths[0]) == 13
+
+
 @pytest.mark.parametrize("weighs_wrong", [False, True])
 def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
                                                             weighs_wrong):
@@ -840,7 +901,7 @@ def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
 
     def tally(root):
         try:
-            return bijections.subtree_tally("psi", 4, root)
+            return bijections.subtree_tally("psi", 4, root)[-1]
         except bijections._Unpeeled:
             return None
 

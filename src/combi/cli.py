@@ -195,12 +195,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.s is not None and args.class_name != "invseq":
-        raise ValueError(f"--s applies to invseq, not {args.class_name}")
+    # generate refuses an s for a class other than invseq, and invseq
+    # without one, before anything prints
     s = None
-    if args.class_name == "invseq":
-        if args.s is None:
-            raise ValueError("--s is required for inversion sequences")
+    if args.s is not None:
         tokens = args.s.replace(",", " ").split()
         # ASCII digits only: int() would also take '+1', '1_0' and non-ASCII
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):

@@ -13,14 +13,17 @@ default n up to `max_n`.  Each bijection certificate is a sum of tallies
 over the subtrees at one level of its domain tree
 (`bijections.SPLIT_LEVEL`), and a subtree's walk tallies every level down
 to its n.  So each map is walked once for all its n above that level, to
-the deepest, and once from the root for each n at or below it.  Before
-anything runs, one fixed-width token per subtree of each walk goes into a
-pipe.  Each process that runs the plan (one, or two where it can fork)
-drains the pipe after its other units, so two end together.  This process
-hands each n its level's tallies, in subtree order, to
-`bijections.verify_bijection` and compares its report with the other
-routes as `run_check` does; the deepest n of a walk takes the walk's
-time.
+the deepest; every other unit, each n at or below the level included,
+runs whole through `run_check`.  Before anything runs, one fixed-width
+token per subtree of each walk goes into a pipe.  Where it can fork, a
+child runs every whole unit and then drains the pipe while this process
+drains it at once, so the two end together; otherwise this process runs
+the whole units and then drains it.  This process hands each n its
+level's tallies to `bijections.verify_bijection` and compares its report
+with the other routes as `run_check` does; the deepest n of a walk takes
+the walk's time.  A walk that cannot be shared (its roots raise, or its
+tokens would not fit in the pipe) or tallied (a subtree raises) is
+certified whole for each of its n, as `run_check` does it.
 
 A route that raises fails its check with what it raised, on one process
 or two; only bad input (a check id, n, `max_n` or `COMBI_MAX_ORDER`) raises,
@@ -534,50 +537,49 @@ def _cpu_count() -> int:
 def _share(units):
     """Split the units into those run whole and the certificate walks whose
     subtrees any process may tally, as (check id, deepest n, roots, the
-    (position, n) of the units it certifies).  A certificate has one walk
-    for all its units above bijections.SPLIT_LEVEL, to the deepest of their
-    n, and one per unit at or below it, from the root alone.  Returns both
-    and the read end of a pipe that holds one token per subtree in plan
-    order, written before any process reads it.  A walk whose tokens would
-    not fit in the pipe runs its units whole, and so does one whose roots
-    raise: then run_check meets the same capacity skip, failed edge above
-    the roots (which sends it to the image walk) or raising route."""
+    (position, n) of the units it certifies).  A certificate unit joins its
+    map's one walk, to the deepest n of the walk, when its n is above
+    bijections.SPLIT_LEVEL; every other unit runs whole.  Returns both and
+    the read end of a pipe that holds one token per subtree, written before
+    any process reads it, or None when no walk has a token.  A walk whose
+    roots raise, or whose tokens would not fit in the pipe, keeps no roots
+    and so no tokens, and _walk_reports certifies each of its n whole."""
     import select
 
     whole, walks = [], {}
     for pos, check_id, n in units:
-        if check_id in _CERTIFIED:
-            below = n if n <= bijections.SPLIT_LEVEL else None
-            walks.setdefault((check_id, below), []).append((pos, n))
+        if check_id in _CERTIFIED and n > bijections.SPLIT_LEVEL:
+            walks.setdefault(check_id, []).append((pos, n))
         else:
             whole.append((pos, check_id, n))
     shared, data = [], bytearray()
-    for (check_id, _), certified in walks.items():
+    for j, (check_id, certified) in enumerate(walks.items()):
         deepest = max(n for _, n in certified)
         try:
             roots = bijections.certificate_roots(_CERTIFIED[check_id], deepest)
-        except Exception:  # run_check reports it in its turn
-            roots = None
-        if roots is None or len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
-            whole += [(pos, check_id, n) for pos, n in certified]
-            continue
+        except Exception:  # verify_bijection meets it again, whole
+            roots = []
+        if len(data) + len(roots) * _TOKEN.size > select.PIPE_BUF:
+            roots = []
         for i in range(len(roots)):
-            data += _TOKEN.pack(len(shared), i)
+            data += _TOKEN.pack(j, i)
         shared.append((check_id, deepest, roots, certified))
+    if not data:
+        return whole, shared, None
     read, write = os.pipe()
     try:
         os.write(write, data)  # at most PIPE_BUF bytes: written whole
     finally:
         os.close(write)
-    return sorted(whole), shared, read
+    return whole, shared, read
 
 
 def _run_units(units, shared, tokens):
-    """Run the units in order, then take tokens from the pipe `tokens` until
-    it is empty and tally the subtrees they name, to their walk's deepest
-    n; a subtree whose tally raises, a failed edge in it included, is
-    tallied as None.  Returns the (position, report) pairs and the (walk
-    index, subtree index, tallies by level, ms) tuples."""
+    """Run the units in order, then take tokens from the pipe `tokens`, if
+    any, until it is empty and tally the subtrees they name, to their
+    walk's deepest n; a subtree whose tally raises, a failed edge in it
+    included, is tallied as None.  Returns the (position, report) pairs
+    and the (walk index, tallies by level, ms) of each subtree."""
     done = [(pos, run_check(check_id, n)) for pos, check_id, n in units]
     tallies = []
     # Every token is in the pipe and no process writes to it any more, so
@@ -589,37 +591,28 @@ def _run_units(units, shared, tokens):
         try:
             tally = bijections.subtree_tally(_CERTIFIED[check_id], deepest,
                                              roots[i])
-        except Exception:  # _certified_report redoes it whole
+        except Exception:  # _walk_reports certifies the walk whole
             tally = None
-        tallies.append((j, i, tally, (time.perf_counter() - t0) * 1000))
+        tallies.append((j, tally, (time.perf_counter() - t0) * 1000))
     return done, tallies
 
 
 def _walk_reports(check_id, deepest, certified, tallies):
     """The (position, report) of each unit (position, n) that a shared walk
-    to `deepest` certifies, from the (subtree index, tallies by level, ms)
-    of all its subtrees: n takes each subtree's level-n tally, and the
-    deepest n the subtrees' time."""
+    to `deepest` certifies, from the (tallies by level, ms) of its
+    subtrees in any order, compared as run_check compares: n takes each
+    subtree's level-n tally, and the deepest n the subtrees' time.  A walk
+    with no tallies, or one whose subtree raised, certifies each n whole,
+    as run_check does it."""
+    map_id, check = _CERTIFIED[check_id], REGISTRY[check_id]
+    whole = not tallies or any(tally is None for tally, _ in tallies)
     for pos, n in certified:
-        at_n = [(i, None if tally is None else tally[n - deepest - 1],
-                 ms if n == deepest else 0.0) for i, tally, ms in tallies]
-        yield pos, _certified_report(check_id, n, at_n)
-
-
-def _certified_report(check_id, n, tallies) -> VerifyReport:
-    """The report of a shared certificate from the (subtree index, level-n
-    tally, ms) of all its subtrees, compared as run_check compares; its
-    time is the sum of the subtrees' times and of what is computed here.
-    If a subtree's tally raised, the certificate is redone whole, as
-    run_check does it."""
-    map_id = _CERTIFIED[check_id]
-    found = [tally for _, tally, _ in sorted(tallies, key=lambda t: t[0])]
-    if None in found:
-        found = None
-    check = REGISTRY[check_id]
-    fns = [lambda n: bijections.verify_bijection(map_id, n, found),
-           *(route.fn for route in check.routes[1:])]
-    return _compare(check, n, fns, sum(ms for _, _, ms in tallies))
+        found = None if whole else [tally[n - deepest - 1]
+                                    for tally, _ in tallies]
+        fns = [lambda n: bijections.verify_bijection(map_id, n, found),
+               *(route.fn for route in check.routes[1:])]
+        ms = sum(ms for _, ms in tallies) if n == deepest else 0.0
+        yield pos, _compare(check, n, fns, ms)
 
 
 def _fork_units(units, shared, tokens):
@@ -665,16 +658,17 @@ def run_all(max_n: int | None = None,
     """Run `plan(max_n, ids)`, by default every check at every default n,
     and return the reports in plan order; `verify --all` and `--id` both do.
 
-    Every certificate goes into the token pipe unless `run_check` (a
+    Every certificate n above `bijections.SPLIT_LEVEL` joins its map's
+    walk, whose subtrees go into the token pipe, unless `run_check` (a
     tracer) is rebound: its counters stay in this process, which then runs
     every unit whole.  A shared certificate's tallies are combined by
     `bijections.verify_bijection(map_id, n, tallies)`, so a rebound one is
-    reached on one process or two.  A forked child runs the checks that
-    are not certificates and then drains the pipe when a subtree is in it,
-    two or more CPUs are free and no other thread runs; otherwise this
-    process runs every unit in plan order and then drains the pipe.  A
-    route that raises fails its check, as in run_check, on one process or
-    two; a bad `COMBI_MAX_ORDER` raises before anything runs."""
+    reached on one process or two.  A forked child runs every whole unit
+    and then drains the pipe when a subtree is in it, two or more CPUs are
+    free and no other thread runs; otherwise this process runs the whole
+    units in plan order and then drains the pipe.  A route that raises
+    fails its check, as in run_check, on one process or two; a bad
+    `COMBI_MAX_ORDER` raises before anything runs."""
     max_order()
     with families.memoised():
         units = [(pos, *pair) for pos, pair in enumerate(
@@ -686,10 +680,10 @@ def run_all(max_n: int | None = None,
         child = None
         # A forked child holds only the calling thread, and locks other
         # threads held stay locked in it.
-        if shared and _cpu_count() > 1 and threading.active_count() == 1:
-            child = _fork_units([u for u in whole if u[1] not in _CERTIFIED],
-                                shared, tokens)
-            whole = [u for u in whole if u[1] in _CERTIFIED]
+        if (tokens is not None and _cpu_count() > 1
+                and threading.active_count() == 1):
+            child = _fork_units(whole, shared, tokens)
+            whole = []
         try:
             results = [_run_units(whole, shared, tokens)]
         except BaseException:  # an interrupt: stop the child too
@@ -709,6 +703,6 @@ def run_all(max_n: int | None = None,
         reports = [pair for done, _ in results for pair in done]
         tallies = [tally for _, part in results for tally in part]
         for j, (check_id, deepest, _, certified) in enumerate(shared):
-            mine = [(i, tally, ms) for k, i, tally, ms in tallies if k == j]
+            mine = [(tally, ms) for k, tally, ms in tallies if k == j]
             reports += _walk_reports(check_id, deepest, certified, mine)
     return [rep for _, rep in sorted(reports)]

@@ -2,7 +2,9 @@
 statistic function, each of the 21 fields of `objects.INT_STAT_NAMES`
 makes some registry check fail.  `tools/guard_map.py` sweeps the same
 kind of mutant over every public function of the lower layers; its
-`moved` is tested here too."""
+`moved` is tested here too.  The input guards `objects.require_size` and
+`objects.require_domain` are load-bearing as well: with either one bound
+to a stand-in that accepts everything, calls it refused return."""
 
 import importlib.util
 import sys
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from combi import bijections, objects, verify
+from combi import bijections, families, grammar, objects, verify
+from combi.poly import CapacityError, ExactPoly
 
 FIELDS = [(class_name, i, name)
           for class_name, names in objects.INT_STAT_NAMES.items()
@@ -75,3 +78,48 @@ def test_moved_peel_shows_in_the_walk(monkeypatch, map_id):
     rep = bijections.verify_bijection(map_id, 5)
     assert rep.all_ok and rep == whole and repr(rep) == repr(whole)
     assert (whole.walk, rep.walk) == ("edges", "images")
+
+
+
+# With the guard bound to an accept-everything stand-in wherever a combi
+# module binds it, each of these calls runs on and returns: the guard, not
+# something after it, refuses the input.
+SIZE_GUARDED = {
+    "n_poly": lambda: families.n_poly(-1),
+    "run_check": lambda: verify.run_check("A-via-invseq", True),
+    "derive": lambda: grammar.derive(grammar.CYCLE_GRAMMAR,
+                                     ExactPoly.var("a"), -1),
+    "series_family": lambda: families.series_family("P", True),
+}
+
+# the same under a cap of one object, for the exhaustive routes
+DOMAIN_GUARDED = {
+    "stat_distribution": lambda: families.stat_distribution(
+        "permutation", 3, (("asc", "x"),)),
+    "verify_bijection": lambda: bijections.verify_bijection("psi", 2),
+    "fiber_histogram": lambda: verify._fiber_histogram(2),
+}
+
+
+def _runs_without(monkeypatch, guard, call, error):
+    with pytest.raises(error):
+        call()
+    guard_map = _guard_map(monkeypatch)
+    bound = guard_map.bind_everywhere(guard, lambda *args, **kwargs: None)
+    try:
+        call()
+    finally:
+        guard_map.restore(bound, guard)
+
+
+@pytest.mark.parametrize("name", SIZE_GUARDED)
+def test_size_guard_is_load_bearing(monkeypatch, name):
+    _runs_without(monkeypatch, objects.require_size, SIZE_GUARDED[name],
+                  ValueError)
+
+
+@pytest.mark.parametrize("name", DOMAIN_GUARDED)
+def test_domain_guard_is_load_bearing(monkeypatch, name):
+    monkeypatch.setattr(objects, "ENUM_CAP", 1)
+    _runs_without(monkeypatch, objects.require_domain, DOMAIN_GUARDED[name],
+                  CapacityError)

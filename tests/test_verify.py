@@ -616,10 +616,12 @@ def test_child_dying_without_result_raises(monkeypatch, forks):
         assert os.getpid() != parent, "a table route ran in the parent"
         os._exit(3)
 
+    # at max_n 4 each map has a walk, so run_all forks; the child dies at
+    # its first table check
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(families, "a_poly", die)
     with pytest.raises(RuntimeError, match="exited with status 3"):
-        verify.run_all(2)
+        verify.run_all(4)
     assert len(forks) == 1
     _no_children_left()
 
@@ -632,7 +634,7 @@ def test_cli_reports_lost_child(monkeypatch, capsys, forks):
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(families, "a_poly", die)
-    code = main(["verify", "--all", "--max-n", "2"])
+    code = main(["verify", "--all", "--max-n", "4"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
@@ -659,24 +661,36 @@ def test_rebound_run_check_runs_in_process(monkeypatch, forks):
 
 def test_rebound_verify_bijection_combines_the_shared_tallies(monkeypatch,
                                                             forks):
-    # the certificate is still shared, and its tallies reach the rebound
-    # function in this process
+    # the certificate is still shared above the cut, and its tallies reach
+    # the rebound function in this process; each n at or below the cut is
+    # certified whole by run_check, in the child
     from combi import bijections
+    parent = os.getpid()
+    read, write = os.pipe()
     calls = []
 
     def wrong(map_id, n, tallies=None):
-        calls.append((map_id, n, len(tallies)))
+        if os.getpid() == parent:
+            calls.append((map_id, n, len(tallies)))
+        else:
+            os.write(write, f"{n} {tallies}\n".encode())
         return bijections.BijectionReport(n, True, False, True, ("w", "t"))
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(bijections, "verify_bijection", wrong)
-    reports = verify.run_all(5, ("phi-bijection", "M-ol-enum"))
+    try:
+        reports = verify.run_all(5, ("phi-bijection", "M-ol-enum"))
+    finally:
+        os.close(write)
+        with os.fdopen(read) as fh:
+            in_child = fh.read().split("\n")[:-1]
     assert len(forks) == 1
     assert [(r.id, r.n, r.status) for r in reports] == [
         *(("phi-bijection", n, "fail") for n in range(1, 6)),
         *(("M-ol-enum", n, "pass") for n in range(1, 6))]
-    assert calls == [("phi", n, 1 if n <= bijections.SPLIT_LEVEL else 48)
-                     for n in range(1, 6)]
+    level = bijections.SPLIT_LEVEL
+    assert calls == [("phi", n, 48) for n in range(level + 1, 6)]
+    assert in_child == [f"{n} None" for n in range(1, level + 1)]
     _no_children_left()
 
 
@@ -720,7 +734,8 @@ def _counted_run_all():
 
 def test_full_plan_same_on_one_and_two_cpus(monkeypatch, forks):
     # each map is walked once above the cut, to its deepest n, in 48
-    # subtrees; each n at or below the cut from the root alone
+    # subtrees; each n at or below the cut runs whole in run_check, which
+    # walks from the root alone, in the child when there is one
     from combi import bijections
     level = bijections.SPLIT_LEVEL
     subtrees = Counter({("phi", "7"): 48, ("psi", "6"): 48})
@@ -735,7 +750,8 @@ def test_full_plan_same_on_one_and_two_cpus(monkeypatch, forks):
     shared, calls, walks = _counted_run_all()
     assert len(forks) == 1
     assert calls == subtrees
-    assert walks == ["edges"] * 13
+    # this process certifies only the n above the cut: phi 4..7, psi 4..6
+    assert walks == ["edges"] * (13 - 2 * level)
     assert _strip(shared) == _strip(serial)
     assert all(r.status == "pass" for r in shared)
     _no_children_left()
@@ -801,19 +817,22 @@ def _dropped_bit(insert):
     return dropped
 
 
-@pytest.mark.parametrize("mutate", [
-    _moved_index, _always_straight, _one_link, _moved_weight, _dropped_bit,
+# The first three fail an edge above the subtree roots, which leaves no walk
+# a token to fork for; the last two fail below them.
+@pytest.mark.parametrize("mutate, walked", [
+    (_moved_index, False), (_always_straight, False), (_one_link, False),
+    (_moved_weight, True), (_dropped_bit, True),
 ], ids=["moved-index", "always-straight", "one-link", "weights",
         "dropped-bit"])
 def test_mutant_certificates_same_on_one_and_two_cpus(monkeypatch, forks,
-                                                      mutate):
+                                                      mutate, walked):
     from combi import bijections
     monkeypatch.setattr(bijections, "_insert", mutate(bijections._insert))
     _cpus(monkeypatch, 1)
     serial = verify.run_all(5, _SHARED_IDS)
     _cpus(monkeypatch, 2)
     shared = verify.run_all(5, _SHARED_IDS)
-    assert len(forks) == 1
+    assert len(forks) == walked
     assert _strip(shared) == _strip(serial)
     failed = {(r.id, r.n) for r in shared if r.status == "fail"}
     assert {("phi-bijection", 5), ("psi-bijection", 5)} <= failed
@@ -886,12 +905,36 @@ def test_failed_walk_redoes_each_of_its_n_whole(monkeypatch, forks):
     assert len(paths[0]) == 13
 
 
+def test_raising_roots_redo_each_n_of_the_walk_whole(monkeypatch, forks):
+    # the always-straight split where 2 is inserted: two siblings above the
+    # subtree roots share a state, so certificate_roots raises and no walk
+    # has a token.  Every n is certified whole, as run_check does it (the
+    # image walk finds the collision), and nothing is left to fork for.
+    from combi import bijections
+    insert = bijections._insert
+
+    def straight_at_2(state, m, slots, index, first, straight, starts):
+        return insert(state, m, slots, index, first, straight or m == 2,
+                      starts)
+
+    monkeypatch.setattr(bijections, "_insert", straight_at_2)
+    paths = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        paths.append(_strip(verify.run_all(5, _SHARED_IDS)))
+        _no_children_left()
+    assert not forks
+    assert paths[0] == paths[1] == _serial_reports(5, _SHARED_IDS)
+    failed = {r[:2] for r in paths[0] if r[2] == "fail"}
+    assert {(cid, n) for cid in _SHARED_IDS[:2] for n in (4, 5)} <= failed
+
+
 @pytest.mark.parametrize("weighs_wrong", [False, True])
 def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
                                                             weighs_wrong):
-    # the tallies arrive in any order; the report is the serial one, and
-    # takes the time of every subtree.  A subtree whose edge fails raises,
-    # and comes as None, as _run_units tallies it.
+    # the tallies arrive in any order, with no subtree index; the report is
+    # the serial one, and takes the time of every subtree.  A subtree whose
+    # edge fails raises, and comes as None, as _run_units tallies it.
     from combi import bijections
     if weighs_wrong:  # below the subtree roots
         monkeypatch.setattr(bijections, "_insert",
@@ -901,14 +944,14 @@ def test_shared_certificate_sums_its_subtrees_in_walk_order(monkeypatch,
 
     def tally(root):
         try:
-            return bijections.subtree_tally("psi", 4, root)[-1]
+            return bijections.subtree_tally("psi", 4, root)
         except bijections._Unpeeled:
             return None
 
-    tallies = [(i, tally(root), 1000.0)
-               for i, root in reversed(list(enumerate(roots)))]
-    assert any(t is None for _, t, _ in tallies) == weighs_wrong
-    rep = verify._certified_report("psi-bijection", 4, tallies)
+    tallies = [(tally(root), 1000.0) for root in reversed(roots)]
+    assert any(t is None for t, _ in tallies) == weighs_wrong
+    [(pos, rep)] = verify._walk_reports("psi-bijection", 4, [(9, 4)], tallies)
+    assert pos == 9
     assert rep.status == ("fail" if weighs_wrong else "pass")
     assert 48_000.0 <= rep.runtime_ms < 48_100.0
     assert _strip([rep]) == _strip([verify.run_check("psi-bijection", 4)])

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import VAR_INDEX, VARS, CapacityError, ExactPoly, divexact, poly_sum
+from .poly import (VAR_INDEX, VARS, CapacityError, ExactPoly, divexact,
+                   poly_dot, poly_sum)
 from . import families
 from .objects import require_size
 
@@ -45,15 +46,9 @@ def _cycle_grammar() -> Grammar:
                     "d": c ** 2 * d}, frozenset(("q",)))
 
 
-def _eulerian_grammar() -> Grammar:
-    _, b, c, d, _ = _letters()
-    return Grammar({"b": b ** -1 * c ** 2 * d ** 2,
-                    "c": c * d ** 2,
-                    "d": c ** 2 * d})
-
-
 CYCLE_GRAMMAR = _cycle_grammar()
-EULERIAN_GRAMMAR = _eulerian_grammar()
+EULERIAN_GRAMMAR = Grammar({v: rule for v, rule in CYCLE_GRAMMAR.rules.items()
+                            if v != "a"})
 
 
 def derive(g: Grammar, expr: ExactPoly, n: int = 1) -> ExactPoly:
@@ -65,7 +60,7 @@ def derive(g: Grammar, expr: ExactPoly, n: int = 1) -> ExactPoly:
     rules = [(v, g.rules[v]) for v in VARS if v in g.rules]
     for _ in range(n):
         # D is the derivation sum_u D(u) d/du, by the Leibniz and power rules
-        expr = poly_sum(expr.diff(v) * rule for v, rule in rules)
+        expr = poly_dot((1, expr.diff(v), rule) for v, rule in rules)
     return expr
 
 
@@ -77,18 +72,14 @@ def cycle_derivative_polynomial(n: int) -> ExactPoly:
 def to_xyq(p: ExactPoly) -> ExactPoly:
     """Substitute c^2 -> x, b^2 -> y, d -> 1 into an a-free polynomial whose
     b- and c-exponents are even and nonnegative."""
-    ix, iy = VAR_INDEX["x"], VAR_INDEX["y"]
-    ib, ic, id_, ia = (VAR_INDEX[v] for v in ("b", "c", "d", "a"))
-    t = {}
-    for exp, coeff in p.items():
+    ia, ib, ic, iq = (VAR_INDEX[v] for v in ("a", "b", "c", "q"))
+    terms = p.items()
+    for exp, _ in terms:
         if exp[ia] or exp[ib] % 2 or exp[ic] % 2 or exp[ib] < 0 or exp[ic] < 0:
             raise ValueError("substitution needs even nonnegative b-, c-exponents")
-        e = list(exp)
-        e[ix], e[iy] = exp[ic] // 2, exp[ib] // 2
-        e[ib] = e[ic] = e[id_] = 0
-        key = tuple(e)
-        t[key] = t.get(key, 0) + coeff
-    return ExactPoly(t)
+    return poly_sum(ExactPoly.monomial(coeff, {
+        "x": exp[ic] // 2, "y": exp[ib] // 2, "q": exp[iq]})
+        for exp, coeff in terms)
 
 
 def fix_cycle_cap_polynomial(n: int) -> ExactPoly:

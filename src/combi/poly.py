@@ -24,6 +24,12 @@ carries silently.  The field test only sees a field that went at most 2^15
 out of range, so `poly_reverse`, whose shift comes from an unbounded n,
 bounds each new exponent before packing.
 
+Three kernels merge term maps, and no other code does: `poly_sum` (`+` is
+a two-term poly_sum), `poly_dot` (`*` is a one-term poly_dot, and each
+step of the grammar derivative is one poly_dot over the pairs
+(d expr/dv, rule of v)) and `poly_apply`.  `subs_num` and `divexact` keep
+their own maps: substitution and long division are not sums of products.
+
 The public interface speaks 7-tuples: the constructor takes a dict of
 {exponent tuple: coefficient} (anything but a tuple of seven ints as a key
 raises ValueError), and `items()` gives (exponent tuple, coefficient) pairs.
@@ -221,11 +227,7 @@ class ExactPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = dict(self._terms)
-        get = t.get
-        for key, coeff in other._terms.items():
-            t[key] = get(key, 0) + coeff
-        return _poly(t)
+        return poly_sum((self, other))
 
     __radd__ = __add__
 

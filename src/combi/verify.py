@@ -64,7 +64,7 @@ class VerifyReport:
     lhs: str | None = None
     rhs: str | None = None
     runtime_ms: float = 0.0
-    detail: str | None = None  # the CapacityError message of a skip
+    detail: str | None = None  # why a check was skipped
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,9 @@ def run_check(check_id: str, n: int) -> VerifyReport:
     objects.require_size(n)
     max_order()  # a bad COMBI_MAX_ORDER raises here, not in a route
     if not check.ns[0] <= n <= check.ns[-1]:
-        return VerifyReport(check_id, n, "skipped-capacity")
+        return VerifyReport(check_id, n, "skipped-capacity", detail=(
+            f"n={n} is outside {check_id}'s n values "
+            f"{check.ns[0]}..{check.ns[-1]}"))
     with families.memoised():
         return _compare(check, n, [route.fn for route in check.routes])
 

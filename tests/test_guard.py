@@ -4,7 +4,9 @@ makes some registry check fail.  `tools/guard_map.py` sweeps the same
 kind of mutant over every public function of the lower layers; its
 `moved` is tested here too.  The input guards `objects.require_size` and
 `objects.require_domain` are load-bearing as well: with either one bound
-to a stand-in that accepts everything, calls it refused return."""
+to a stand-in that accepts everything, calls it refused return.  And only
+`poly`'s kernels merge term maps: with `poly_sum` and `poly_dot` bound to
+a stand-in that raises, `+`, the grammar derivative and `to_xyq` raise."""
 
 import importlib.util
 import sys
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from combi import bijections, families, grammar, objects, verify
-from combi.poly import CapacityError, ExactPoly
+from combi import bijections, families, grammar, objects, poly, series, verify
+from combi.poly import CapacityError, ExactPoly, Q, X, Y
 
 FIELDS = [(class_name, i, name)
           for class_name, names in objects.INT_STAT_NAMES.items()
@@ -123,3 +125,57 @@ def test_domain_guard_is_load_bearing(monkeypatch, name):
     monkeypatch.setattr(objects, "ENUM_CAP", 1)
     _runs_without(monkeypatch, objects.require_domain, DOMAIN_GUARDED[name],
                   CapacityError)
+
+
+class Merged(Exception):
+    """Raised by the stand-in for a kernel that merges term maps."""
+
+
+def _merge(*args, **kwargs):
+    raise Merged
+
+
+# `+` and to_xyq merged term maps by hand, so neither raised
+MERGING = {
+    "add": lambda: X + 1,
+    "derive": lambda: grammar.derive(grammar.CYCLE_GRAMMAR,
+                                     ExactPoly.var("a")),
+    "to_xyq": lambda: grammar.to_xyq(ExactPoly.monomial(1, {"b": 2})),
+}
+
+
+@pytest.mark.parametrize("name", MERGING)
+def test_only_the_kernels_merge_term_maps(monkeypatch, name):
+    guard_map = _guard_map(monkeypatch)
+    kernels = (poly.poly_sum, poly.poly_dot)
+    bound = [guard_map.bind_everywhere(fn, _merge) for fn in kernels]
+    try:
+        with pytest.raises(Merged):
+            MERGING[name]()
+    finally:
+        for b, fn in zip(bound, kernels):
+            guard_map.restore(b, fn)
+
+
+KERNELS = ("divexact", "poly_apply", "poly_dot", "poly_reverse", "poly_sum")
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_moved_runs_no_kernel(monkeypatch, name):
+    # a move through `+` and `**` recursed into a mutant poly_sum or
+    # poly_dot until RecursionError
+    guard_map = _guard_map(monkeypatch)
+    s = series.TruncatedSeries([1, Y, Q], 2)
+    want_poly = sorted((X + X ** 3).items())
+    want_series = [sorted(e.items()) for e in (ExactPoly.one(), X + Y, 2 * Q)]
+    fn = getattr(poly, name)
+    bound = guard_map.bind_everywhere(
+        fn, lambda *args, **kwargs: guard_map.moved(fn(*args, **kwargs)))
+    try:
+        got_poly = guard_map.moved(X)
+        got_series = guard_map.moved(s)
+    finally:
+        guard_map.restore(bound, fn)
+    assert sorted(got_poly.items()) == want_poly
+    assert [sorted(series.egf_coefficient(got_series, n).items())
+            for n in range(3)] == want_series

@@ -968,7 +968,8 @@ def test_capacity_skip_carries_its_reason(monkeypatch, capsys):
     rep = verify.run_check("A-via-invseq", 2)
     assert rep.status == "skipped-capacity"
     assert rep.detail == "a_poly capped below n=2"
-    assert verify.run_check("A-via-invseq", 99).detail is None  # no n there
+    assert verify.run_check("A-via-invseq", 99).detail == (
+        "n=99 is outside A-via-invseq's n values 0..6")
     assert verify.run_check("ap-equals-el", 2).detail is None
     assert main(["verify", "--id", "A-via-invseq", "--max-n", "1",
                  "--format", "json"]) == 0

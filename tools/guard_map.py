@@ -4,17 +4,18 @@
 
 From the root of a checkout (the package is read from `src`), sweeps every
 public function defined in `combi.bijections`, `families`, `grammar`,
-`objects`, `sturm` and `series`.  A first run of `verify.run_all(6)`, with
-every one of them wrapped in a counter and `verify.run_check` rebound so
-that no check runs in a forked child, finds the functions the registry
-reaches.  Then each reached function in turn is replaced by a mutant that
-moves its result: an int by 1 (a bool is negated), a polynomial by x^3, a
-series by x*z, and every element of a list or tuple (a named tuple's
-fields included), every value of a mapping, every field of a dataclass,
-every item of an iterator and every result of a returned function by the
-same rule.  The mutant is
-bound wherever a combi module binds the function, names taken by
-`from .x import y` included.  A check catches it when `run_all(6)` reports
+`objects`, `poly`, `sturm` and `series`.  A first run of
+`verify.run_all(6)`, with every one of them wrapped in a counter and
+`verify.run_check` rebound so that no check runs in a forked child, finds
+the functions the registry reaches.  Then each reached function in turn
+is replaced by a mutant that moves its result: an int by 1 (a bool is
+negated), a polynomial by x^3, a series by x*z, and every element of a
+list or tuple (a named tuple's fields included), every value of a
+mapping, every field of a dataclass, every item of an iterator and every
+result of a returned function by the same rule.  A move runs none of the
+poly kernels, which may be the mutant.  The mutant is bound wherever a
+combi module binds the function, names taken by `from .x import y`
+included.  A check catches it when `run_all(6)` reports
 it failed; a route that raises fails its check.
 
 Prints function -> the checks that catch it, and exits 1 when a function
@@ -35,12 +36,12 @@ from types import FunctionType
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from combi import (bijections, families, grammar, objects, series,  # noqa: E402
-                   sturm, verify)
-from combi.poly import X, ExactPoly  # noqa: E402
-from combi.series import TruncatedSeries  # noqa: E402
+from combi import (bijections, families, grammar, objects, poly,  # noqa: E402
+                   series, sturm, verify)
+from combi.poly import X, ExactPoly, poly_sum  # noqa: E402
+from combi.series import TruncatedSeries, _series  # noqa: E402
 
-MODULES = (bijections, families, grammar, objects, sturm, series)
+MODULES = (bijections, families, grammar, objects, poly, sturm, series)
 MAX_N = 6
 
 # Functions only the command-line front end, the benchmark or library
@@ -81,6 +82,8 @@ ABSORBED = {
 # The tables of functions no check may catch, by name.
 EXEMPT = {"FRONT_END": FRONT_END, "ABSORBED": ABSORBED}
 
+X3 = X ** 3  # built once, before any kernel is replaced
+
 
 def swept():
     """(qualified name, function) of every public function of MODULES."""
@@ -97,10 +100,15 @@ def moved(value):
         return not value
     if isinstance(value, int):
         return value + 1
+    # `+`, `*` and `**` run through the poly kernels, one of which may be
+    # the mutant, so a move adds with the poly_sum held here since import:
+    # rebinding the module global does not reach it
     if isinstance(value, ExactPoly):
-        return value + X ** 3
+        return poly_sum((value, X3))
     if isinstance(value, TruncatedSeries):
-        return value + TruncatedSeries.z_poly(X, value.order)
+        # x*z has EGF entry 1 equal to x
+        return _series(poly_sum((e, X)) if n == 1 else e
+                       for n, e in enumerate(value._egf))
     if isinstance(value, FunctionType):
         return lambda *args, **kwargs: moved(value(*args, **kwargs))
     if isinstance(value, Iterator):

@@ -10,12 +10,12 @@ matched with p; a block is marked iff its top is even) and the index set
 as an int bitmask (bit v set iff v is recorded).  They become standard-form
 blocks and a frozenset only in the results.
 
-One insertion rule serves both maps and the certificate.  `_slots` lists,
-once per word, the slot before each entry: the matching the entry belongs
-to, whether the split block is marked, and p.  `_insert` gives m's slot's
-matching of j blocks the points 2j + 1 and 2j + 2: at the end as a new
-block, before an entry by splitting the p-th marked or unmarked block
-(found in the lists of block starts `_starts` makes once per state),
+One insertion rule serves both maps and the certificate.  `_slots`
+tables, once per word and state, the slot before each entry: the
+matching the entry belongs to, and the start of the block the slot
+splits, the p-th marked or unmarked block of that matching.  `_insert`
+gives m's slot's matching of j blocks the points 2j + 1 and 2j + 2: at
+the end as a new block, before an entry by splitting the slot's block,
 straight or crossed.  `_rule` holds what differs: a word's values and
 which entries belong to the first matching (the hatted ones; the ones in
 blocks that end negatively, where the marking flips), and how m's entry
@@ -135,54 +135,49 @@ _EMPTY = ((0,), (0,), 0)
 _Rule = namedtuple("_Rule", "kind cls inputs read flip value weighs")
 
 
-def _starts(state):
-    """The block starts of a state in increasing order, in four lists by
-    2 * in_first + marked."""
-    out = [[], [], [], []]
+def _slots(values, first, flip: bool, state):
+    """The slot before each entry of a word in this state, as (in_first, a),
+    then None for the slot at the end.  The entry's flag in `first` names
+    the matching the slot splits, and a starts the p-th block of it with
+    the slot's marking, by increasing start: marked iff the slot is an
+    ascent (from a virtual 0 in front), negated in the first matching when
+    `flip`; p counts the slots up to this one with both the same."""
+    starts = [[], [], [], []]  # by 2 * in_first + marked
     for kind, partners in ((0, state[1]), (2, state[0])):
         for a, b in enumerate(partners):
             if a < b:
-                out[kind + (not b & 1)].append(a)
-    return out
-
-
-def _slots(values, first, flip: bool):
-    """The slot before each entry of a word, as (in_first, marked, p).  The
-    entry's flag in `first` names the matching the slot splits.  The split
-    block is marked iff the slot is an ascent (from a virtual 0 in front),
-    negated in the first matching when `flip`.  p counts the slots up to
-    this one that split the same matching with the same marking."""
-    counts = [0, 0, 0, 0]
+                starts[kind + (not b & 1)].append(a)
+    unsplit = list(map(iter, starts))
     out = []
     prev = 0
     for v, f in zip(values, first):
         marked = (prev < v) != (flip and f)
         kind = 2 * f + marked
-        counts[kind] += 1
-        out.append((f, marked, counts[kind]))
+        a = next(unsplit[kind], 0)
+        if not a:
+            raise ValueError(f"no {len(starts[kind]) + 1}-th "
+                             f"{'un' * (not marked)}marked block")
+        out.append((f, a))
         prev = v
+    out.append(None)
     return out
 
 
-def _insert(state, m: int, slots, index: int, first: bool, straight: bool,
-            starts):
-    """Insert m at `index` of a word with these slots, `starts` being the
-    state's.  A matching with j blocks takes the points 2j+1 and 2j+2.  At
-    the end, they make a new block of the first matching if `first`, else
-    of the second; before an entry, they split the p-th marked or unmarked
-    block (a, b) of the slot's matching into (a, 2j+1),(b, 2j+2) if
-    straight, else (b, 2j+1),(a, 2j+2).  The first matching records m."""
+def _insert(state, m: int, slot, first: bool, straight: bool):
+    """Insert m at a slot of the word.  A matching with j blocks takes the
+    points 2j+1 and 2j+2.  At the end (slot None), they make a new block of
+    the first matching if `first`, else of the second; before an entry,
+    slot (in_first, a), they split the block (a, b) of that matching into
+    (a, 2j+1),(b, 2j+2) if straight, else (b, 2j+1),(a, 2j+2).  The first
+    matching records m."""
     s1, s2, mask = state
-    if index < len(slots):
-        first, marked, p = slots[index]
+    if slot is not None:
+        first, a = slot
     partners = s1 if first else s2
     lo = len(partners)
-    if index == len(slots):
+    if slot is None:
         partners += (lo + 1, lo)
-    elif len(starts[2 * first + marked]) < p:
-        raise ValueError(f"no {p}-th {'un' * (not marked)}marked block")
     else:
-        a = starts[2 * first + marked][p - 1]
         a, b = (a, partners[a]) if straight else (partners[a], a)
         out = list(partners)
         out[a], out[b] = lo, lo + 1
@@ -224,13 +219,12 @@ def _replay(map_id: str, obj):
         at = bisect(placed, j)
         placed.insert(at, j)
         child = (*child[:at], word[j], *child[at:])
-        slots = _slots(values, first, flip)
         f, straight = read(word[j])
-        if at < len(slots):
-            f = slots[at][0]
-            state = _insert(state, m, slots, at, f, straight, _starts(state))
-        else:
-            state = _insert(state, m, slots, at, f, straight, None)
+        slot = None
+        if at < len(values):  # a split: an append reads no slot
+            slot = _slots(values, first, flip, state)[at]
+            f = slot[0]
+        state = _insert(state, m, slot, f, straight)
         values.insert(at, value(word[j]))
         first.insert(at, f)
         yield child, state
@@ -328,10 +322,8 @@ def _domain_tree(map_id: str):
 
     def children(node, m):
         word, state = node
-        slots = _slots(*inputs(word), flip)
-        starts = _starts(state)
-        return [(child, _insert(state, m, slots, c >> 1, *read(child[c >> 1]),
-                                starts))
+        slots = _slots(*inputs(word), flip, state)
+        return [(child, _insert(state, m, slots[c >> 1], *read(child[c >> 1])))
                 for c, child in enumerate(tree(word, m))]
     return kind, weighs, children
 

@@ -34,6 +34,10 @@ The public interface speaks 7-tuples: the constructor takes a dict of
 {exponent tuple: coefficient} (anything but a tuple of seven ints as a key
 raises ValueError), and `items()` gives (exponent tuple, coefficient) pairs.
 
+The constructors and `subs_num` take int and Fraction numbers only
+(TypeError for a float or anything else), and every method that names a
+letter raises ValueError for one outside the alphabet.
+
 Negative exponents are first-class: the grammar rewriting rule for the
 letter ``b`` produces the monomial b^-1*c^2*d^2.
 """
@@ -72,6 +76,23 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def _exact(c: Coeff) -> Coeff:
+    """c, if it is an int or a Fraction: the public constructors and
+    subs_num take nothing else (the kernels' results need no check)."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {c!r}")
+    return c
+
+
+def _index(name: str) -> int:
+    """The field of a letter of the alphabet; ValueError for any other."""
+    try:
+        return VAR_INDEX[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown variable {name!r}: the alphabet is "
+                         f"{VARS}") from None
+
+
 def _out_of_range(exp) -> CapacityError:
     return CapacityError(f"exponent vector {exp} leaves the packed range: "
                          f"every exponent must lie in [-{LIMIT}, {LIMIT})")
@@ -94,9 +115,7 @@ def _monomial_key(exps: dict[str, int]) -> int:
     """The packed key of the monomial prod v^exps[v]."""
     e = [0] * NVARS
     for name, k in exps.items():
-        if name not in VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}: the alphabet is {VARS}")
-        e[VAR_INDEX[name]] = k
+        e[_index(name)] = k
     return _pack(tuple(e))
 
 
@@ -142,7 +161,8 @@ class ExactPoly:
 
     def __init__(self, terms: dict[tuple[int, ...], Coeff] | None = None):
         self._terms = _canonical(
-            {_pack(exp): coeff for exp, coeff in terms.items()} if terms else {})
+            {_pack(exp): _exact(coeff) for exp, coeff in terms.items()}
+            if terms else {})
 
     # -- constructors -------------------------------------------------
 
@@ -156,7 +176,7 @@ class ExactPoly:
 
     @classmethod
     def const(cls, c: Coeff) -> "ExactPoly":
-        return _poly({ZERO_KEY: c})
+        return _poly({ZERO_KEY: _exact(c)})
 
     @classmethod
     def var(cls, name: str) -> "ExactPoly":
@@ -164,7 +184,7 @@ class ExactPoly:
 
     @classmethod
     def monomial(cls, coeff: Coeff, exps: dict[str, int]) -> "ExactPoly":
-        return _poly({_monomial_key(exps): coeff})
+        return _poly({_monomial_key(exps): _exact(coeff)})
 
     # -- inspection ---------------------------------------------------
 
@@ -193,14 +213,14 @@ class ExactPoly:
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name``; zero polynomial has degree 0."""
-        s = _SHIFT[VAR_INDEX[name]]
+        s = _SHIFT[_index(name)]
         return max(((key >> s) & _MASK for key in self._terms),
                    default=BIAS) - BIAS
 
     def univariate_coeffs(self, name: str = "x") -> list[Coeff]:
         """Dense ascending coefficient list; requires a genuine univariate
         polynomial in ``name`` with nonnegative exponents."""
-        i = VAR_INDEX[name]
+        i = _index(name)
         s, others = _SHIFT[i], _others(i)
         by_deg: dict[int, Coeff] = {}
         for key, coeff in self._terms.items():
@@ -252,7 +272,7 @@ class ExactPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise TypeError("polynomial exponent must be an int")
         if k < 0:
             if len(self._terms) != 1:
@@ -286,7 +306,7 @@ class ExactPoly:
 
     def diff(self, name: str) -> "ExactPoly":
         """Formal partial derivative; x^k -> k*x^(k-1) for any integer k."""
-        s = _SHIFT[VAR_INDEX[name]]
+        s = _SHIFT[_index(name)]
         unit = 1 << s
         # lowering one exponent is injective, so no two terms collide
         t = {}
@@ -300,7 +320,8 @@ class ExactPoly:
 
     def subs_num(self, name: str, value: Coeff) -> "ExactPoly":
         """Evaluate one variable at an exact number."""
-        s = _SHIFT[VAR_INDEX[name]]
+        s = _SHIFT[_index(name)]
+        _exact(value)
         t: dict[int, Coeff] = {}
         for key, coeff in self._terms.items():
             e = ((key >> s) & _MASK) - BIAS
@@ -314,7 +335,7 @@ class ExactPoly:
 
     def coefficient_of(self, name: str, k: int) -> "ExactPoly":
         """Polynomial coefficient of name^k (the variable is removed)."""
-        s = _SHIFT[VAR_INDEX[name]]
+        s = _SHIFT[_index(name)]
         # a field never holds k + BIAS for k outside the range, so such a k
         # matches no term
         return _poly({key - (k << s): coeff for key, coeff in self._terms.items()
@@ -405,7 +426,7 @@ def poly_apply(terms) -> ExactPoly:
         items = p._terms.items()
         for shift, const, weights in op:
             delta = _monomial_key(shift) - ZERO_KEY
-            fields = [(_SHIFT[VAR_INDEX[v]], w) for v, w in weights.items() if w]
+            fields = [(_SHIFT[_index(v)], w) for v, w in weights.items() if w]
             # a field holds e_v + BIAS, so the bias comes off the constant
             const -= BIAS * sum(w for _, w in fields)
             if len(fields) <= 1:
@@ -433,7 +454,7 @@ def poly_reverse(p: ExactPoly, n: int) -> ExactPoly:
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    i = VAR_INDEX["x"]
+    i = _index("x")
     s, others = _SHIFT[i], _others(i)
     t = {}
     for key, coeff in p._terms.items():
@@ -472,7 +493,7 @@ def divexact(p: ExactPoly, d: ExactPoly) -> ExactPoly:
     if len(dvars) != 1:
         raise ValueError("divisor must be a monomial or univariate")
     name = dvars.pop()
-    s = _SHIFT[VAR_INDEX[name]]
+    s = _SHIFT[_index(name)]
     dcoeffs = d.univariate_coeffs(name)
     ddeg = len(dcoeffs) - 1
     lead = dcoeffs[-1]

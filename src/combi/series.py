@@ -138,10 +138,9 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale_argument(self, c) -> "TruncatedSeries":
-        """Substitute z -> c*z for an exact scalar c."""
-        c = Fraction(c)
-        if c.denominator == 1:
-            c = c.numerator
+        """Substitute z -> c*z for an int or Fraction c (TypeError for any
+        other)."""
+        c = ExactPoly.const(c).const_value()  # n/1 becomes the int n
         return _series(e * c ** i for i, e in enumerate(self._egf))
 
     def subs_num(self, name: str, value) -> "TruncatedSeries":

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
@@ -154,24 +155,30 @@ def test_psi_weights():
                                + stats(t.second)["ol"])
 
 
-# Slot tables (in_first, marked, p) of prefixes of the worked examples, by
-# hand.  phi: hatted entries split the first matching, an ascent a marked
-# block.  psi: (-3 -1)(4 2)(-6 7 -5) are the blocks, so the entries of the
-# first and last split the first matching, where a descent splits a marked
-# block.  The block (3 -1) of the other signed example ends negatively.
+# Slot tables (in_first, a) of prefixes of the worked examples in the
+# states their replays reach, by hand: a starts the p-th marked (even top)
+# or unmarked block of the slot's matching, and the slot at the end is
+# None.  phi: hatted entries split the first matching, an ascent a marked
+# block; "3h 1h 4 2" has the matchings (1,3)(2,4) and (1,3)(2,4), and
+# 6hc 5h add (5,8)(6,7) to the first.  psi: (-3 -1)(4 2)(-6 7 -5) are the
+# blocks, so the entries of the first and last split the first matching,
+# where a descent splits a marked block; "-3 -1 4 2" has (1,4)(2,3) and
+# (1,3)(2,4), and -6 7 -5 add (5,8)(6,9)(7,10) to the first.  The block
+# (3 -1) of the other signed example ends negatively; its first matching
+# is (1,3)(2,4).
 SLOTS = [
     ("phi", "3h 1h 4 2",
-     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1)]),
+     [(True, 2), (True, 1), (False, 2), (False, 1), None]),
     ("phi", "3h 1h 4 2 6hc 5h",
-     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1),
-      (True, True, 2), (True, False, 2)]),
+     [(True, 2), (True, 1), (False, 2), (False, 1), (True, 5), (True, 6),
+      None]),
     ("psi", "-3 -1 4 2",
-     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1)]),
+     [(True, 1), (True, 2), (False, 2), (False, 1), None]),
     ("psi", "-3 -1 4 2 -6 7 -5",
-     [(True, True, 1), (True, False, 1), (False, True, 1), (False, False, 1),
-      (True, True, 2), (True, False, 2), (True, True, 3)]),
+     [(True, 1), (True, 2), (False, 2), (False, 1), (True, 5), (True, 6),
+      (True, 7), None]),
     ("psi", "3 -1 4 2",
-     [(True, False, 1), (True, True, 1), (False, True, 1), (False, False, 1)]),
+     [(True, 1), (True, 2), (False, 2), (False, 1), None]),
 ]
 
 
@@ -182,10 +189,37 @@ def test_slot_tables(map_id, enc, want):
     obj = parse(cls, enc)
     word = obj.entries if map_id == "phi" else obj.word
     values = [e[0] for e in word] if map_id == "phi" else list(word)
-    first = [f for f, _, _ in want]
-    assert bijections._slots(values, first, map_id == "psi") == want
+    first = [f for f, _ in want[:-1]]
+    *_, (_, state) = bijections._replay(map_id, obj)
+    assert bijections._slots(values, first, map_id == "psi", state) == want
     rule = bijections._rule(map_id)
-    assert bijections._slots(*rule.inputs(word), rule.flip) == want
+    assert bijections._slots(*rule.inputs(word), rule.flip, state) == want
+
+
+# sha256 over the repr of every (word, state) node of the domain tree to
+# n = 6, one per line, then every map_steps line of every object with
+# n <= 4 as `combi bijection --steps` prints it; the states the rule
+# reaches must not move when the rule's code does
+RULE_DIGESTS = {
+    "phi": "7c513f0a26de074b74d18236318920914e3f9dea1fdc7fd32011f6da988d2c8b",
+    "psi": "c6bf18a654d8751f8e99496645923f0a2002b1e078bdc5e3c45022799208233b",
+}
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_rule_states_pinned(map_id):
+    rule = bijections._rule(map_id)
+    children = bijections._domain_tree(map_id)[2]
+    digest = hashlib.sha256()
+    for n in range(7):
+        for node in walk(children, n, ((), bijections._EMPTY)):
+            digest.update(f"{node!r}\n".encode())
+    for n in range(5):
+        for obj in generate(rule.cls, n):
+            for prefix, triple in bijections.map_steps(map_id, obj):
+                digest.update(f"{objects.encode(prefix)} -> "
+                              f"{encode_triple(triple)}\n".encode())
+    assert digest.hexdigest() == RULE_DIGESTS[map_id]
 
 
 # (first, straight) read off each entry of the worked examples, by hand:
@@ -225,15 +259,16 @@ def test_exhaustive_empty(map_id):
 
 def test_peel_replay_matches_stepwise_construction(monkeypatch):
     # every step of the replay of an object must reach the state that the
-    # domain tree reaches at that prefix, one insertion at a time; the slot
-    # inputs it carries must be those of the prefix, and the rule must read
-    # the entry of size m alone
+    # domain tree reaches at that prefix, one insertion at a time; a step
+    # that splits a block must table the slots of the prefix from the slot
+    # inputs it carries, in the prefix's state (an append tables none), and
+    # the rule must read the entry of size m alone
     slots = bijections._slots
     carried, read = [], []
 
-    def recording(values, first, flip):
-        carried.append((list(values), list(first)))
-        return slots(values, first, flip)
+    def recording(values, first, flip, state):
+        carried.append((list(values), list(first), state))
+        return slots(values, first, flip, state)
 
     def reading(rule):
         def recorded(entry):
@@ -260,8 +295,10 @@ def test_peel_replay_matches_stepwise_construction(monkeypatch):
                 prefixes.append(prefix)
                 assert triple == bijections._triple(states[prefix], m)
             assert prefixes[-1] == word
-            assert carried == [tuple(map(list, rule.inputs(prefix)))
-                               for prefix in prefixes[:-1]]
+            splits = [prefix for prefix, grown in zip(prefixes, prefixes[1:])
+                      if abs(rule.value(grown[-1])) != len(grown)]
+            assert carried == [(*map(list, rule.inputs(prefix)), states[prefix])
+                               for prefix in splits]
             assert read == sorted(word, key=lambda e: abs(rule.value(e)))
 
 
@@ -384,15 +421,33 @@ def _with(child, f, partners):
 def test_split_block_mutants_caught(monkeypatch, map_id, repeated):
     insert = bijections._insert
 
-    def always_straight(state, m, slots, index, first, straight, starts):
-        return insert(state, m, slots, index, first, True, starts)
+    def always_straight(state, m, slot, first, straight):
+        return insert(state, m, slot, first, True)
 
-    def swapped(state, m, slots, index, first, straight, starts):
-        if index < len(slots):
-            f, marked, p = slots[index]
-            if len(starts[2 * f + (not marked)]) >= p:  # else no such block
-                slots = [*slots[:index], (f, not marked, p), *slots[index + 1:]]
-        return insert(state, m, slots, index, first, straight, starts)
+    def swapped(values, first, flip, state):
+        # each slot splits the block of the same p among its matching's
+        # blocks of the other marking, where there is one, else its own.
+        # The table is built here, since the rule's raises on a missing
+        # block of the slot's own marking, which the image walk meets in
+        # states this mutant made.
+        starts = {(f, marked): [] for f in (True, False)
+                  for marked in (True, False)}
+        for f, partners in ((True, state[0]), (False, state[1])):
+            for a, b in enumerate(partners):
+                if a < b:
+                    starts[f, not b & 1].append(a)
+        counts = Counter()
+        table = []
+        prev = 0
+        for v, f in zip(values, first):
+            marked = (prev < v) != (flip and f)
+            counts[f, marked] += 1
+            p = counts[f, marked]
+            other = starts[f, not marked]
+            table.append((f, (other if len(other) >= p
+                              else starts[f, marked])[p - 1]))
+            prev = v
+        return [*table, None]
 
     monkeypatch.setattr(bijections, "_insert", always_straight)
     rep = verify_bijection(map_id, 4)
@@ -400,7 +455,8 @@ def test_split_block_mutants_caught(monkeypatch, map_id, repeated):
     assert rep.weight_preserving
     assert rep.counterexample == (repeated, "[] [(1,3)(2,5)(4,7)(6,8)] {}")
 
-    monkeypatch.setattr(bijections, "_insert", swapped)
+    monkeypatch.setattr(bijections, "_insert", insert)
+    monkeypatch.setattr(bijections, "_slots", swapped)
     rep = verify_bijection(map_id, 4)
     assert rep.injective and rep.image_complete
     assert not rep.weight_preserving
@@ -538,9 +594,8 @@ def test_collision_above_the_cut_caught(monkeypatch, map_id):
     # the subtrees' tallies would not see the collision.
     insert = bijections._insert
 
-    def straight_at_2(state, m, slots, index, first, straight, starts):
-        return insert(state, m, slots, index, first, straight or m == 2,
-                      starts)
+    def straight_at_2(state, m, slot, first, straight):
+        return insert(state, m, slot, first, straight or m == 2)
 
     monkeypatch.setattr(bijections, "_insert", straight_at_2)
     assert 2 <= bijections.SPLIT_LEVEL < 5

@@ -72,6 +72,9 @@ def test_pow():
     assert (2 * b) ** -2 == ExactPoly.monomial(Fraction(1, 4), {"b": -2})
     with pytest.raises(ValueError):
         (1 + X) ** -1
+    for k in (True, 1.0):  # X ** True was x
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            X ** k
 
 
 def test_diff():
@@ -116,11 +119,30 @@ def test_poly_reverse_rejects_a_size_that_is_not_an_int(n):
 
 
 def test_unknown_variable_names_the_alphabet():
-    # both raised KeyError: 'z'
+    # each raised KeyError: 'z'
     for build in (lambda: ExactPoly.var("z"),
-                  lambda: ExactPoly.monomial(3, {"x": 1, "z": 2})):
+                  lambda: ExactPoly.monomial(3, {"x": 1, "z": 2}),
+                  lambda: X.degree("z"),
+                  lambda: X.univariate_coeffs("z"),
+                  lambda: X.diff("z"),
+                  lambda: X.subs_num("z", 1),
+                  lambda: X.coefficient_of("z", 1),
+                  lambda: poly_apply([((({}, 0, {"z": 1}),), X)])):
         with pytest.raises(ValueError, match=r"'z'.*alphabet is \('x', "):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExactPoly.const(0.5),
+    lambda: ExactPoly.monomial(1.5, {"x": 1}),
+    lambda: ExactPoly({ZERO_EXP: 0.1}),
+    lambda: X.subs_num("x", 0.1),
+    lambda: ExactPoly.const("a"),
+], ids=["const", "monomial", "constructor", "subs_num", "const-str"])
+def test_coefficients_and_values_are_exact(build):
+    # the floats were stored, and "a" made a polynomial whose repr raised
+    with pytest.raises(TypeError, match="^expected an int or a Fraction"):
+        build()
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))

@@ -117,6 +117,15 @@ def test_egf_coefficient_index_must_be_an_int(n):
         egf_coefficient(s, n)
 
 
+@pytest.mark.parametrize("c", [0.1, "2"], ids=["float", "str"])
+def test_scale_is_exact(c):
+    # 0.1 became 3602879701896397/36028797018963968 and "2" was parsed
+    s = series_exp(z_series([0, 1], 3))
+    with pytest.raises(TypeError, match="^expected an int or a Fraction"):
+        s.scale_argument(c)
+    assert s.scale_argument(Fraction(4, 2)) == s.scale_argument(2)
+
+
 def test_ratio_exactness():
     one = TruncatedSeries.const(1, 4)
     with pytest.raises(ZeroDivisionError):

@@ -409,6 +409,12 @@ def _strip(reports):
     return [(r.id, r.n, r.status, r.lhs, r.rhs) for r in reports]
 
 
+def _no_route_raised(stripped):
+    """A mutant must fail a check by what it computes: a route that raised
+    (a stale signature's TypeError, say) fails it for the wrong reason."""
+    assert not [r for r in stripped if ": raised " in f"{r[3]} {r[4]}"]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Counts the processes run_all forks; the CPU count stays as it is."""
@@ -781,8 +787,8 @@ def _moved_index(insert):
 
 
 def _always_straight(insert):
-    def always_straight(state, m, slots, index, first, straight, starts):
-        return insert(state, m, slots, index, first, True, starts)
+    def always_straight(state, m, slot, first, straight):
+        return insert(state, m, slot, first, True)
     return always_straight
 
 
@@ -798,14 +804,20 @@ def _one_link(insert):
 
 
 def _moved_weight(insert, at=5):
-    # at the edges into size `at`, a split of the other marking where
-    # there is one: the marked and unmarked blocks, so the weight, move
-    def moved(state, m, slots, index, first, straight, starts):
-        if m == at and index < len(slots):
-            f, marked, p = slots[index]
-            if len(starts[2 * f + (not marked)]) >= p:
-                slots = [*slots[:index], (f, not marked, p), *slots[index + 1:]]
-        return insert(state, m, slots, index, first, straight, starts)
+    # at the edges into size `at`, a split of the block of the same p among
+    # the other marking's, where there is one: the marked and unmarked
+    # blocks, so the weight, move
+    def moved(state, m, slot, first, straight):
+        if m == at and slot is not None:
+            f, a = slot
+            partners = state[0] if f else state[1]
+            starts = [[b for b, t in enumerate(partners)
+                       if b < t and t & 1 == odd] for odd in (0, 1)]
+            p = starts[partners[a] & 1].index(a)
+            other = starts[not partners[a] & 1]
+            if p < len(other):
+                slot = f, other[p]
+        return insert(state, m, slot, first, straight)
     return moved
 
 
@@ -834,6 +846,7 @@ def test_mutant_certificates_same_on_one_and_two_cpus(monkeypatch, forks,
     shared = verify.run_all(5, _SHARED_IDS)
     assert len(forks) == walked
     assert _strip(shared) == _strip(serial)
+    _no_route_raised(_strip(shared))
     failed = {(r.id, r.n) for r in shared if r.status == "fail"}
     assert {("phi-bijection", 5), ("psi-bijection", 5)} <= failed
     _no_children_left()
@@ -913,9 +926,8 @@ def test_raising_roots_redo_each_n_of_the_walk_whole(monkeypatch, forks):
     from combi import bijections
     insert = bijections._insert
 
-    def straight_at_2(state, m, slots, index, first, straight, starts):
-        return insert(state, m, slots, index, first, straight or m == 2,
-                      starts)
+    def straight_at_2(state, m, slot, first, straight):
+        return insert(state, m, slot, first, straight or m == 2)
 
     monkeypatch.setattr(bijections, "_insert", straight_at_2)
     paths = []
@@ -925,6 +937,7 @@ def test_raising_roots_redo_each_n_of_the_walk_whole(monkeypatch, forks):
         _no_children_left()
     assert not forks
     assert paths[0] == paths[1] == _serial_reports(5, _SHARED_IDS)
+    _no_route_raised(paths[0])
     failed = {r[:2] for r in paths[0] if r[2] == "fail"}
     assert {(cid, n) for cid in _SHARED_IDS[:2] for n in (4, 5)} <= failed
 

@@ -63,9 +63,10 @@ to the deepest n certifies every n above the cut.
 A failed edge only means that the rule and the checks disagree, and it
 raises `_Unpeeled` wherever it is met.  `verify_bijection` then redoes the
 certificate by `_image_walk`, which keeps every image and weighs every leaf
-whole with the statistics of `objects`; its first bad leaf is the
-counterexample, so a report depends on which walk produced it only in its
-`walk` field, which equality and repr leave out.
+whole with the statistics of `objects`; its first bad leaf, or node whose
+children the rule cannot build, is the counterexample, so a report depends
+on which walk produced it only in its `walk` field, which equality and
+repr leave out.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .objects import (DecoratedPermutation, PerfectMatching,
                       int_stats_matching, signed_blocks, validate, encode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingTriple:
     first: PerfectMatching
     second: PerfectMatching
@@ -209,7 +210,7 @@ def _replay(map_id: str, obj):
         raise ValueError(f"{map_id} maps a {kind.__name__}, not {obj!r}")
     if not validate(obj):
         raise ValueError(f"invalid {cls} permutation: {obj!r}")
-    (word,) = vars(obj).values()
+    (word,) = objects._field_values(obj)
     sizes = [abs(v) for v in map(value, word)]
     placed = []  # the indices in `word` of the prefix's entries, increasing
     child = ()
@@ -472,8 +473,10 @@ def subtree_tally(map_id: str, n: int, root) -> list[Counter]:
 def _image_walk(map_id: str, n: int) -> BijectionReport:
     """One walk of the domain that keeps every image in a set: a repeat is
     a counterexample, and so is an image that is not a pair of perfect
-    matchings with one block of the first per recorded index.  Every leaf
-    is weighed whole; the first leaf to fail a test is the counterexample."""
+    matchings with one block of the first per recorded index, or a node
+    whose children the rule cannot build (its word, with what the rule
+    raised).  Every leaf is weighed whole; the first node to fail a test is
+    the counterexample."""
     kind, weighs, children = _domain_tree(map_id)
     images = set()
     per_k = Counter()
@@ -481,7 +484,18 @@ def _image_walk(map_id: str, n: int) -> BijectionReport:
     injective = True
     in_codomain = True
     counterexample = None
-    for word, state in objects.walk(children, n, ((), _EMPTY)):
+
+    def built(node, m):
+        nonlocal in_codomain, counterexample
+        try:
+            return children(node, m)
+        except (ValueError, IndexError) as exc:
+            in_codomain = False
+            if counterexample is None:
+                counterexample = (encode(kind(node[0])), str(exc))
+            return []
+
+    for word, state in objects.walk(built, n, ((), _EMPTY)):
         weight_ok = weight_ok and weighs(word, state)
         seen = len(images)  # one hash of the image, not two
         images.add(state)

@@ -11,6 +11,12 @@ bare word, block, cycle or entry tuple of each object (for inversion
 sequences, e with its bounds s), `generate` wraps each in its class, and
 the phi/psi certificates in `bijections` walk the decorated and signed trees.
 
+The object types are frozen, slotted dataclasses: an object holds its
+fields and no `__dict__`.  `_field_values` reads an object's fields as one
+tuple in declaration order, the columns `leaves` yields for its class; it
+is looked up by exact type, as `validate` and `stats` are, so a subclass
+is no object of the class.
+
 Each class has an integer statistic schema: a fixed tuple of names
 (`INT_STAT_NAMES`) and one function that takes a leaf and returns the
 values in that order as a tuple of ints.  The statistic tables in
@@ -30,7 +36,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from operator import gt, lt, mul
+from operator import attrgetter, gt, lt, mul
 
 from .poly import CapacityError
 
@@ -39,12 +45,12 @@ from .poly import CapacityError
 # object types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """Word of signed entries; magnitudes form a permutation of 1..n.
 
@@ -53,32 +59,32 @@ class SignedPermutation:
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerfectMatching:
     """Pairs (i, j) with i < j in standard form: first coordinates increase."""
     blocks: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StirlingWord:
     """Word over {1,1,...,n,n}; entries between the two copies of i exceed i."""
     word: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleStirling:
     """Cycle form: each cycle starts at its minimum, holds both copies of each
     of its values, reduces to a Stirling word; cycles sorted by minimum."""
     cycles: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedPermutation:
     """Entries (value, hat, circle) built by max-insertion rules."""
     entries: tuple[tuple[int, bool, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InversionSequence:
     e: tuple[int, ...]
     s: tuple[int, ...]
@@ -108,6 +114,30 @@ _CLASSES = {
 CLASS_NAMES = tuple(_CLASSES)
 INT_STAT_NAMES = {name: entry[3] for name, entry in _CLASSES.items()}
 _STATS_BY_TYPE = {entry[0]: entry[2:] for entry in _CLASSES.values()}
+
+
+def _field_getter(kind):
+    """The getter of a `kind` object's field values as a tuple (an
+    attrgetter of one name gives the bare value)."""
+    get = attrgetter(*kind.__slots__)
+    if len(kind.__slots__) > 1:
+        return get
+    return lambda obj: (get(obj),)
+
+
+# object type -> the getter of its field values, in declaration order
+_FIELDS_BY_TYPE = {entry[0]: _field_getter(entry[0])
+                   for entry in _CLASSES.values()}
+
+
+def _field_values(obj) -> tuple:
+    """The field values of an object of one of the seven types, as a tuple
+    in declaration order: the columns `leaves` yields for its class.  An
+    object of any other type, a subclass too, is a TypeError."""
+    get = _FIELDS_BY_TYPE.get(type(obj))
+    if get is None:
+        raise TypeError(f"not a combinatorial object: {obj!r}")
+    return get(obj)
 
 
 def double_factorial(n: int) -> int:
@@ -391,7 +421,7 @@ def validate(obj) -> bool:
     check = _VALIDATE_BY_TYPE.get(type(obj))
     if check is None:
         return False
-    fields = vars(obj).values()
+    fields = _field_values(obj)
     return _TUPLE.issuperset(map(type, fields)) and globals()[check](*fields)
 
 
@@ -541,9 +571,10 @@ def stats(obj) -> dict:
     if entry is None:
         raise TypeError(f"not a combinatorial object: {obj!r}")
     ints, names, sets = entry
-    out = dict(zip(names, globals()[ints](*vars(obj).values())))
+    fields = _field_values(obj)
+    out = dict(zip(names, globals()[ints](*fields)))
     if sets is not None:
-        out.update(globals()[sets](*vars(obj).values()))
+        out.update(globals()[sets](*fields))
     return out
 
 

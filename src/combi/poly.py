@@ -35,8 +35,9 @@ The public interface speaks 7-tuples: the constructor takes a dict of
 raises ValueError), and `items()` gives (exponent tuple, coefficient) pairs.
 
 The constructors and `subs_num` take int and Fraction numbers only
-(TypeError for a float or anything else), and every method that names a
-letter raises ValueError for one outside the alphabet.
+(TypeError for a bool, a float or anything else), and so do the ring
+operations with a number; every method that names a letter raises
+ValueError for one outside the alphabet.
 
 Negative exponents are first-class: the grammar rewriting rule for the
 letter ``b`` produces the monomial b^-1*c^2*d^2.
@@ -77,9 +78,10 @@ def _norm_coeff(c: Coeff) -> Coeff:
 
 
 def _exact(c: Coeff) -> Coeff:
-    """c, if it is an int or a Fraction: the public constructors and
-    subs_num take nothing else (the kernels' results need no check)."""
-    if not isinstance(c, (int, Fraction)):
+    """c, if it is an int or a Fraction, and not a bool: the public
+    constructors and subs_num take nothing else (the kernels' results need
+    no check)."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected an int or a Fraction, got {c!r}")
     return c
 
@@ -237,9 +239,12 @@ class ExactPoly:
 
     @staticmethod
     def _coerce(other) -> "ExactPoly":
+        """other as a polynomial, if it is one or an int or a Fraction (a
+        bool is not a number here); else NotImplemented, so the operators
+        raise TypeError and == is False."""
         if isinstance(other, ExactPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return ExactPoly.const(other)
         return NotImplemented
 

@@ -233,7 +233,7 @@ READS = [
 @pytest.mark.parametrize("map_id,enc,want", READS, ids=["phi", "psi"])
 def test_rule_reads_one_entry(map_id, enc, want):
     rule = bijections._rule(map_id)
-    (word,) = vars(parse(rule.cls, enc)).values()
+    (word,) = objects._field_values(parse(rule.cls, enc))
     assert [rule.read(entry) for entry in word] == [
         (a == "T", b == "T") for a, b in want.split()]
 
@@ -291,7 +291,7 @@ def test_peel_replay_matches_stepwise_construction(monkeypatch):
             prefixes = [()]
             for m, (prefix, triple) in enumerate(
                     bijections.map_steps(map_id, rule.kind(word)), 1):
-                (prefix,) = vars(prefix).values()
+                (prefix,) = objects._field_values(prefix)
                 prefixes.append(prefix)
                 assert triple == bijections._triple(states[prefix], m)
             assert prefixes[-1] == word

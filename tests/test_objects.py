@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -453,7 +455,7 @@ def test_stats_is_the_int_schema_plus_the_set_valued_extras(cls):
         s = tuple(range(1, n + 1)) if cls == "invseq" else None
         for obj, leaf in zip(generate(cls, n, s), zip(*leaves(cls, n, s)),
                              strict=True):
-            assert tuple(vars(obj).values()) == leaf
+            assert objects._field_values(obj) == leaf
             values = ints(*leaf)
             assert type(values) is tuple
             assert all(type(v) is int for v in values)
@@ -473,7 +475,8 @@ _TABLE_CASES = [(cls, n, None) for cls in CLASS_NAMES if cls != "invseq"
     for cls, n, s in _TABLE_CASES])
 def test_table_counts_the_stat_function_over_generated_objects(cls, n, s):
     ints = class_functions(cls)[1]
-    want = Counter(ints(*vars(obj).values()) for obj in generate(cls, n, s))
+    want = Counter(ints(*objects._field_values(obj))
+                   for obj in generate(cls, n, s))
     assert families._joint_table(cls, n, s) == want
     assert sum(want.values()) == class_count(cls, n, s)
 
@@ -499,6 +502,50 @@ def test_tables_build_no_object(monkeypatch):
         "x", 1).const_value() == 15
     assert verify._fiber_histogram(3) == {8: 6}
     assert count_paired_excedance_involutions(1) == 2
+
+
+def _same_after_copies(obj):
+    """obj has no __dict__, and each pickled or deep copy of it has its
+    type, equals it, hashes and prints like it."""
+    assert not hasattr(obj, "__dict__")
+    copies = [pickle.loads(pickle.dumps(obj, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*copies, copy.deepcopy(obj)):
+        assert type(back) is type(obj)
+        assert back == obj and hash(back) == hash(obj)
+        assert repr(back) == repr(obj)
+
+
+@pytest.mark.parametrize("cls", CLASS_NAMES)
+def test_slotted_objects_copy(cls):
+    # test_stats_is_the_int_schema_plus_the_set_valued_extras reads each
+    # object's fields against its leaf
+    for n in range(4):
+        s = tuple(range(1, n + 1)) if cls == "invseq" else None
+        for obj in generate(cls, n, s):
+            _same_after_copies(obj)
+
+
+def test_slotted_triples_copy():
+    _same_after_copies(bijections.phi_map(parse("decorated",
+                                                "3h 1h 4 2 6hc 5h")))
+    _same_after_copies(bijections.psi_map(parse("signed",
+                                                "3 -1 4 2 -6 7 -5")))
+
+
+@pytest.mark.parametrize("cls", CLASS_NAMES)
+def test_validate_refuses_a_subclass(cls):
+    # one subclass keeps the slots, the other gains a __dict__
+    obj = next(generate(cls, 1, (1,) if cls == "invseq" else None))
+    assert validate(obj)
+    for body in ({"__slots__": ()}, {}):
+        fake = type("Sub", (type(obj),), body)(*objects._field_values(obj))
+        assert hasattr(fake, "__dict__") == (not body)
+        assert not validate(fake)
+        with pytest.raises(TypeError, match="not a combinatorial object"):
+            objects._field_values(fake)
+        with pytest.raises(TypeError, match="not a combinatorial object"):
+            stats(fake)
 
 
 def _matching_children_rebuilt(blocks, m):

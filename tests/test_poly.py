@@ -138,11 +138,23 @@ def test_unknown_variable_names_the_alphabet():
     lambda: ExactPoly({ZERO_EXP: 0.1}),
     lambda: X.subs_num("x", 0.1),
     lambda: ExactPoly.const("a"),
-], ids=["const", "monomial", "constructor", "subs_num", "const-str"])
+    lambda: ExactPoly.const(True),
+    lambda: ExactPoly({ZERO_EXP: True}),
+], ids=["const", "monomial", "constructor", "subs_num", "const-str",
+        "const-bool", "constructor-bool"])
 def test_coefficients_and_values_are_exact(build):
-    # the floats were stored, and "a" made a polynomial whose repr raised
+    # the floats were stored, "a" made a polynomial whose repr raised, and
+    # a bool was stored as a coefficient
     with pytest.raises(TypeError, match="^expected an int or a Fraction"):
         build()
+
+
+def test_a_bool_is_no_number():
+    # X + True was 1 + x and X * True was x: a bool acted as an int
+    for build in (lambda: X + True, lambda: X * True, lambda: True - X):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            build()
+    assert ExactPoly.one() != True and ExactPoly.one() == 1  # noqa: E712
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))

@@ -913,9 +913,23 @@ def test_failed_walk_redoes_each_of_its_n_whole(monkeypatch, forks):
         _no_children_left()
     assert len(forks) == 1
     assert paths[0] == paths[1] == _serial_reports(None, ids)
+    _no_route_raised(paths[0])
     assert {r[:2] for r in paths[0] if r[2] == "fail"} == {
         ("phi-bijection", 6), ("phi-bijection", 7), ("psi-bijection", 6)}
     assert len(paths[0]) == 13
+
+
+@pytest.mark.parametrize("map_id", ["phi", "psi"])
+def test_image_walk_names_a_node_the_rule_cannot_grow(monkeypatch, map_id):
+    # the edges into size 3 split the wrong block, and one node of size 3
+    # is left without a 2nd unmarked block for its children to split:
+    # verify_bijection raised the rule's ValueError instead of reporting
+    from combi import bijections
+    monkeypatch.setattr(bijections, "_insert",
+                        _moved_weight(bijections._insert, 3))
+    rep = bijections.verify_bijection(map_id, 4)
+    assert not rep.all_ok and rep.walk == "images"
+    assert rep.counterexample == ("3 2 1", "no 2-th unmarked block")
 
 
 def test_raising_roots_redo_each_n_of_the_walk_whole(monkeypatch, forks):
